@@ -36,7 +36,7 @@ def entry() -> Any:
     policy = HostPolicy(web.host_policy, round_ms=1000)
     docs, _results, _metrics = greedy_crawl(
         ray.put(web.url_map()), web.domains, policy=policy,
-        max_num=50, max_depth=3, keep_content=False, mode="driver",
+        max_num=50, max_depth=3, keep_content=False,
     )
     if docs is None:
         return ray.data.from_arrow(CORPUS.empty_table())

@@ -116,7 +116,7 @@ def bench_crawl(n_pages: int | None = None) -> dict:
     t0 = time.time()
     docs, results, metrics = greedy_crawl(
         spec, web.domains, seeds=seeds, policy=no_delay, max_num=0, max_depth=4,
-        keep_content=False, num_shards=min(16, NUM_CPUS), mode="auto",
+        keep_content=False, num_shards=min(16, NUM_CPUS),
         driver_threshold=2_000_000, emit_docs=False,
     )
     dt = time.time() - t0
@@ -480,7 +480,7 @@ def run_scaling_child() -> dict:
     import ray.data
 
     try:
-        os.sched_setaffinity(0, range(min(NUM_CPUS, os.cpu_count())))
+        os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:NUM_CPUS])
     except (AttributeError, OSError):
         pass  # non-Linux: fall back to the scheduling-token budget
     ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False,

@@ -292,8 +292,6 @@ class GreedyImageCrawler(_CompatCrawler):
         _docs, results, _metrics = greedy_crawl(
             self.session_spec, domains, max_num=max_num, min_size=min_size,
             max_size=max_size, keep_content=True, default_ext=DEFAULT_EXT,
-            parse_concurrency=self.parse_concurrency,
-            fetch_concurrency=self.fetch_concurrency,
             max_idle_time=max_idle_time,
             file_idx_offset=self._resolve_offset(file_idx_offset),
             downloader_hooks=self.downloader_hooks,

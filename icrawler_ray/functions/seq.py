@@ -212,6 +212,13 @@ def assign_global_running_max(ds: ray.data.Dataset, sort_keys: list[str], val_co
     return ray.data.from_arrow_refs(out_refs)
 
 
+def cluster_cpus() -> int:
+    """CPU count of the running Ray cluster, the basis of every block split.
+    Raises if Ray is not initialised: a guessed count would silently
+    mis-size the parallelism of each stage."""
+    return int(ray.cluster_resources()["CPU"])
+
+
 def from_table_blocks(table: pa.Table, min_rows_per_block: int = 256,
                       tasks_per_cpu: float = 1.0) -> ray.data.Dataset:
     """Dataset from an in-memory Arrow table, SPLIT into row-range blocks.
@@ -225,11 +232,7 @@ def from_table_blocks(table: pa.Table, min_rows_per_block: int = 256,
     n = table.num_rows
     if n == 0:
         return ray.data.from_arrow(table)
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    target = max(1, int(cpus * tasks_per_cpu))
+    target = max(1, int(cluster_cpus() * tasks_per_cpu))
     nblocks = min(max(1, n // min_rows_per_block), target)
     step = (n + nblocks - 1) // nblocks
     slices = [table.slice(i, step) for i in range(0, n, step)]

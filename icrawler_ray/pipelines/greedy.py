@@ -4,14 +4,25 @@ Reference flow: GreedyFeeder seeds domains and parks; GreedyParser feeds
 page links back into its own queue (the BFS frontier with the url_queue's
 CachedQueue as seen-set, /root/reference/icrawler/parser.py:105-111,
 greedy.py:10-15). Here the feedback loop is an explicit driver round loop
-(Ray Data has no native iteration); each round is:
+(Ray Data has no native iteration); each round is one dataflow:
 
     frontier_r --politeness gate--> gated | deferred
-    gated --FetchParse actor pool--> docs + tasks + links + errors
-    links --exact in-round dedup--> --sharded seen filter (groupby shard)-->
-          --sort(parent_seq, emit_ord) + global seq--> new frontier rows
-    tasks --same dedup/seen--> --Fetcher actor pool--> --ordered filenames-->
-    frontier_{r+1} = deferred U new_links ; checkpoint(round)
+    gated --fetch/parse tasks, seen-shard claims fused in--> docs + tasks
+          + links + errors
+    claims --min (parent_seq, emit_ord) per URL key--> winner arrays
+    winning tasks --fetch--> kept files --crawl-order dl_seq--> filenames
+    winning links --rank among the winners = discovered seq--> new rows
+    frontier_{r+1} = deferred U new rows ; checkpoint(round)
+
+Frontier residency: between rounds the frontier lives where its size
+allows. At or below ``driver_threshold`` rows it is an Arrow table on the
+driver, gated by vectorized pandas ops; above it, a Dataset whose blocks
+stay in the object store (the 10^10-URL design point), gated by the
+distributed ``politeness_gate``. Everything after the gate is one code
+path. The driver holds only control arrays (claim winner sets, the kept
+downloads' order keys), never link rows — the memory-bounded pipeline
+scheduling argument of "Memory Efficient Scheduling of Query Pipeline
+Execution" (CIDR 2022).
 
 Determinism: every ordering is defined by explicit sort keys
 (depth/priority/discovered seq — SURVEY.md §7.4), so outputs are identical
@@ -27,8 +38,6 @@ reproduces them exactly. Deviations from the reference, by design:
 from __future__ import annotations
 
 import os
-import os.path as osp
-import shutil
 import time
 import uuid
 
@@ -38,41 +47,20 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from icrawler_ray.defaults import DEFAULT_EXT, DEFAULT_SEEN_SHARDS, FETCH_BATCH_SIZE
-from icrawler_ray.functions.seq import assign_global_seq
+from icrawler_ray.defaults import DEFAULT_EXT, DEFAULT_SEEN_SHARDS
+from icrawler_ray.functions.seq import cluster_cpus, from_table_blocks
 from icrawler_ray.functions.urlnorm import canonicalize, hash_urls, hosts_of
 from icrawler_ray.schemas import FRONTIER
-from icrawler_ray.stages.download import Fetcher, assign_filenames
-from icrawler_ray.stages.fetch_parse import FetchParse, split_fetch_parse
-from icrawler_ray.stages.politeness import HostPolicy, politeness_gate
-from icrawler_ray.state.checkpoint import CheckpointManager
-from icrawler_ray.state.seen import ShardedSeenSet
+from icrawler_ray.stages.download import make_fetcher_fn, name_files
+from icrawler_ray.stages.fetch_parse import make_fetch_parse_fn
+from icrawler_ray.stages.politeness import (HostPolicy, _topk_per_host, politeness_gate,
+                                            robots_filter)
+from icrawler_ray.state.checkpoint import CheckpointManager, RoundOutputs
+from icrawler_ray.state.seen import ShardedSeenSet, await_claims, is_actor_death
 
-
-def _is_actor_death(e: BaseException) -> bool:
-    """True iff the exception chain bottoms out in a Ray actor death —
-    the one failure class the round loop can heal from (anything else is
-    a code bug and must surface).  Ray wraps worker-side failures in
-    RayTaskError / UserCodeException layers, so walk the chain and also
-    match on the pickled error's repr."""
-    from ray.exceptions import RayActorError
-
-    seen = set()
-    while e is not None and id(e) not in seen:
-        seen.add(id(e))
-        if isinstance(e, RayActorError):
-            return True
-        text = f"{e!r} {e}"  # RayTaskError embeds the remote traceback in str()
-        if "ActorDiedError" in text or "ActorUnavailableError" in text:
-            return True
-        # A dead shard may already be deregistered when a worker re-resolves
-        # the handle by name: ray.get_actor then raises ValueError("Failed to
-        # look up actor with name 'seen:...'").  Only our own seen-shard
-        # namespace is healable; any other name is a code bug.
-        if "Failed to look up actor with name 'seen:" in text:
-            return True
-        e = getattr(e, "cause", None) or e.__cause__ or e.__context__
-    return False
+#: FRONTIER column names as the politeness gate and the parse tasks read them
+_GATE_COLS = ["url", "url_canon", "url_hash", "host", "depth", "priority", "seq",
+              "parent_doc_id"]
 
 
 def normalize_domains(domains) -> list[str]:
@@ -87,19 +75,23 @@ def normalize_domains(domains) -> list[str]:
     return out
 
 
-def _frontier_table(urls, depths, priorities, seqs) -> pa.Table:
-    s = pd.Series(list(urls), dtype="string")
-    canon = canonicalize(s)
+def _frontier_table(urls: list, depths, seqs, parents=None) -> pa.Table:
+    """FRONTIER rows for seed or newly admitted URLs: canonical form, key
+    hash and host are derived here; priority starts flat at 1.0."""
+    s = pd.Series(urls, dtype="string")
+    canon = canonicalize(s).fillna("")
+    n = len(s)
     return pa.table(
         {
             "url": pa.array(s.astype(object), type=pa.string()),
             "url_canon": pa.array(canon.astype(object), type=pa.string()),
-            "url_hash": pa.array(hash_urls(canon.fillna("")), type=pa.uint64()),
+            "url_hash": pa.array(hash_urls(canon), type=pa.uint64()),
             "host": pa.array(hosts_of(s).astype(object), type=pa.string()),
             "depth": pa.array(np.asarray(depths, dtype=np.int32)),
-            "priority": pa.array(np.asarray(priorities, dtype=np.float64)),
+            "priority": pa.array(np.ones(n, dtype=np.float64)),
             "discovered_seq": pa.array(np.asarray(seqs, dtype=np.int64)),
-            "parent_doc_id": pa.array([""] * len(s), type=pa.string()),
+            "parent_doc_id": (pa.array([""] * n, type=pa.string())
+                              if parents is None else parents),
         },
         schema=FRONTIER,
     )
@@ -122,11 +114,8 @@ class GreedyCrawl:
         out_dir: str | None = None,
         checkpoint_dir: str | None = None,
         default_ext: str = DEFAULT_EXT,
-        parse_concurrency=(1, 4),
-        fetch_concurrency=(1, 8),
         keep_content: bool = True,
         run_id: str | None = None,
-        mode: str = "auto",
         driver_threshold: int = 200_000,
         seeds: list[str] | None = None,
         emit_docs: bool = True,
@@ -154,10 +143,9 @@ class GreedyCrawl:
         from icrawler_ray.state.hostrank import DEFAULT_SHARD_THRESHOLD, HostRankState
 
         self.host_rank_priority = bool(host_rank_priority)
-        self._host_rank_threshold = (DEFAULT_SHARD_THRESHOLD
-                                     if host_rank_shard_threshold is None
-                                     else int(host_rank_shard_threshold))
-        self._host_rank = HostRankState(self._host_rank_threshold)
+        self._host_rank = HostRankState(DEFAULT_SHARD_THRESHOLD
+                                        if host_rank_shard_threshold is None
+                                        else int(host_rank_shard_threshold))
         # max_recoveries: in-process fault-recovery budget — on a seen-shard
         # actor death mid-round, rewind to the last round-boundary
         # checkpoint (fresh shard fleet, restored state) and retry the
@@ -173,8 +161,8 @@ class GreedyCrawl:
         # affect the max_num download budget.
         self.file_idx_offset = int(file_idx_offset)
         # downloader_hooks=(cls, kwargs): a reference-style Downloader
-        # subclass's get_filename/keep_file/process_meta run in the fetch
-        # and naming stages (X3; stages/download.RefDownloaderHooks).
+        # subclass's keep_file runs in the fetch tasks, its get_filename
+        # and process_meta in the naming map (X3; stages/download).
         self.downloader_hooks = downloader_hooks
         # max_idle_time (reference downloader.py:195-205): stop the crawl
         # once no round has produced progress (docs, downloads or new
@@ -186,17 +174,11 @@ class GreedyCrawl:
         # shipped (span assembly is the widest data in the pipeline);
         # crawl ordering / seen-set semantics are unchanged.
         self.emit_docs = emit_docs
-        # mode: "driver" = the HYBRID round (the scale path, despite the
-        # name): distributed parse with the seen-shard claim exchange fused
-        # into the tasks, winner sets back as tiny arrays, distributed
-        # admitted-filter + fetch; the driver holds only frontier control
-        # tables (gate + seq assignment). "dataset" = pure Ray-Data shuffle
-        # path (groupby dedup + groupby seen filter) — slower per round,
-        # kept as the cross-check implementation. "auto" uses the hybrid
-        # below ``driver_threshold`` frontier rows (the gate/frontier
-        # pandas ops are the only driver-resident state). All modes are
-        # parity-tested against each other and the sequential oracle.
-        self.mode = mode
+        # driver_threshold: where the frontier lives between rounds (module
+        # docstring). The driver table saves the gate's shuffle and the
+        # per-round Dataset overhead at small sizes; past the threshold only
+        # the object store can hold the frontier. Outputs are identical on
+        # both sides (parity-tested against the sequential oracle).
         self.driver_threshold = driver_threshold
         self.url_map_ref = url_map_ref
         self.domains = normalize_domains(domains)
@@ -213,20 +195,13 @@ class GreedyCrawl:
         self.max_size = max_size
         self.out_dir = out_dir
         self.default_ext = default_ext
-        self.parse_concurrency = parse_concurrency
-        self.fetch_concurrency = fetch_concurrency
         self.keep_content = keep_content
         self.run_id = run_id or uuid.uuid4().hex[:8]
         self.num_shards = num_shards
         self.seen_capacity = seen_capacity
         self.exact_seen = exact_seen
         self._seen_gen = 0  # bumped on fault recovery (fresh actor fleet)
-        self.seen_pages = ShardedSeenSet(
-            f"{self.run_id}:pages", num_shards, seen_capacity, exact=exact_seen
-        )
-        self.seen_files = ShardedSeenSet(
-            f"{self.run_id}:files", num_shards, seen_capacity, exact=exact_seen
-        )
+        self._spawn_seen_sets(self.run_id)
         self.ckpt = CheckpointManager(checkpoint_dir) if checkpoint_dir else None
         # exact per-host inflight caps (opt-in: one named token actor per
         # run, slots acquired per (task, host run) in the fetch stages)
@@ -242,22 +217,11 @@ class GreedyCrawl:
         self.next_seq = 0
         self.start_round = 0
         self._recoveries = 0
-        # The frontier between rounds is EITHER a small driver-side table
-        # (driver/hybrid mode) OR a Dataset whose blocks stay in the object
-        # store (dataset mode — the 10^10-URL scale path, VERDICT r1 #4);
-        # the driver then holds only its row count. Conversion happens
-        # lazily at the mode boundary.
+        # The frontier between rounds: a driver pa.Table, or a Dataset of
+        # object-store blocks of which the driver holds only the row count.
         self._frontier: pa.Table | ray.data.Dataset | None = None
         self._frontier_count: int | None = None
-        # Round outputs NEVER accumulate on the driver: each round's
-        # docs/results are either written as a parquet partition dir
-        # (out_dir / checkpoint runs) or kept as Arrow block refs in the
-        # object store. run() assembles them into lazy Datasets; only row
-        # COUNTS cross the driver, so resident-set stays flat with crawl
-        # size (VERDICT r1 #3).
-        self._parts_are_paths = (out_dir or checkpoint_dir) is not None
-        self._doc_parts: list = []
-        self._result_parts: list = []
+        self.outputs = RoundOutputs(out_dir, self.ckpt)
 
     # ------------------------------------------------------------- setup
 
@@ -267,16 +231,14 @@ class GreedyCrawl:
             if manifest is not None:
                 self._resume(manifest)
                 return
-        t = _frontier_table(
-            self.seed_urls, [0] * len(self.seed_urls), [1.0] * len(self.seed_urls),
-            range(len(self.seed_urls)),
-        )
+        n = len(self.seed_urls)
+        t = _frontier_table(self.seed_urls, [0] * n, range(n))
         # seed dedup + seen-mark (enqueue-time semantics, cached_queue.py:53-59)
         df = t.to_pandas().drop_duplicates("url_canon", keep="first")
         novel = self.seen_pages.filter_and_insert_array(df["url_hash"].to_numpy())
         df = df[novel]
         self._set_frontier(pa.Table.from_pandas(df, preserve_index=False).cast(FRONTIER))
-        self.next_seq = len(self.seed_urls)
+        self.next_seq = n
 
     def _resume(self, manifest: dict) -> None:
         r = manifest["last_round"]
@@ -288,24 +250,12 @@ class GreedyCrawl:
         self.dl_count = c["dl_count"]
         self.next_seq = c["next_seq"]
         self.start_round = r + 1
-        # previously written round outputs are final (skip-finished resume);
-        # record their partition dirs — never read the data back.
-        for rr in range(self.start_round):
-            for kind, parts in (("docs", self._doc_parts), ("results", self._result_parts)):
-                d = self._round_out_dir(rr, kind)
-                if d and osp.isdir(d) and os.listdir(d):
-                    parts.append(d)
+        self.outputs.adopt_finished(self.start_round)
 
-    def _apply_host_rank(self, hosts) -> np.ndarray:
-        """Accumulate admitted in-link counts per host; return the priority
-        vector 1 + log1p(count_after_update[host]) for these rows.  Both
-        round modes call this with the SAME admitted winner set (parity),
-        so priorities are identical at any parallelism — and identical on
-        the dict and the sharded-counter paths (pinned by pytest)."""
-        codes, uniq = pd.factorize(np.asarray(hosts, dtype=object))
-        ns = np.bincount(codes, minlength=len(uniq)).astype(np.int64)
-        newc = self._host_rank.update_and_counts(uniq, ns)
-        return 1.0 + np.log1p(newc[codes].astype(np.float64))
+    def _spawn_seen_sets(self, prefix: str) -> None:
+        self.seen_pages, self.seen_files = (
+            ShardedSeenSet(f"{prefix}:{kind}", self.num_shards, self.seen_capacity,
+                           exact=self.exact_seen) for kind in ("pages", "files"))
 
     def _recover_from_checkpoint(self) -> None:
         """In-process fault recovery (seen-shard actor death mid-round):
@@ -322,12 +272,8 @@ class GreedyCrawl:
         self._seen_gen += 1
         for old in (self.seen_pages, self.seen_files):
             old.shutdown()  # per-shard kill, tolerant of the dead one
-        gen = f"{self.run_id}:g{self._seen_gen}"
-        self.seen_pages = ShardedSeenSet(
-            f"{gen}:pages", self.num_shards, self.seen_capacity, exact=self.exact_seen)
-        self.seen_files = ShardedSeenSet(
-            f"{gen}:files", self.num_shards, self.seen_capacity, exact=self.exact_seen)
-        self._doc_parts, self._result_parts = [], []
+        self._spawn_seen_sets(f"{self.run_id}:g{self._seen_gen}")
+        self.outputs = RoundOutputs(self.out_dir, self.ckpt)
         self.dl_count = 0
         self._host_rank.reset()  # re-warms, like resume (else the re-run
         #                          round would double-count its in-links)
@@ -357,92 +303,44 @@ class GreedyCrawl:
         return self._frontier_count or 0
 
     def _frontier_as_table(self) -> pa.Table:
-        """Driver-mode view; collects only when crossing dataset->driver
-        (by construction that happens only under the size threshold)."""
-        if not isinstance(self._frontier, pa.Table):
-            self._frontier = _collect(self._frontier, FRONTIER)
+        self._frontier = _as_table(self._frontier)
         return self._frontier
 
-    def _frontier_as_dataset(self):
-        from icrawler_ray.functions.seq import from_table_blocks
-
-        if isinstance(self._frontier, pa.Table):
-            return from_table_blocks(self._frontier, min_rows_per_block=1024)
-        return self._frontier
+    def _store_frontier(self, deferred, new, tm: dict) -> tuple[int, int]:
+        """Make ``deferred`` U ``new`` the next frontier: a driver table at
+        or below ``driver_threshold`` rows, else object-store blocks.
+        -> (deferred rows, new rows)."""
+        t0 = time.time()
+        if not isinstance(deferred, pa.Table):
+            deferred = deferred.materialize()
+        n_def = deferred.num_rows if isinstance(deferred, pa.Table) else deferred.count()
+        n_new = new.count() if new is not None else 0
+        tm["deferred"] = time.time() - t0
+        n_rows = n_def + n_new
+        parts = [deferred] + ([] if new is None else [new])
+        if n_rows <= self.driver_threshold:
+            t0 = time.time()
+            self._set_frontier(pa.concat_tables([_as_table(p) for p in parts]))
+            tm["links_collect"] = time.time() - t0
+            return n_def, n_new
+        parts = [_as_dataset(p) for p in parts]
+        fr = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
+        # Empty-block drag: deferred is a FILTER of this round's frontier,
+        # so it keeps the parent's block count even when nearly empty — on
+        # a drained frontier hundreds of ~0-row blocks union into the next
+        # round and every gate scan pays a task per block (measured: a
+        # 6.8 s gate over a 32k-row round-4 frontier at 500k pages).
+        # Re-block only when pathological; rows are order-insensitive
+        # (every downstream ordering has explicit sort keys).
+        target = int(min(max(1, n_rows // 4096), 4 * cluster_cpus()))
+        if sum(p.num_blocks() for p in parts) > 2 * target:
+            t0 = time.time()
+            fr = fr.repartition(target).materialize()
+            tm["reblock"] = time.time() - t0
+        self._set_frontier(fr, count=n_rows)
+        return n_def, n_new
 
     # -------------------------------------------------------------- round
-
-    def _round_out_dir(self, round_idx: int, kind: str) -> str | None:
-        if self.out_dir:
-            return osp.join(self.out_dir, f"round={round_idx}", kind)
-        if self.ckpt:
-            return osp.join(self.ckpt.round_dir(round_idx), kind)
-        return None
-
-    def _flush_claims(self, parsed, metrics: dict, expected: int,
-                      round_idx: int | None = None) -> None:
-        """Delivery barrier for the NON-BLOCKING fused claims: compare the
-        shards' claims_received() totals against the claimable-row count
-        of the materialized parse output (every task/link row claims
-        exactly once; the caller derives the count by subtraction from
-        row totals it already has — no extra Dataset execution). Normally
-        satisfied on the first poll — the claims drained while parse
-        tasks were still running; the blocking resend covers the rare
-        case of a submitting worker dying between task completion and
-        submission-queue flush (claims are idempotent within a round:
-        finish_round keeps the min packed per key, so duplicates from a
-        resend cannot change the winners)."""
-        deadline = time.time() + 10.0
-        while time.time() < deadline:
-            received = (self.seen_files.claims_received()
-                        + self.seen_pages.claims_received())
-            if received >= expected:
-                return
-            time.sleep(0.02)
-        metrics["claims_resent"] = True
-        from icrawler_ray.state.seen import route_claims
-
-        for ref in parsed.to_arrow_refs():
-            route_claims(ray.get(ref), self.seen_pages.name, self.seen_files.name,
-                         self.seen_pages.num_shards, self.max_depth, block=True,
-                         round_idx=round_idx)
-
-    def _persist(self, ds, round_idx: int, kind: str, parts: list) -> int:
-        """Store one round's output without driver materialization.
-
-        With a base dir: distributed parquet write into the round partition
-        dir. The dir is REPLACED, not appended — a round re-executed after a
-        mid-round crash overwrites its stale partials instead of
-        duplicating rows (ADVICE r1 #2). Without: the materialized blocks
-        stay in the object store as refs. Returns the row count (parquet
-        footers / block metadata only)."""
-        d = self._round_out_dir(round_idx, kind)
-        if d is not None:
-            if osp.isdir(d):
-                shutil.rmtree(d)
-            os.makedirs(d)
-            ds.write_parquet(d)
-            n = _dir_num_rows(d)
-            if n:
-                parts.append(d)
-            return n
-        md = ds.materialize()
-        n = md.count()
-        if n:
-            parts.extend(md.to_arrow_refs())
-        return n
-
-    def _assemble(self, parts: list):
-        """Lazy Dataset over a run's accumulated round outputs (or None)."""
-        if not parts:
-            return None
-        if self._parts_are_paths:
-            # read_parquet takes a list of FILES (a multi-path list of dirs
-            # is rejected by pyarrow): expand each partition dir.
-            files = [osp.join(d, p) for d in parts
-                     for p in sorted(os.listdir(d)) if p.endswith(".parquet")]
-            return ray.data.read_parquet(files)
-        return ray.data.from_arrow_refs(parts)
 
     def run(self):
         self._init_frontier()
@@ -453,14 +351,11 @@ class GreedyCrawl:
                 break
             if self.max_num and self.dl_count >= self.max_num:
                 break
-            use_driver = self.mode == "driver" or (
-                self.mode == "auto" and self._frontier_rows() <= self.driver_threshold
-            )
             try:
-                m = self._run_round_driver(round_idx) if use_driver else self._run_round(round_idx)
+                m = self._run_round(round_idx)
             except Exception as e:  # noqa: BLE001 — filtered to actor death below
                 if (self.ckpt is None or self._recoveries >= self.max_recoveries
-                        or not _is_actor_death(e)):
+                        or not is_actor_death(e)):
                     raise
                 self._recoveries += 1
                 self._recover_from_checkpoint()
@@ -474,19 +369,35 @@ class GreedyCrawl:
                   and time.time() - last_progress >= self.max_idle_time):
                 m["idle_stop"] = True
                 break
-        return self._assemble(self._doc_parts), self._assemble(self._result_parts), self.metrics
+        return self.outputs.assemble("docs"), self.outputs.assemble("results"), self.metrics
+
+    def _gate(self):
+        """Politeness + robots gate on the frontier where it lives.
+        -> (gated rows to fetch, deferred FRONTIER rows, gated count); both
+        are driver tables or both Datasets."""
+        if self._frontier_rows() > self.driver_threshold:
+            frontier = _as_dataset(self._frontier).map_batches(
+                lambda t: t.rename_columns(_GATE_COLS), batch_format="pyarrow")
+            gated, deferred = politeness_gate(frontier, self.policy_ref)
+            deferred = deferred.map_batches(
+                lambda t: t.rename_columns(FRONTIER.names).cast(FRONTIER),
+                batch_format="pyarrow")
+            return gated, deferred, gated.count()
+        fdf = self._frontier_as_table().to_pandas()
+        fdf.columns = _GATE_COLS
+        live = robots_filter(fdf, self.policy)
+        gated = _topk_per_host(live, self.policy)
+        deferred = live.loc[~live.index.isin(gated.index)]
+        deferred = (pa.Table.from_pandas(deferred, preserve_index=False)
+                    .rename_columns(FRONTIER.names).cast(FRONTIER)
+                    if len(deferred) else FRONTIER.empty_table())
+        gated = pa.Table.from_pandas(gated[["url", "depth", "seq"]], preserve_index=False)
+        return gated.replace_schema_metadata(None), deferred, gated.num_rows
 
     def _run_round(self, round_idx: int) -> dict:
-        _tm = {"gate": time.time()}
-        frontier = self._frontier_as_dataset().map_batches(
-            lambda t: t.rename_columns(
-                ["url", "url_canon", "url_hash", "host", "depth", "priority", "seq", "parent_doc_id"]
-            ),
-            batch_format="pyarrow",
-        )
-        gated, deferred = politeness_gate(frontier, self.policy_ref)
-        n_gated = gated.count()
-        _tm["gate"] = time.time() - _tm["gate"]
+        tm = {"gate": time.time()}
+        gated, deferred, n_gated = self._gate()
+        tm["gate"] = time.time() - tm["gate"]
         metrics = {"round": round_idx, "gated": n_gated}
         if n_gated == 0:
             # everything robots-dropped: frontier drains
@@ -494,244 +405,16 @@ class GreedyCrawl:
             self._checkpoint(round_idx, metrics)
             return metrics
 
-        # Claims are fused into the parse pass exactly as in the hybrid
-        # mode ([[claim-protocol-design]]): frontier dedup + seen filtering
-        # cost zero shuffles. The previous expression — groupby(url_canon)
-        # .map_groups(first) — created ONE pandas group per URL, the known
-        # catastrophic many-tiny-groups pattern at frontier scale.
-        from icrawler_ray.stages.download import make_fetcher_fn
-        from icrawler_ray.stages.fetch_parse import make_fetch_parse_fn
-
-        # Task-pool stages with worker-process-cached state (NOT an actor
-        # pool): an iterative crawl runs one Ray Data execution per round,
-        # and actor pools respawn per execution — measured 13x slower
-        # end-to-end at 200k pages before this change.
-        _t0 = time.time()
-        # ~4 tasks/core straggler split (the driver mode's
-        # from_pandas_blocks contract): gated leaves the politeness
-        # groupby HOST-CLUSTERED — each host's whole budget sits in one
-        # reduce block (16 hosts -> <=16 nonempty blocks, the rest
-        # empty), so without a re-block ONE parse task fetches the
-        # biggest host's entire round (measured: a 46.9 s straggler task
-        # inside a 69.6 s parse phase on a 156k-row round at 32 CPUs;
-        # ds.stats() showed 906k of 4.9M emission rows from one block).
-        # The repartition input is the narrow gated metadata, a few MB —
-        # always rebalance, block COUNT alone says nothing about skew.
-        try:
-            _cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:  # noqa: BLE001
-            _cpus = 8
-        _nblk = min(max(1, n_gated // 64), _cpus * 4)
-        gated = gated.repartition(_nblk)
+        # Fetch/parse runs as stateless tasks with worker-process-cached
+        # state, NOT an actor pool: an iterative crawl runs one Ray Data
+        # execution per round, and actor pools respawn per execution —
+        # measured 13x slower end-to-end at 200k pages. The seen-shard
+        # claims ride inside the parse tasks ([[claim-protocol-design]]):
+        # frontier dedup and seen filtering cost zero shuffles.
+        t0 = time.time()
         self.seen_pages.begin_round(round_idx)  # open the claim fence
         self.seen_files.begin_round(round_idx)
-        parsed = gated.map_batches(
-            make_fetch_parse_fn(
-                self.url_map_ref, "greedy", {"domains": self.domains},
-                emit_docs=self.emit_docs, with_keys=True,
-                claim=(self.seen_pages.name, self.seen_files.name,
-                       self.seen_pages.num_shards, self.max_depth),
-                inflight=self.inflight_name,
-                claim_round=round_idx,
-            ),
-            batch_format="pyarrow",
-            batch_size=None,
-            num_cpus=1,
-        ).materialize()  # round + claim-delivery barrier
-        _tm["parse"] = time.time() - _t0
-
-        if os.environ.get("ICRAWLER_RAY_STATS"):
-            print(f"--- round {round_idx} parse stats ---")
-            print(parsed.stats())
-
-        metrics["errors"] = parsed.filter(expr="row_kind == 'error'").count()
-        if self.emit_docs:
-            docs, _t, _l, _e = split_fetch_parse(parsed)
-            metrics["docs"] = self._persist(docs, round_idx, "docs", self._doc_parts)
-        else:
-            metrics["docs"] = 0
-
-        _t0 = time.time()
-        expected_claims = parsed.count() - metrics["errors"] - metrics["docs"]
-        self._flush_claims(parsed, metrics, expected_claims, round_idx=round_idx)
-        _task_keys, task_packed = self.seen_files.finish_round_winners()
-        _link_keys, link_packed = self.seen_pages.finish_round_winners()
-        _tm["claims"] = time.time() - _t0
-
-        # ---- downloads (task path): min-order winners only
-        _t0 = time.time()
-        tasks = _admitted_rows(parsed, "task", task_packed)
-        n_kept = 0
-        remaining = (self.max_num - self.dl_count) if self.max_num else 0
-        if tasks is not None:
-            task_cols = [c for c in ("file_url", "meta_json", "parent_seq", "emit_ord")
-                         if c in tasks.schema().names]
-            fetched = tasks.select_columns(task_cols).map_batches(
-                make_fetcher_fn(
-                    self.url_map_ref, min_size=self.min_size, max_size=self.max_size,
-                    keep_content=self.keep_content, inflight=self.inflight_name,
-                    user_downloader=self.downloader_hooks,
-                ),
-                batch_format="pyarrow",
-                batch_size=FETCH_BATCH_SIZE,
-                num_cpus=1,
-            )
-            results = assign_filenames(
-                fetched, ["parent_seq", "emit_ord"], default_ext=self.default_ext,
-                file_idx_offset=self.dl_count + self.file_idx_offset,
-                max_num=remaining, seq_col="dl_seq",
-                downloader_hooks=self.downloader_hooks,
-            )
-            if self.downloader_hooks is not None:  # user process_meta (X3)
-                from icrawler_ray.stages.download import make_process_meta_fn
-
-                results = results.map_batches(
-                    make_process_meta_fn(*self.downloader_hooks),
-                    batch_format="pyarrow")
-            n_kept = self._persist(results, round_idx, "results", self._result_parts)
-        _tm["download"] = time.time() - _t0
-        self.dl_count += n_kept
-        metrics["downloads"] = n_kept
-
-        # ---- frontier expansion (link path): winners are already
-        # depth-eligible (capped winners were dropped, unmarked, in
-        # finish_round — oracle claimed-before-depth-check semantics)
-        _t0 = time.time()
-        links = _admitted_rows(parsed, "link", link_packed)
-
-        def to_frontier(t: pa.Table) -> pa.Table:
-            s = pd.Series(t["link_url"].to_pylist(), dtype="string")
-            canon = canonicalize(s).fillna("")
-            return pa.table(
-                {
-                    "url": t["link_url"],
-                    "url_canon": pa.array(canon.astype(object), type=pa.string()),
-                    "url_hash": t["url_hash"],
-                    "host": pa.array(hosts_of(s).astype(object), type=pa.string()),
-                    "depth": pa.array(
-                        (t["depth"].to_numpy(zero_copy_only=False) + 1).astype(np.int32)
-                    ),
-                    "priority": pa.array(np.ones(len(s), dtype=np.float64)),
-                    "discovered_seq": t["new_seq"],
-                    "parent_doc_id": t["page_url"],
-                },
-                schema=FRONTIER,
-            )
-
-        # next round's frontier stays in the object store: deferred and new
-        # links are materialized (blocks only), unioned lazily, and the
-        # driver records just the two counts.
-        if links is not None:
-            links = assign_global_seq(links, ["parent_seq", "emit_ord"], col="new_seq",
-                                      start=self.next_seq)
-            new_md = links.map_batches(to_frontier, batch_format="pyarrow").materialize()
-            if self.host_rank_priority and new_md.count():
-                self._host_rank.maybe_migrate(1)
-                if self._host_rank.sharded:
-                    # VERDICT r4 #4: past the shard threshold the per-round
-                    # distinct-host frame must NOT transit the driver — one
-                    # host-hash exchange; each partition task updates its
-                    # owning counter shard and rewrites locally
-                    from icrawler_ray.state.hostrank import rewrite_priorities_ds
-
-                    new_md = rewrite_priorities_ds(
-                        self._host_rank, new_md, FRONTIER).materialize()
-                else:
-                    # dict mode: the round's (host, n) frame is bounded by
-                    # the shard threshold — combiner groupby to the driver,
-                    # then only THIS round's (host, count) mapping
-                    # broadcasts back for the priority rewrite
-                    hc = new_md.groupby("host").count().to_pandas()
-                    cnt_col = next(c for c in hc.columns if c != "host")
-                    hosts_u = hc["host"].to_numpy(dtype=object)
-                    newc = self._host_rank.update_and_counts(
-                        hosts_u, hc[cnt_col].to_numpy(dtype=np.int64))
-                    indeg_ref = ray.put(dict(zip(hosts_u.tolist(), newc.tolist())))
-
-                    def set_pr(t: pa.Table, _ref=indeg_ref) -> pa.Table:
-                        m = ray.get(_ref)
-                        hs = pd.Series(t["host"].to_pylist(), dtype="string")
-                        pr = 1.0 + np.log1p(hs.map(m).to_numpy(dtype=np.float64))
-                        return t.set_column(t.schema.get_field_index("priority"),
-                                            "priority", pa.array(pr, type=pa.float64()))
-
-                    new_md = new_md.map_batches(set_pr, batch_format="pyarrow").materialize()
-        else:
-            new_md = ray.data.from_arrow(FRONTIER.empty_table()).materialize()
-        _tm["links"] = time.time() - _t0
-        _t0 = time.time()
-        deferred_md = deferred.map_batches(
-            lambda t: t.rename_columns(
-                ["url", "url_canon", "url_hash", "host", "depth", "priority",
-                 "discovered_seq", "parent_doc_id"]
-            ).cast(FRONTIER),
-            batch_format="pyarrow",
-        ).materialize()
-        n_new, n_def = new_md.count(), deferred_md.count()
-        _tm["deferred"] = time.time() - _t0
-        metrics["new_links"] = n_new
-        metrics["deferred"] = n_def
-        self.next_seq += n_new
-        # Empty-block drag: deferred is a FILTER of this round's frontier,
-        # so it keeps the parent's block count even when nearly empty — on
-        # a drained frontier hundreds of ~0-row blocks union into the next
-        # round and every gate scan pays a task per block (measured: a
-        # 6.8 s gate over a 32k-row round-4 frontier at 500k pages).
-        # Re-block only when pathological; rows are order-insensitive
-        # (every downstream ordering has explicit sort keys).
-        fr = deferred_md.union(new_md)
-        n_rows = n_def + n_new
-        _target = int(min(max(1, n_rows // 4096), _cpus * 4))
-        if deferred_md.num_blocks() + new_md.num_blocks() > 2 * _target:
-            _t0 = time.time()
-            fr = fr.repartition(_target).materialize()
-            _tm["reblock"] = time.time() - _t0
-        metrics["timings"] = {k: round(v, 3) for k, v in _tm.items()}
-        self._set_frontier(fr, count=n_rows)
-        self._checkpoint(round_idx, metrics)
-        return metrics
-
-
-    def _run_round_driver(self, round_idx: int) -> dict:
-        """Small-round fast path: frontier metadata in driver pandas, fetch
-        and download distributed. Semantics identical to _run_round (shared
-        gate/dedup functions); parity-tested."""
-        import pyarrow.compute as pc
-
-        from icrawler_ray.stages.politeness import _topk_per_host, robots_filter
-
-        _t = {"gate": time.time()}
-        fdf = self._frontier_as_table().to_pandas().rename(columns={"discovered_seq": "seq"})
-        live = robots_filter(fdf, self.policy)
-        gated = _topk_per_host(live, self.policy)
-        deferred = live.loc[~live.index.isin(gated.index)]
-        metrics = {"round": round_idx, "gated": len(gated)}
-        _t["gate"] = time.time() - _t["gate"]
-        if not len(gated):
-            self._set_frontier(None)
-            self._checkpoint(round_idx, metrics)
-            return metrics
-
-        # ---- distributed fetch/parse (the real work). The parse blocks
-        # are materialized IN THE OBJECT STORE and never concatenated on
-        # the driver; dedup is a distributed hash aggregate over narrow
-        # (url_hash, packed-order) pairs; the driver handles only small
-        # control tables (winner sets, admitted frontier rows, kept
-        # download results).
-        from icrawler_ray.functions.seq import from_pandas_blocks
-        from icrawler_ray.stages.download import make_fetcher_fn
-        from icrawler_ray.stages.fetch_parse import make_fetch_parse_fn
-
-        # ~4 tasks per core: a fat round otherwise runs as ONE wave of
-        # core-count tasks and the slowest worker sets the phase time
-        # (measured 20-40% run-to-run swing on the 156k-row round); smaller
-        # blocks amortize stragglers at negligible scheduling cost.
-        gds = from_pandas_blocks(gated[["url", "depth", "seq"]].reset_index(drop=True),
-                                 min_rows_per_block=64, tasks_per_cpu=4.0)
-        _t0 = time.time()
-        self.seen_pages.begin_round(round_idx)  # open the claim fence
-        self.seen_files.begin_round(round_idx)
-        parsed_ds = gds.map_batches(
+        parsed = _reblock(gated, n_gated).map_batches(
             make_fetch_parse_fn(
                 self.url_map_ref, "greedy", {"domains": self.domains},
                 emit_docs=self.emit_docs, with_keys=True, slim=True,
@@ -743,151 +426,113 @@ class GreedyCrawl:
             batch_format="pyarrow",
             batch_size=None,
             num_cpus=1,
-        ).materialize()
-        _t["parse"] = time.time() - _t0
+        ).materialize()  # round + claim-submission barrier
+        tm["parse"] = time.time() - t0
+        if os.environ.get("ICRAWLER_RAY_STATS"):
+            print(f"--- round {round_idx} parse stats ---")
+            print(parsed.stats())
 
-        metrics["errors"] = parsed_ds.filter(expr="row_kind == 'error'").count()
+        metrics["errors"] = parsed.filter(expr="row_kind == 'error'").count()
+        metrics["docs"] = 0
         if self.emit_docs:
-            docs_ds = parsed_ds.filter(expr="row_kind == 'doc'").select_columns(
-                ["doc_id", "spans", "depth", "parent_seq", "status"]
-            )
-            metrics["docs"] = self._persist(docs_ds, round_idx, "docs", self._doc_parts)
-        else:
-            metrics["docs"] = 0
+            docs = parsed.filter(expr="row_kind == 'doc'").select_columns(
+                ["doc_id", "spans", "depth", "parent_seq", "status"])
+            metrics["docs"] = self.outputs.persist(docs, round_idx, "docs")
 
         # claims were routed to the seen-set shard actors INSIDE the parse
         # tasks (fused, NON-blocking); materialize() bounds submission and
-        # _flush_claims is the delivery barrier. Expected = every
+        # await_claims is the delivery barrier. Expected = every
         # task/link row claims exactly once; derived by subtraction from
         # counts already taken (parsed.count() is block metadata, free).
-        _t0 = time.time()
-        self._flush_claims(parsed_ds, metrics,
-                           parsed_ds.count() - metrics["errors"] - metrics["docs"],
-                           round_idx=round_idx)
+        t0 = time.time()
+        if await_claims(self.seen_pages, self.seen_files, parsed,
+                        parsed.count() - metrics["errors"] - metrics["docs"],
+                        self.max_depth, round_idx=round_idx):
+            metrics["claims_resent"] = True
         _task_keys, task_packed = self.seen_files.finish_round_winners()
         _link_keys, link_packed = self.seen_pages.finish_round_winners()
-        _t["claims"] = time.time() - _t0
+        tm["claims"] = time.time() - t0
 
-        # ---- downloads. The fetched blocks (binary content) stay in the
-        # object store; the driver sees only the narrow (parent_seq,
-        # emit_ord) control pairs, computes the crawl-ordered kept set +
-        # per-row download sequence, and broadcasts it. Filenames are then
-        # appended distributively and the result blocks persisted without
-        # ever crossing the driver.
-        tasks_ds = _admitted_rows(parsed_ds, "task", task_packed)
-        n_kept = 0
-        if tasks_ds is not None:
-            task_cols = [c for c in ("file_url", "meta_json", "parent_seq", "emit_ord")
-                         if c in tasks_ds.schema().names]
-            _t0 = time.time()
-            fetched_ds = tasks_ds.select_columns(task_cols).map_batches(
-                make_fetcher_fn(
-                    self.url_map_ref, min_size=self.min_size, max_size=self.max_size,
-                    keep_content=self.keep_content, inflight=self.inflight_name,
-                ),
-                batch_format="pyarrow",
-                batch_size=None,
-                num_cpus=1,
-            ).filter(expr="success == True").materialize()
-            _t["download"] = time.time() - _t0
-            _t0 = time.time()
-            ctrl = (_collect(fetched_ds.select_columns(["parent_seq", "emit_ord"]), None)
-                    if fetched_ds.count() else None)
-            _t["dl_ctrl"] = time.time() - _t0
-            if ctrl is None:
-                ctrl = pa.table({"parent_seq": pa.array([], type=pa.int64()),
-                                 "emit_ord": pa.array([], type=pa.int64())})
-            ph = ctrl["parent_seq"].to_numpy(zero_copy_only=False).astype(np.int64)
-            eo = ctrl["emit_ord"].to_numpy(zero_copy_only=False).astype(np.int64)
-            packed = (ph << np.int64(20)) | eo
-            order = np.lexsort((eo, ph))
-            remaining = (self.max_num - self.dl_count) if self.max_num else len(order)
-            kept_packed = packed[order[: max(0, remaining)]]
-            if len(kept_packed):
-                dl_seq = np.arange(len(kept_packed), dtype=np.int64)
-                sp = np.argsort(kept_packed)
-                name_ref = ray.put((kept_packed[sp], dl_seq[sp]))
-                offset, default_ext = self.dl_count + self.file_idx_offset, self.default_ext
-
-                def finalize(t: pa.Table) -> pa.Table:
-                    from icrawler_ray.defaults import IMAGE_EXT_WHITELIST
-                    from icrawler_ray.functions.urlnorm import path_ext as _pe
-
-                    sorted_packed, sorted_seq = ray.get(name_ref)
-                    p = (t["parent_seq"].to_numpy(zero_copy_only=False).astype(np.int64)
-                         << np.int64(20)) | t["emit_ord"].to_numpy(
-                             zero_copy_only=False).astype(np.int64)
-                    idx = np.searchsorted(sorted_packed, p)
-                    idx[idx >= len(sorted_packed)] = 0
-                    m = sorted_packed[idx] == p
-                    t = t.filter(pa.array(m))
-                    seq = sorted_seq[idx[m]]
-                    ext = _pe(pd.Series(t["file_url"].to_pylist(), dtype="string"))
-                    ok = ext.str.lower().isin(IMAGE_EXT_WHITELIST)
-                    ext = ext.where(ok, default_ext).replace("", default_ext)
-                    names = [f"{s + 1 + offset:06d}.{e}" for s, e in zip(seq, ext)]
-                    t = t.append_column("dl_seq", pa.array(seq))
-                    return t.append_column("filename", pa.array(names, type=pa.string()))
-
-                _t0 = time.time()
-                results_ds = fetched_ds.map_batches(finalize, batch_format="pyarrow")
-                n_kept = self._persist(results_ds, round_idx, "results", self._result_parts)
-                _t["dl_persist"] = time.time() - _t0
+        n_kept = self._download(parsed, task_packed, round_idx, tm)
         self.dl_count += n_kept
         metrics["downloads"] = n_kept
 
-        # ---- frontier expansion
-        _t0 = time.time()
-        links_ds = _admitted_rows(parsed_ds, "link", link_packed)
-        _t["links"] = time.time() - _t0
-        if links_ds is not None:
-            link_cols = [c for c in ("link_url", "page_url", "depth", "parent_seq",
-                                     "emit_ord", "url_hash") if c in links_ds.schema().names]
-            _t0 = time.time()
-            links_t = _collect(links_ds.select_columns(link_cols), None)
-            _t["links_collect"] = time.time() - _t0
-        else:
-            links_t = None
-        if links_t is not None and links_t.num_rows:
-            ph = links_t["parent_seq"].to_numpy(zero_copy_only=False)
-            eo = links_t["emit_ord"].to_numpy(zero_copy_only=False).astype(np.int64)
-            links_t = links_t.take(np.lexsort((eo, ph)))
-            s = pd.Series(links_t["link_url"].to_pylist(), dtype="string")
-            canon = canonicalize(s).fillna("")
-            new_t = pa.table(
-                {
-                    "url": links_t["link_url"],
-                    "url_canon": pa.array(canon.astype(object), type=pa.string()),
-                    "url_hash": links_t["url_hash"],
-                    "host": pa.array(hosts_of(s).astype(object), type=pa.string()),
-                    "depth": pa.array(
-                        (links_t["depth"].to_numpy(zero_copy_only=False) + 1).astype(np.int32)),
-                    "priority": pa.array(np.ones(links_t.num_rows, dtype=np.float64)),
-                    "discovered_seq": pa.array(
-                        np.arange(self.next_seq, self.next_seq + links_t.num_rows,
-                                  dtype=np.int64)),
-                    "parent_doc_id": links_t["page_url"]
-                    if "page_url" in links_t.column_names
-                    else pa.array([""] * links_t.num_rows, type=pa.string()),
-                },
-                schema=FRONTIER,
-            )
+        # ---- frontier expansion: link winners are already depth-eligible
+        # (capped winners were dropped, unmarked, in finish_round — oracle
+        # claimed-before-depth-check semantics). Winner order is crawl
+        # order, so a kept link's rank among the sorted winners is its
+        # discovered seq offset: no sort, no link rows on the driver.
+        t0 = time.time()
+        next_seq = self.next_seq
+
+        def to_frontier(t: pa.Table, rank: np.ndarray) -> pa.Table:
+            return _frontier_table(
+                t["link_url"].to_pylist(), t["depth"].to_numpy(zero_copy_only=False) + 1,
+                next_seq + rank, t["page_url"] if "page_url" in t.column_names else None)
+
+        new = _admitted_rows(parsed, "link", link_packed, to_frontier)
+        if new is not None:
+            new = new.materialize()
             if self.host_rank_priority:
-                pr = self._apply_host_rank(new_t["host"].to_numpy(zero_copy_only=False))
-                new_t = new_t.set_column(new_t.schema.get_field_index("priority"),
-                                         "priority", pa.array(pr, type=pa.float64()))
-        else:
-            new_t = FRONTIER.empty_table()
-        deferred_t = pa.Table.from_pandas(
-            deferred.rename(columns={"seq": "discovered_seq"}), preserve_index=False
-        ).select(FRONTIER.names).cast(FRONTIER) if len(deferred) else FRONTIER.empty_table()
-        metrics["new_links"] = new_t.num_rows
-        metrics["deferred"] = deferred_t.num_rows
-        self.next_seq += new_t.num_rows
-        self._set_frontier(pa.concat_tables([deferred_t, new_t]))
-        metrics["timings"] = {k: round(v, 3) for k, v in _t.items()}
+                new = self._host_rank.rewrite_priorities(new, FRONTIER)
+        tm["links"] = time.time() - t0
+        n_def, n_new = self._store_frontier(deferred, new, tm)
+        metrics["new_links"] = n_new
+        metrics["deferred"] = n_def
+        self.next_seq += n_new
+        metrics["timings"] = {k: round(v, 3) for k, v in tm.items()}
         self._checkpoint(round_idx, metrics)
         return metrics
+
+    def _download(self, parsed, task_packed, round_idx: int, tm: dict) -> int:
+        """Fetch the round's winning tasks, then name and persist the kept
+        files in crawl order. The fetched blocks (binary content) stay in
+        the object store; the driver sees only the kept files' packed
+        (parent_seq, emit_ord) keys, truncates them to the max_num budget
+        in crawl order and broadcasts them back: a file's download
+        sequence is its key's rank. Returns the number of files kept."""
+        tasks = _admitted_rows(parsed, "task", task_packed)
+        if tasks is None:
+            return 0
+        t0 = time.time()
+        cols = [c for c in ("file_url", "meta_json", "parent_seq", "emit_ord")
+                if c in parsed.schema().names]
+        fetched = tasks.select_columns(cols).map_batches(
+            make_fetcher_fn(
+                self.url_map_ref, min_size=self.min_size, max_size=self.max_size,
+                keep_content=self.keep_content, inflight=self.inflight_name,
+                user_downloader=self.downloader_hooks,
+            ),
+            batch_format="pyarrow",
+            batch_size=None,
+            num_cpus=1,
+        ).filter(expr="success == True").materialize()
+        tm["download"] = time.time() - t0
+        if not fetched.count():
+            return 0
+        t0 = time.time()
+        ctrl = ray.get(fetched.select_columns(["parent_seq", "emit_ord"]).to_arrow_refs())
+        kept = np.sort(np.concatenate([_packed(t) for t in ctrl if t.num_rows]))
+        tm["dl_ctrl"] = time.time() - t0
+        if self.max_num:
+            kept = kept[: max(0, self.max_num - self.dl_count)]
+        if not len(kept):
+            return 0
+        t0 = time.time()
+        kept_ref = ray.put(kept)
+        offset = self.dl_count + self.file_idx_offset
+        ext, hooks = self.default_ext, self.downloader_hooks
+
+        def name(t: pa.Table) -> pa.Table:
+            seq, hit = _lookup(ray.get(kept_ref), _packed(t))
+            t = t.filter(pa.array(hit))
+            t = t.append_column("dl_seq", pa.array(seq[hit]))
+            return name_files(t, seq[hit], ext, offset, hooks)
+
+        n_kept = self.outputs.persist(fetched.map_batches(name, batch_format="pyarrow"),
+                                      round_idx, "results")
+        tm["dl_persist"] = time.time() - t0
+        return n_kept
 
     def _checkpoint(self, round_idx: int, metrics: dict) -> None:
         if not self.ckpt:
@@ -912,44 +557,69 @@ class GreedyCrawl:
             self._inflight_actor = None
 
 
-def _admitted_rows(parsed_ds, kind: str, packed_winners):
-    """Select a round's claim-winning rows: broadcast the sorted winner
-    packed-order array once, searchsorted-filter each block. packed =
-    parent_seq<<20 | emit_ord is unique per emission row, so no collision
-    with non-winning rows is possible. Returns None when no winners."""
+def _reblock(gated, n: int):
+    """Gated rows as ~4 parse tasks per CPU, never under 64 rows each.
+    One wave of core-count tasks lets the slowest worker set the phase
+    time (measured 20-40% run-to-run swing on a 156k-row round), and the
+    distributed gate's output is HOST-CLUSTERED: each host's whole budget
+    sits in one reduce block, so without a re-block ONE parse task fetches
+    the biggest host's entire round (measured: a 46.9 s straggler task
+    inside a 69.6 s parse phase on a 156k-row round at 32 CPUs). The
+    input is the narrow gated metadata — always rebalance, block COUNT
+    alone says nothing about skew."""
+    if isinstance(gated, pa.Table):
+        return from_table_blocks(gated, min_rows_per_block=64, tasks_per_cpu=4.0)
+    return gated.repartition(min(max(1, n // 64), 4 * cluster_cpus()))
+
+
+def _packed(t: pa.Table) -> np.ndarray:
+    """parent_seq<<20 | emit_ord — the crawl-order key of an emission row,
+    unique per row (stages/fetch_parse.FetchParse._finish)."""
+    ph = t["parent_seq"].to_numpy(zero_copy_only=False).astype(np.int64)
+    return (ph << np.int64(20)) | t["emit_ord"].to_numpy(zero_copy_only=False).astype(np.int64)
+
+
+def _lookup(sorted_keys: np.ndarray, keys: np.ndarray):
+    """(position, found) of each key in a sorted, non-empty key array."""
+    idx = np.searchsorted(sorted_keys, keys)
+    return idx, sorted_keys[np.minimum(idx, len(sorted_keys) - 1)] == keys
+
+
+def _admitted_rows(parsed_ds, kind: str, packed_winners, build=None):
+    """Select a round's claim-winning rows of ``kind``: broadcast the
+    sorted winner packed-order array once, searchsorted-filter each block.
+    packed is unique per emission row, so no collision with non-winning
+    rows is possible. ``build(rows, rank)``, if given, maps the kept rows
+    and their ranks among the winners to output rows in the same pass.
+    Returns None when there are no winners."""
     if packed_winners is None or not len(packed_winners):
         return None
     adm_ref = ray.put(np.sort(packed_winners))
-    kind_ds = parsed_ds.filter(expr=f"row_kind == '{kind}'")
 
     def keep(t: pa.Table) -> pa.Table:
-        adm = ray.get(adm_ref)
-        packed = t["packed"].to_numpy(zero_copy_only=False)
-        idx = np.searchsorted(adm, packed)
-        idx[idx >= len(adm)] = 0
-        return t.filter(pa.array(adm[idx] == packed))
+        rank, hit = _lookup(ray.get(adm_ref), t["packed"].to_numpy(zero_copy_only=False))
+        t = t.filter(pa.array(hit))
+        return t if build is None else build(t, rank[hit])
 
-    return kind_ds.map_batches(keep, batch_format="pyarrow")
-
-
-def _dir_num_rows(d: str) -> int:
-    """Row count of a parquet partition dir from file footers only."""
-    import pyarrow.parquet as pq
-
-    n = 0
-    for p in os.listdir(d):
-        if p.endswith(".parquet"):
-            n += pq.ParquetFile(osp.join(d, p)).metadata.num_rows
-    return n
+    return parsed_ds.filter(expr=f"row_kind == '{kind}'").map_batches(
+        keep, batch_format="pyarrow")
 
 
-def _collect(ds, schema: pa.Schema | None) -> pa.Table:
-    tables = [ray.get(r) for r in ds.to_arrow_refs()]
-    if schema is not None:
-        tables = [t.select(schema.names).cast(schema) for t in tables if t.num_rows]
-        return pa.concat_tables(tables) if tables else schema.empty_table()
-    nonempty = [t for t in tables if t.num_rows]
-    return pa.concat_tables(nonempty) if nonempty else tables[0]
+def _as_table(frontier) -> pa.Table:
+    """Frontier rows as one driver table (used only at or below the
+    residency threshold)."""
+    if isinstance(frontier, pa.Table):
+        return frontier
+    tables = [t.select(FRONTIER.names).cast(FRONTIER)
+              for t in ray.get(frontier.to_arrow_refs()) if t.num_rows]
+    return pa.concat_tables(tables) if tables else FRONTIER.empty_table()
+
+
+def _as_dataset(frontier):
+    """Frontier rows as an object-store Dataset."""
+    if isinstance(frontier, pa.Table):
+        return from_table_blocks(frontier, min_rows_per_block=1024)
+    return frontier
 
 
 def greedy_crawl(url_map_ref, domains, **kwargs):

@@ -91,8 +91,6 @@ class CrawlPlan:
                 policy=self.policy, max_num=self.max_num, max_depth=self.max_depth,
                 min_size=self.min_size, max_size=self.max_size,
                 checkpoint_dir=self.checkpoint_dir, default_ext=self.default_ext,
-                parse_concurrency=self.parse_concurrency,
-                fetch_concurrency=self.fetch_concurrency,
                 keep_content=self.keep_content, **self.extra,
             )
         else:

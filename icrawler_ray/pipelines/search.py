@@ -26,7 +26,7 @@ from icrawler_ray.sources.seeds import (
     seed_dataset,
 )
 from icrawler_ray.stages.download import Fetcher, assign_filenames
-from icrawler_ray.stages.fetch_parse import FetchParse, split_fetch_parse
+from icrawler_ray.stages.fetch_parse import FetchParse, task_rows
 
 
 def _clamp_1000(offset: int, max_num: int) -> int:
@@ -124,8 +124,7 @@ def crawl_from_seeds(url_map_ref, urls: list, rules, rules_kwargs: dict | None =
             concurrency=parse_concurrency,
             num_cpus=0.5,
         )
-    _docs, tasks, _links, _errors = split_fetch_parse(parsed)
-    tasks = assign_global_seq(tasks, ["parent_seq", "emit_ord"], col="seq")
+    tasks = assign_global_seq(task_rows(parsed), ["parent_seq", "emit_ord"], col="seq")
     tasks = dedup_first(tasks, "url_canon", "seq")
     fetched = tasks.map_batches(
         Fetcher,
@@ -146,9 +145,4 @@ def crawl_from_seeds(url_map_ref, urls: list, rules, rules_kwargs: dict | None =
         file_idx_offset=file_idx_offset, max_num=max_num,
         downloader_hooks=downloader_hooks,
     )
-    if downloader_hooks is not None:  # user process_meta (X3)
-        from icrawler_ray.stages.download import make_process_meta_fn
-
-        named = named.map_batches(make_process_meta_fn(*downloader_hooks),
-                                  batch_format="pyarrow")
     return named

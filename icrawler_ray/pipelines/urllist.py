@@ -80,9 +80,4 @@ def urllist_crawl(url_map_ref, urls: list[str], max_num: int = 1000,
         file_idx_offset=file_idx_offset, max_num=max_num,
         downloader_hooks=downloader_hooks,
     )
-    if downloader_hooks is not None:  # user process_meta (X3)
-        from icrawler_ray.stages.download import make_process_meta_fn
-
-        named = named.map_batches(make_process_meta_fn(*downloader_hooks),
-                                  batch_format="pyarrow")
     return named

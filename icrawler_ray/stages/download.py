@@ -259,22 +259,52 @@ def make_fetcher_fn(url_map_ref, min_size=None, max_size=None, keep_content=True
     return fn
 
 
+def name_files(t: pa.Table, seq, default_ext: str = DEFAULT_EXT,
+               file_idx_offset: int = 0, downloader_hooks=None) -> pa.Table:
+    """Append ``filename`` to kept download rows whose 0-based global
+    download sequence is ``seq``: ``{seq + 1 + offset:06d}.{ext}``
+    (first file 000001, downloader.py:110-116 increments before
+    formatting) with ImageDownloader's extension whitelist.
+
+    ``downloader_hooks=(cls, kwargs)`` delegates naming to the user
+    class's ``get_filename(task, default_ext)`` (X3), with the reference
+    fetched_num/file_idx_offset invariant restored per row, and then calls
+    its ``process_meta(task)`` (downloader.py:157-167, side effects only)
+    on the same task dict, as the reference download() does.  Deviation,
+    documented: the reference also calls process_meta on FAILED tasks;
+    here it runs over the kept rows only."""
+    if downloader_hooks is None:
+        ext = path_ext(pd.Series(t["file_url"].to_pylist(), dtype="string"))
+        ok = ext.str.lower().isin(IMAGE_EXT_WHITELIST)
+        ext = ext.where(ok, default_ext).replace("", default_ext)
+        names = [f"{s + 1 + file_idx_offset:06d}.{e}" for s, e in zip(seq, ext)]
+        return t.append_column("filename", pa.array(names, type=pa.string()))
+    hooks = RefDownloaderHooks(*downloader_hooks)
+    # task_meta carries keep_file's task-dict mutations (Fetcher)
+    meta_col = next((c for c in ("task_meta", "meta_json") if c in t.column_names), None)
+    metas = t[meta_col].to_pylist() if meta_col else [None] * t.num_rows
+    names = []
+    for u, m, s in zip(t["file_url"].to_pylist(), metas, seq):
+        task = _task_from_row(u, m)
+        name = hooks.filename(task, default_ext, int(s) + 1 + file_idx_offset,
+                              file_idx_offset)
+        task["success"] = True
+        task["filename"] = name
+        hooks.meta(task)
+        names.append(name)
+    return t.append_column("filename", pa.array(names, type=pa.string()))
+
+
 def assign_filenames(ds, order_keys: list[str], default_ext: str = DEFAULT_EXT,
                      file_idx_offset: int = 0, max_num: int = 0,
                      seq_col: str = "dl_seq", downloader_hooks=None):
     """Deterministic filename assignment over *kept* downloads.
 
     Sort by ``order_keys`` (the engine-defined crawl order), assign the
-    dense global sequence, then filename = ``{seq + 1 + offset:06d}.{ext}``
-    — reproducing the reference counter semantics (first file 000001,
-    downloader.py:110-116 increments before formatting) at any parallelism.
+    dense global sequence, then name each row with :func:`name_files` —
+    reproducing the reference counter semantics at any parallelism.
     ``max_num`` truncates in order (limit pushdown replaces the
     reach_max_num signal, downloader.py:79-90).
-
-    ``downloader_hooks=(cls, kwargs)`` delegates naming to the user
-    class's ``get_filename(task, default_ext)`` (X3) with the reference
-    fetched_num/file_idx_offset invariant restored per row; the builtin
-    whitelist logic is then the user class's responsibility.
     """
     kept = ds.filter(expr="success == True")
     kept = assign_global_seq(kept, order_keys, col=seq_col)
@@ -282,51 +312,7 @@ def assign_filenames(ds, order_keys: list[str], default_ext: str = DEFAULT_EXT,
         kept = kept.limit(max_num)
 
     def _name(t: pa.Table) -> pa.Table:
-        seq = t[seq_col].to_numpy(zero_copy_only=False)
-        if downloader_hooks is not None:
-            hooks = RefDownloaderHooks(*downloader_hooks)
-            urls_l = t["file_url"].to_pylist()
-            metas = (t["task_meta"].to_pylist()
-                     if "task_meta" in t.column_names else
-                     (t["meta_json"].to_pylist()
-                      if "meta_json" in t.column_names else [None] * len(urls_l)))
-            names = [
-                hooks.filename(_task_from_row(u, m), default_ext,
-                               int(s) + 1 + file_idx_offset, file_idx_offset)
-                for u, m, s in zip(urls_l, metas, seq)]
-            return t.append_column("filename", pa.array(names, type=pa.string()))
-        urls = pd.Series(t["file_url"].to_pylist(), dtype="string")
-        ext = path_ext(urls)
-        ok = ext.str.lower().isin(IMAGE_EXT_WHITELIST)
-        ext = ext.where(ok, default_ext).replace("", default_ext)
-        names = [f"{s + 1 + file_idx_offset:06d}.{e}" for s, e in zip(seq, ext)]
-        return t.append_column("filename", pa.array(names, type=pa.string()))
+        return name_files(t, t[seq_col].to_numpy(zero_copy_only=False), default_ext,
+                          file_idx_offset, downloader_hooks)
 
     return kept.map_batches(_name, batch_format="pyarrow")
-
-
-def make_process_meta_fn(downloader_cls, downloader_kwargs: dict | None = None):
-    """Results-stage hook: call the user class's ``process_meta(task)``
-    (downloader.py:157-167, side effects only) once per kept row.  The
-    task dict is rebuilt from the row (file_url, filename, success, plus
-    keep_file's propagated mutations from ``task_meta``).  Deviation,
-    documented: the reference also calls process_meta on FAILED tasks;
-    here it runs over the kept results rows."""
-
-    def fn(t: pa.Table) -> pa.Table:
-        hooks = RefDownloaderHooks(downloader_cls, downloader_kwargs)
-        urls_l = t["file_url"].to_pylist()
-        metas = (t["task_meta"].to_pylist()
-                 if "task_meta" in t.column_names else
-                 (t["meta_json"].to_pylist()
-                  if "meta_json" in t.column_names else [None] * len(urls_l)))
-        names = (t["filename"].to_pylist()
-                 if "filename" in t.column_names else [None] * len(urls_l))
-        for u, m, nm in zip(urls_l, metas, names):
-            task = _task_from_row(u, m)
-            task["success"] = True
-            task["filename"] = nm
-            hooks.meta(task)
-        return t
-
-    return fn

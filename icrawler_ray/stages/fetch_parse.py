@@ -332,38 +332,17 @@ def make_fetch_parse_fn(url_map_ref, rules: str, rules_kwargs: dict | None = Non
     return fn
 
 
-def split_fetch_parse(ds):
-    """Split a FetchParse output dataset into (docs, tasks, links, errors).
+def task_rows(ds):
+    """Task rows of a FetchParse output dataset, with canonical URL + hash
+    columns appended vectorized (dedup keys, SURVEY.md F5/Q1)."""
 
-    Each is a lazy predicate ``filter`` over the same blocks — no extra
-    pass over the data until consumed. Tasks/links get canonical URL + hash
-    columns appended vectorized (dedup keys, SURVEY.md F5/Q1).
-    """
-    import pyarrow.compute as pc
+    def with_keys(t: pa.Table) -> pa.Table:
+        canon = canonicalize(pd.Series(t["file_url"].to_pylist(), dtype="string"))
+        t = t.append_column("url_canon", pa.array(canon.astype(object), type=pa.string()))
+        return t.append_column("url_hash", pa.array(hash_urls(canon.fillna("")),
+                                                     type=pa.uint64()))
 
-    docs = ds.filter(expr="row_kind == 'doc'").select_columns(
-        ["doc_id", "spans", "depth", "parent_seq", "status"]
-    )
-    errors = ds.filter(expr="row_kind == 'error'")
-
-    def _with_keys(col):
-        def fn(t: pa.Table) -> pa.Table:
-            s = pd.Series(t[col].to_pylist(), dtype="string")
-            canon = canonicalize(s)
-            t = t.append_column("url_canon", pa.array(canon.astype(object), type=pa.string()))
-            t = t.append_column("url_hash", pa.array(hash_urls(canon.fillna("")), type=pa.uint64()))
-            return t
-
-        return fn
-
-    tasks = (
-        ds.filter(expr="row_kind == 'task'")
-        .select_columns(["file_url", "page_url", "meta_json", "depth", "parent_seq", "emit_ord"])
-        .map_batches(_with_keys("file_url"), batch_format="pyarrow")
-    )
-    links = (
-        ds.filter(expr="row_kind == 'link'")
-        .select_columns(["link_url", "page_url", "depth", "parent_seq", "emit_ord"])
-        .map_batches(_with_keys("link_url"), batch_format="pyarrow")
-    )
-    return docs, tasks, links, errors
+    return (ds.filter(expr="row_kind == 'task'")
+            .select_columns(["file_url", "page_url", "meta_json", "depth", "parent_seq",
+                             "emit_ord"])
+            .map_batches(with_keys, batch_format="pyarrow"))

@@ -299,7 +299,7 @@ class FlickrSizes:
     size-preference pick), dropping photos whose getSizes fails — the
     reference's per-photo ``continue`` (flickr.py:96-99).  Non-photo
     rows pass through untouched, so the stage composes transparently
-    between FetchParse and split_fetch_parse.
+    between FetchParse and task_rows.
 
     Round-trips drop from one per PHOTO (the reference's nested fetch,
     serializing the parse actor on network latency) to one per BATCH;

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray
 
 __all__ = ["HostRankState", "DEFAULT_SHARD_THRESHOLD"]
@@ -125,6 +126,31 @@ class HostRankState:
             out[idx] = ray.get(ref)
         return out
 
+    def rewrite_priorities(self, new, schema):
+        """Count a round's new frontier rows (a materialized Dataset) as
+        in-links of their hosts and set each row's priority to
+        1 + log1p(its host's post-update count); returns the rewritten
+        rows, materialized."""
+        self.maybe_migrate(1)
+        if self.sharded:
+            return rewrite_priorities_ds(self, new, schema).materialize()
+        # dict state: the round's (host, n) frame is bounded by the shard
+        # threshold — combiner groupby to the driver, then only THIS
+        # round's (host, count) mapping broadcasts back for the rewrite
+        hc = new.groupby("host").count().to_pandas()
+        cnt_col = next(c for c in hc.columns if c != "host")
+        hosts = hc["host"].to_numpy(dtype=object)
+        counts = self.update_and_counts(hosts, hc[cnt_col].to_numpy(dtype=np.int64))
+        counts_ref = ray.put(dict(zip(hosts.tolist(), counts.tolist())))
+
+        def set_priority(t):
+            hs = pd.Series(t["host"].to_pylist(), dtype="string")
+            pr = 1.0 + np.log1p(hs.map(ray.get(counts_ref)).to_numpy(dtype=np.float64))
+            return t.set_column(t.schema.get_field_index("priority"), "priority",
+                                pa.array(pr, type=pa.float64()))
+
+        return new.map_batches(set_priority, batch_format="pyarrow").materialize()
+
     def reset(self) -> None:
         """Drop all counter state (recovery semantics: re-warm, never
         double-count)."""
@@ -151,8 +177,6 @@ def rewrite_priorities_ds(state: HostRankState, new_md, schema) -> "object":
     """
     if not state.sharded:
         raise ValueError("rewrite_priorities_ds requires the sharded state")
-    import pyarrow as pa
-
     shards = state.shards
     nsh = state.num_shards
 

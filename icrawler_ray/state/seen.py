@@ -26,6 +26,7 @@ restore rebuilds actors from payloads (state/checkpoint.py).
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import ray
@@ -132,7 +133,7 @@ class SeenShard:           # a full-CPU reservation per shard would starve
         winner suppresses every later same-round emission of its key yet is
         neither admitted nor inserted into the persistent seen state —
         matching the oracle's claimed-before-depth-check semantics
-        (oracle.py:176-185) and dataset mode's dedup-then-depth-filter."""
+        (oracle.py:176-185)."""
         claims = getattr(self, "_claims", None)
         self._claims = []
         self._claimed_n = 0
@@ -329,7 +330,7 @@ def route_claims(t, pages_set: str, files_set: str, num_shards: int,
     """Push one Arrow block's candidate (url_hash, packed) pairs to their
     seen-set shard actors (link rows -> pages set, task rows -> files set).
     Depth-capped link rows claim too — eligible=False — so the min-order
-    emission wins the claim race exactly as in the oracle/dataset modes;
+    emission wins the claim race exactly as in the oracle;
     finish_round drops ineligible winners without seen-marking them.
 
     Non-blocking by default: a parse task blocked in ray.get on actor
@@ -337,12 +338,8 @@ def route_claims(t, pages_set: str, files_set: str, num_shards: int,
     workers (observed 130-140 processes on a 32-CPU box, with the crawl's
     final small round absorbing their import cost — 1.2 s -> 13-27 s
     run-to-run swings). Delivery is instead guaranteed by the driver's
-    flush barrier (GreedyCrawl._flush_claims): it compares the shards'
-    claims_received() totals against the claimable-row counts of the
-    materialized parse output, and falls back to a blocking driver-side
-    resend (claims are idempotent within a round — min packed wins) in
-    the rare lost-submission case. ``block=True`` keeps the old behavior
-    for that resend path and for standalone callers."""
+    barrier, :func:`await_claims`. ``block=True`` keeps the old behavior
+    for its resend path and for standalone callers."""
     import pyarrow.compute as pc
 
     futs = []
@@ -382,19 +379,51 @@ def route_claims(t, pages_set: str, files_set: str, num_shards: int,
     return n_pushed
 
 
-def make_claim_fn(pages_set: str, files_set: str, num_shards: int, max_depth: int):
-    """Standalone claim pass (when not fused into the parse stage)."""
-    import pyarrow as pa
+def is_actor_death(e: BaseException) -> bool:
+    """True iff the exception chain bottoms out in a Ray actor death —
+    the one failure class the crawl's round loop can heal from (anything else is
+    a code bug and must surface).  Ray wraps worker-side failures in
+    RayTaskError / UserCodeException layers, so walk the chain and also
+    match on the pickled error's repr."""
+    from ray.exceptions import RayActorError
 
-    def fn(t: pa.Table) -> pa.Table:
-        n = route_claims(t, pages_set, files_set, num_shards, max_depth, block=True)
-        return pa.table({"claimed": pa.array([n], type=pa.int64())})
+    seen = set()
+    while e is not None and id(e) not in seen:
+        seen.add(id(e))
+        if isinstance(e, RayActorError):
+            return True
+        text = f"{e!r} {e}"  # RayTaskError embeds the remote traceback in str()
+        if "ActorDiedError" in text or "ActorUnavailableError" in text:
+            return True
+        # A dead shard may already be deregistered when a worker re-resolves
+        # the handle by name: ray.get_actor then raises ValueError("Failed to
+        # look up actor with name 'seen:...'").  Only our own seen-shard
+        # namespace is healable; any other name is a code bug.
+        if "Failed to look up actor with name 'seen:" in text:
+            return True
+        e = getattr(e, "cause", None) or e.__cause__ or e.__context__
+    return False
 
-    return fn
 
-
-# NB: the former ``seen_filter_dataset`` (groupby(shard)-shuffled seen
-# filtering) was retired in round 2: both crawl modes now route claims to
-# the shard actors INSIDE the parse pass (route_claims above) — zero
-# shuffles — and admit winners with a broadcast filter
-# (pipelines/greedy.py::_admitted_rows).
+def await_claims(pages: ShardedSeenSet, files: ShardedSeenSet, parsed, expected: int,
+                 max_depth: int, round_idx: int | None = None) -> bool:
+    """Delivery barrier for the NON-BLOCKING fused claims: compare the
+    shards' claims_received() totals against the claimable-row count
+    ``expected`` of the materialized parse output ``parsed`` (every
+    task/link row claims exactly once; the caller derives the count by
+    subtraction from row totals it already has — no extra Dataset
+    execution). Normally satisfied on the first poll — the claims drained
+    while parse tasks were still running; the blocking resend covers the
+    rare case of a submitting worker dying between task completion and
+    submission-queue flush (claims are idempotent within a round:
+    finish_round keeps the min packed per key, so duplicates from a
+    resend cannot change the winners). Returns True iff it resent."""
+    deadline = time.time() + 10.0
+    while time.time() < deadline:
+        if files.claims_received() + pages.claims_received() >= expected:
+            return False
+        time.sleep(0.02)
+    for ref in parsed.to_arrow_refs():
+        route_claims(ray.get(ref), pages.name, files.name, pages.num_shards, max_depth,
+                     block=True, round_idx=round_idx)
+    return True

@@ -69,7 +69,7 @@ def cmd_crawl(args) -> dict:
     docs, results, metrics = greedy_crawl(
         ("procedural", web.spec()), web.domains,
         seeds=web.seed_urls(max(64, args.pages // 100)), policy=policy,
-        max_num=0, max_depth=4, keep_content=False, mode=args.mode,
+        max_num=0, max_depth=4, keep_content=False,
         driver_threshold=2_000_000, emit_docs=args.emit_docs,
         seen_capacity=seen_capacity,
         out_dir=args.out, checkpoint_dir=args.checkpoint,
@@ -106,8 +106,6 @@ def main() -> None:
     pc.add_argument("--out", default=None)
     pc.add_argument("--checkpoint", default=None)
     pc.add_argument("--emit-docs", action="store_true")
-    pc.add_argument("--mode", default="auto",
-                    choices=["auto", "driver", "dataset"])
     pc.add_argument("--timings", action="store_true",
                     help="include per-round phase timings in the output")
     pc.add_argument("--smoke", action="store_true")

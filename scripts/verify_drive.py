@@ -30,8 +30,7 @@ def main() -> None:
     odocs, oresults = OracleCrawl(m, web.domains, policy=pol, max_num=30,
                                   max_depth=3).run()
     docs, results, _metrics = greedy_crawl(ray.put(m), web.domains,
-                                           policy=pol, max_num=30,
-                                           max_depth=3, mode="driver")
+                                           policy=pol, max_num=30, max_depth=3)
     odoc_map = {d["doc_id"]: d["spans"] for d in odocs}
     edf = docs.to_pandas()
     edoc_map = {r.doc_id: [dict(s) for s in r.spans] for r in edf.itertuples()}

@@ -200,10 +200,14 @@ def test_custom_downloader_subclass_runs_end_to_end(web, url_map_ref, tmp_path):
     verbatim reference-style ImageDownloader subclass overriding ALL
     THREE hooks runs unmodified — keep_file gates and mutates the task,
     get_filename renames with the user scheme, process_meta records
-    side-effect annotations per kept file."""
+    side-effect annotations per kept file. Runs through a search crawl,
+    the greedy crawl, and the greedy crawl with its frontier kept as an
+    object-store Dataset (driver_threshold=0)."""
     import json as _json
+    import shutil
 
     from icrawler_ray.compat import GoogleImageCrawler, ImageDownloader
+    from icrawler_ray.pipelines.greedy import greedy_crawl
 
     ann_dir = tmp_path / "ann"
     ann_dir.mkdir()
@@ -228,18 +232,34 @@ def test_custom_downloader_subclass_runs_end_to_end(web, url_map_ref, tmp_path):
                             "img_size": task.get("img_size"),
                             "n_bytes": task.get("n_bytes")}, f)
 
-    n = GoogleImageCrawler(
-        downloader_cls=PrefixedDownloader,
-        storage={"backend": "FileSystem", "root_dir": str(img_dir)},
-        session_spec=url_map_ref).crawl("cat", max_num=5)
-    files = sorted(os.listdir(img_dir))
-    assert n == 5 and len(files) == 5
-    assert files[0] == "cat_000001.jpg" or files[0].startswith("cat_000001.")
-    assert all(f.startswith("cat_") for f in files)
-    anns = sorted(os.listdir(ann_dir))
-    assert anns == sorted(f + ".json" for f in files)
-    meta = _json.load(open(ann_dir / anns[0]))
-    assert meta["img_size"] is not None and meta["n_bytes"] > 0
+    def written(crawler_cls, *args):
+        shutil.rmtree(img_dir, ignore_errors=True)
+        n = crawler_cls(
+            downloader_cls=PrefixedDownloader,
+            storage={"backend": "FileSystem", "root_dir": str(img_dir)},
+            session_spec=url_map_ref).crawl(*args, max_num=5)
+        return n, sorted(os.listdir(img_dir))
+
+    def dataset_resident():
+        _docs, results, _ = greedy_crawl(
+            url_map_ref, web.domains, max_num=5, driver_threshold=0,
+            downloader_hooks=(PrefixedDownloader, {}))
+        names = sorted(results.to_pandas()["filename"])
+        return len(names), names
+
+    for run in (lambda: written(GoogleImageCrawler, "cat"),
+                lambda: written(GreedyImageCrawler, web.domains),
+                dataset_resident):
+        shutil.rmtree(ann_dir)
+        ann_dir.mkdir()
+        n, files = run()
+        assert n == 5 and len(files) == 5
+        assert files[0] == "cat_000001.jpg" or files[0].startswith("cat_000001.")
+        assert all(f.startswith("cat_") for f in files)
+        anns = sorted(os.listdir(ann_dir))
+        assert anns == sorted(f + ".json" for f in files)
+        meta = _json.load(open(ann_dir / anns[0]))
+        assert meta["img_size"] is not None and meta["n_bytes"] > 0
 
 
 def test_custom_downloader_keep_file_rejection_gates(web, url_map_ref, tmp_path):

@@ -299,7 +299,7 @@ def test_greedy_out_dir_partitioned_and_resume_disk_complete(ray_session, tmp_pa
     ck = str(tmp_path / "ck")
 
     c1 = GreedyCrawl(ref, web.domains, policy=pol, max_num=25, max_depth=3,
-                     num_shards=2, mode="driver", out_dir=out1,
+                     num_shards=2, out_dir=out1,
                      checkpoint_dir=ck, max_rounds=2)
     c1.run()
     c1.shutdown()
@@ -307,7 +307,7 @@ def test_greedy_out_dir_partitioned_and_resume_disk_complete(ray_session, tmp_pa
     assert rounds_before  # partial run wrote per-round partitions
 
     c2 = GreedyCrawl(ref, web.domains, policy=pol, max_num=25, max_depth=3,
-                     num_shards=2, mode="driver", out_dir=out1, checkpoint_dir=ck)
+                     num_shards=2, out_dir=out1, checkpoint_dir=ck)
     _docs, results, metrics = c2.run()
     c2.shutdown()
     assert c2.start_round == 2  # resumed
@@ -355,11 +355,11 @@ def test_greedy_outputs_stay_off_driver(ray_session):
     rss0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on linux
     crawl = GreedyCrawl(spec, web.domains, seeds=web.seed_urls(256), policy=pol,
                         max_num=0, max_depth=3, keep_content=True,
-                        num_shards=4, mode="driver")
+                        num_shards=4)
     try:
         docs, results, metrics = crawl.run()
-        assert all(isinstance(p, ray.ObjectRef) for p in crawl._doc_parts)
-        assert all(isinstance(p, ray.ObjectRef) for p in crawl._result_parts)
+        assert all(isinstance(p, ray.ObjectRef) for p in crawl.outputs.parts["docs"])
+        assert all(isinstance(p, ray.ObjectRef) for p in crawl.outputs.parts["results"])
         n_docs = docs.count()
         doc_bytes = docs.size_bytes()
         assert n_docs > 5_000
@@ -395,7 +395,7 @@ def test_resume_replaces_stale_midround_partials(ray_session, tmp_path):
     ck = str(tmp_path / "ck")
 
     c1 = GreedyCrawl(ref, web.domains, policy=pol, max_num=25, max_depth=3,
-                     num_shards=2, mode="driver", out_dir=out1,
+                     num_shards=2, out_dir=out1,
                      checkpoint_dir=ck, max_rounds=2)
     c1.run()
     c1.shutdown()
@@ -411,7 +411,7 @@ def test_resume_replaces_stale_midround_partials(ray_session, tmp_path):
                 shutil.copy(os.path.join(src, p), os.path.join(dst, "stale-" + p))
 
     c2 = GreedyCrawl(ref, web.domains, policy=pol, max_num=25, max_depth=3,
-                     num_shards=2, mode="driver", out_dir=out1, checkpoint_dir=ck)
+                     num_shards=2, out_dir=out1, checkpoint_dir=ck)
     _docs, _results, _ = c2.run()
     c2.shutdown()
     assert c2.start_round == 2
@@ -435,10 +435,11 @@ def test_resume_replaces_stale_midround_partials(ray_session, tmp_path):
 
 
 def test_dataset_mode_frontier_stays_off_driver(ray_session):
-    """Scale-path contract (VERDICT r1 #4): in dataset mode a 1M-row
-    frontier round runs with the frontier as object-store Datasets end to
-    end — the driver holds counts only, and its peak RSS grows by far less
-    than the frontier size."""
+    """Scale-path contract (VERDICT r1 #4): with the frontier held in the
+    object store (driver_threshold=0), a 1M-row frontier round runs with
+    the frontier as object-store Datasets end to end — the driver holds
+    counts only, and its peak RSS grows by far less than the frontier
+    size."""
     import resource
 
     from icrawler_ray.functions.urlnorm import canonicalize, hash_urls, hosts_of
@@ -475,7 +476,7 @@ def test_dataset_mode_frontier_stays_off_driver(ray_session):
     assert fbytes > 100 << 20  # the frontier is genuinely driver-RSS-sized
 
     crawl = GreedyCrawl(spec, web.domains, policy=pol, max_num=0, max_depth=1,
-                        num_shards=4, mode="dataset")
+                        num_shards=4, driver_threshold=0)
     try:
         rss0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         crawl._set_frontier(frontier, count=n)

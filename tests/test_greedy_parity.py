@@ -2,7 +2,9 @@
 reproduce the sequential oracle's outputs exactly — span-sequence equality
 per doc on (kind, text, media_ref, order), final URL-seen-set equality, and
 crawl-order/filename equality — under the same seed list + politeness
-budget, at any parallelism and in both execution modes."""
+budget, at any parallelism and with the frontier held either on the
+driver (the default below driver_threshold rows) or as an object-store
+Dataset (driver_threshold=0)."""
 
 import numpy as np
 import pandas as pd
@@ -13,6 +15,11 @@ from icrawler_ray.oracle import OracleCrawl
 from icrawler_ray.pipelines.greedy import GreedyCrawl, greedy_crawl
 from icrawler_ray.stages.politeness import HostPolicy
 from icrawler_ray.synthweb.generate import make_synthweb
+
+
+#: the two frontier residencies: a driver table below driver_threshold
+#: rows (the default at these sizes), object-store Dataset above it
+RESIDENCY = {"driver": {}, "dataset": {"driver_threshold": 0}}
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +67,7 @@ def _assert_parity(golden, docs, results):
 def test_driver_mode_matches_oracle(small_web, small_ref, policy, golden):
     docs, results, _ = greedy_crawl(
         small_ref, small_web.domains, policy=policy, max_num=25, max_depth=3,
-        num_shards=4, mode="driver",
+        num_shards=4,
     )
     _assert_parity(golden, docs, results)
 
@@ -68,7 +75,7 @@ def test_driver_mode_matches_oracle(small_web, small_ref, policy, golden):
 def test_dataset_mode_matches_oracle(small_web, small_ref, policy, golden):
     docs, results, _ = greedy_crawl(
         small_ref, small_web.domains, policy=policy, max_num=25, max_depth=3,
-        num_shards=2, mode="dataset",
+        num_shards=2, driver_threshold=0,
     )
     _assert_parity(golden, docs, results)
 
@@ -83,7 +90,7 @@ def test_seen_set_equality(small_web, small_map, small_ref, policy):
     o.run()
     crawl = GreedyCrawl(
         small_ref, small_web.domains, policy=policy, max_num=0, max_depth=2,
-        num_shards=2, mode="driver", exact_seen=True,
+        num_shards=2, exact_seen=True,
     )
     try:
         crawl.run()
@@ -107,13 +114,13 @@ def test_seen_set_equality(small_web, small_map, small_ref, policy):
 def test_resume_equals_fresh(small_web, small_ref, policy, golden, tmp_path):
     c1 = GreedyCrawl(
         small_ref, small_web.domains, policy=policy, max_num=25, max_depth=3,
-        num_shards=2, mode="driver", checkpoint_dir=str(tmp_path), max_rounds=2,
+        num_shards=2, checkpoint_dir=str(tmp_path), max_rounds=2,
     )
     c1.run()
     c1.shutdown()
     c2 = GreedyCrawl(
         small_ref, small_web.domains, policy=policy, max_num=25, max_depth=3,
-        num_shards=2, mode="driver", checkpoint_dir=str(tmp_path),
+        num_shards=2, checkpoint_dir=str(tmp_path),
     )
     docs, results, _ = c2.run()
     c2.shutdown()
@@ -121,13 +128,13 @@ def test_resume_equals_fresh(small_web, small_ref, policy, golden, tmp_path):
     _assert_parity(golden, docs, results)
 
 
-@pytest.mark.parametrize("mode", ["driver", "dataset"])
+@pytest.mark.parametrize("residency", list(RESIDENCY))
 def test_shard_actor_death_recovers_in_process(small_web, small_ref, policy, golden,
-                                               tmp_path, mode):
+                                               tmp_path, residency):
     """Kill a seen-shard actor right after the round-1 checkpoint: the
-    round loop must detect the actor death (direct ray.get in driver mode;
-    wrapped RayTaskError surfacing from the claim-fused parse tasks in
-    dataset mode), respawn a fresh shard fleet, rewind to the checkpoint
+    round loop must detect the actor death (a direct ray.get on the dead
+    shard, or a wrapped RayTaskError surfacing from the claim-fused parse
+    tasks), respawn a fresh shard fleet, rewind to the checkpoint
     IN-PROCESS, and finish with outputs equal to an undisturbed run."""
     import ray
 
@@ -154,7 +161,7 @@ def test_shard_actor_death_recovers_in_process(small_web, small_ref, policy, gol
 
     c = FaultyCrawl(
         small_ref, small_web.domains, policy=policy, max_num=25, max_depth=3,
-        num_shards=2, mode=mode, checkpoint_dir=str(tmp_path / mode),
+        num_shards=2, checkpoint_dir=str(tmp_path / residency), **RESIDENCY[residency],
     )
     docs, results, _ = c.run()
     c.shutdown()
@@ -170,7 +177,7 @@ def test_recovery_equals_resume_with_host_rank(small_web, small_ref, policy, tmp
     import ray
 
     kw = dict(policy=policy, max_num=25, max_depth=3, num_shards=2,
-              mode="driver", host_rank_priority=True)
+              host_rank_priority=True)
 
     # reference: interrupt at the round-2 boundary, resume in a new object
     c1 = GreedyCrawl(small_ref, small_web.domains, checkpoint_dir=str(tmp_path / "a"),
@@ -211,9 +218,9 @@ def test_recovery_equals_resume_with_host_rank(small_web, small_ref, policy, tmp
 
 def test_host_rank_priority_scores_frontier(ray_session):
     """Opt-in link-graph scheduler signal: new frontier rows get priority
-    1 + log1p(cumulative admitted in-links of their host); identical in
-    driver and dataset round modes (flag off stays oracle-parity, covered
-    by every other test in this file)."""
+    1 + log1p(cumulative admitted in-links of their host); identical with
+    the frontier on the driver and in the object store (flag off stays
+    oracle-parity, covered by every other test in this file)."""
     import math
 
     import ray
@@ -230,12 +237,12 @@ def test_host_rank_priority_scores_frontier(ray_session):
     domains = ["a.com", "b.com", "c.com"]
 
     fronts = {}
-    for mode in ("driver", "dataset"):
-        c = GreedyCrawl(ref, domains, max_depth=3, max_rounds=1, mode=mode,
-                        num_shards=2, host_rank_priority=True)
+    for residency, kw in RESIDENCY.items():
+        c = GreedyCrawl(ref, domains, max_depth=3, max_rounds=1, num_shards=2,
+                        host_rank_priority=True, **kw)
         c.run()
         f = c._frontier_as_table().to_pandas().sort_values("url").reset_index(drop=True)
-        fronts[mode] = f[["url", "host", "priority"]]
+        fronts[residency] = f[["url", "host", "priority"]]
         c.shutdown()
 
     f = fronts["driver"]
@@ -247,12 +254,14 @@ def test_host_rank_priority_scores_frontier(ray_session):
 
 def test_parallelism_invariance(small_web, small_ref, policy, golden):
     """Same outputs regardless of shard count / batch sizes (the engine's
-    ordering is defined, not emergent — SURVEY.md §4 ordering row)."""
-    docs, results, _ = greedy_crawl(
-        small_ref, small_web.domains, policy=policy, max_num=25, max_depth=3,
-        num_shards=7, mode="driver",
-    )
-    _assert_parity(golden, docs, results)
+    ordering is defined, not emergent — SURVEY.md §4 ordering row), with
+    the frontier on the driver and in the object store."""
+    for kw in RESIDENCY.values():
+        docs, results, _ = greedy_crawl(
+            small_ref, small_web.domains, policy=policy, max_num=25, max_depth=3,
+            num_shards=7, **kw,
+        )
+        _assert_parity(golden, docs, results)
 
 
 def test_retry_path_does_not_change_results(small_web, small_map):
@@ -280,7 +289,7 @@ def test_retry_path_does_not_change_results(small_web, small_map):
 # emission of a URL claims its canon BEFORE the depth check (oracle.py
 # claimed_links semantics). A depth-capped winner suppresses every later
 # same-round emission of that URL but is neither admitted nor marked seen —
-# so the URL stays admittable in a LATER round. Both engine modes must match
+# so the URL stays admittable in a LATER round. Both frontier residencies must match
 # the oracle on a web constructed to hit exactly that boundary.
 
 def _depth_race_web():
@@ -328,8 +337,8 @@ def _depth_race_web():
     return url_map, seeds, pol
 
 
-@pytest.mark.parametrize("mode", ["driver", "dataset"])
-def test_depth_capped_claim_wins_then_url_stays_admittable(mode):
+@pytest.mark.parametrize("residency", list(RESIDENCY))
+def test_depth_capped_claim_wins_then_url_stays_admittable(residency):
     url_map, seeds, pol = _depth_race_web()
     odocs, _ = OracleCrawl(url_map, seeds, policy=pol, max_num=0, max_depth=2).run()
     oracle_ids = {d["doc_id"] for d in odocs}
@@ -337,7 +346,8 @@ def test_depth_capped_claim_wins_then_url_stays_admittable(mode):
     assert "http://c.com/x" not in oracle_ids  # capped min-order claim kills it
     assert len(oracle_ids) == 10
     docs, _, _ = greedy_crawl(ray.put(url_map), seeds, policy=pol,
-                              max_num=0, max_depth=2, num_shards=2, mode=mode)
+                              max_num=0, max_depth=2, num_shards=2,
+                              **RESIDENCY[residency])
     assert set(docs.to_pandas()["doc_id"]) == oracle_ids
 
 
@@ -352,10 +362,10 @@ def test_max_idle_time_watchdog(ray_session):
                      round_ms=1000)
     ref = ray.put(url_map)
     _d, _r, metrics = greedy_crawl(ref, seeds, policy=pol, max_num=0, max_depth=2,
-                                   num_shards=2, mode="driver")
+                                   num_shards=2)
     assert len(metrics) == 5  # no watchdog: one idle round per deferred seed
     _d, _r, metrics = greedy_crawl(ref, seeds, policy=pol, max_num=0, max_depth=2,
-                                   num_shards=2, mode="driver", max_idle_time=0.0)
+                                   num_shards=2, max_idle_time=0.0)
     assert len(metrics) == 1 and metrics[-1].get("idle_stop")
 
 
@@ -372,10 +382,10 @@ def test_delta_checkpoints_resume_across_chain(ray_session, tmp_path):
     ck = str(tmp_path / "ck")
 
     golden, gres, _ = greedy_crawl(ref, web.domains, policy=pol, max_num=25,
-                                   max_depth=3, num_shards=2, mode="driver")
+                                   max_depth=3, num_shards=2)
 
     c1 = GreedyCrawl(ref, web.domains, policy=pol, max_num=25, max_depth=3,
-                     num_shards=2, mode="driver", checkpoint_dir=ck,
+                     num_shards=2, checkpoint_dir=ck,
                      seen_full_every=100, max_rounds=3)  # rounds 1-2 = deltas
     c1.run()
     c1.shutdown()
@@ -389,7 +399,7 @@ def test_delta_checkpoints_resume_across_chain(ray_session, tmp_path):
     assert delta_sz < full_sz / 10
 
     c2 = GreedyCrawl(ref, web.domains, policy=pol, max_num=25, max_depth=3,
-                     num_shards=2, mode="driver", checkpoint_dir=ck,
+                     num_shards=2, checkpoint_dir=ck,
                      seen_full_every=100)
     docs, results, _ = c2.run()
     c2.shutdown()
@@ -416,7 +426,7 @@ def test_checkpoint_pruning_keeps_only_resume_chain(ray_session, tmp_path):
     ck = str(tmp_path / "ck")
 
     c = GreedyCrawl(ref, web.domains, policy=pol, max_num=25, max_depth=3,
-                    num_shards=2, mode="driver", checkpoint_dir=ck,
+                    num_shards=2, checkpoint_dir=ck,
                     seen_full_every=2)  # fulls at rounds 0, 2, ...
     c.run()
     c.shutdown()
@@ -441,7 +451,7 @@ def test_checkpoint_pruning_keeps_only_resume_chain(ray_session, tmp_path):
 
     # a fresh GreedyCrawl still resumes from the pruned dir
     c2 = GreedyCrawl(ref, web.domains, policy=pol, max_num=25, max_depth=3,
-                     num_shards=2, mode="driver", checkpoint_dir=ck,
+                     num_shards=2, checkpoint_dir=ck,
                      seen_full_every=2)
     c2.run()
     c2.shutdown()
@@ -449,18 +459,19 @@ def test_checkpoint_pruning_keeps_only_resume_chain(ray_session, tmp_path):
 
 
 def test_dataset_mode_resume_equals_fresh(small_web, small_ref, policy, golden, tmp_path):
-    """Checkpoint/resume parity on the pure-Ray-Data (dataset) round path:
-    interrupt after 2 rounds, resume with a new GreedyCrawl, outputs equal
-    the fresh golden run (frontier checkpointed via distributed parquet)."""
+    """Checkpoint/resume parity with the frontier held as an object-store
+    Dataset: interrupt after 2 rounds, resume with a new GreedyCrawl,
+    outputs equal the fresh golden run (frontier checkpointed via
+    distributed parquet)."""
     c1 = GreedyCrawl(
         small_ref, small_web.domains, policy=policy, max_num=25, max_depth=3,
-        num_shards=2, mode="dataset", checkpoint_dir=str(tmp_path), max_rounds=2,
+        num_shards=2, driver_threshold=0, checkpoint_dir=str(tmp_path), max_rounds=2,
     )
     c1.run()
     c1.shutdown()
     c2 = GreedyCrawl(
         small_ref, small_web.domains, policy=policy, max_num=25, max_depth=3,
-        num_shards=2, mode="dataset", checkpoint_dir=str(tmp_path),
+        num_shards=2, driver_threshold=0, checkpoint_dir=str(tmp_path),
     )
     docs, results, _ = c2.run()
     c2.shutdown()
@@ -561,7 +572,7 @@ def test_host_rank_ds_rewrite_1m_hosts_off_driver(ray_session):
 def test_host_rank_crawl_parity_dict_vs_sharded(ray_session):
     """A host-rank crawl forced onto the sharded-counter path from the
     first round produces the identical frontier priorities as the dict
-    path, in both round modes."""
+    path, with the frontier on the driver and in the object store."""
     import ray
 
     body = (b'<html><a href="http://b.com/b1.html">1</a>'
@@ -576,18 +587,18 @@ def test_host_rank_crawl_parity_dict_vs_sharded(ray_session):
     domains = ["a.com", "b.com", "c.com"]
 
     fronts = {}
-    for mode in ("driver", "dataset"):
+    for residency, kw in RESIDENCY.items():
         for thresh in (None, 0):  # None = dict path, 0 = sharded from round 0
-            c = GreedyCrawl(ref, domains, max_depth=3, max_rounds=1, mode=mode,
-                            num_shards=2, host_rank_priority=True,
-                            host_rank_shard_threshold=thresh)
+            c = GreedyCrawl(ref, domains, max_depth=3, max_rounds=1, num_shards=2,
+                            host_rank_priority=True, host_rank_shard_threshold=thresh,
+                            **kw)
             c.run()
             f = c._frontier_as_table().to_pandas().sort_values("url") \
                 .reset_index(drop=True)
-            fronts[(mode, thresh)] = f[["url", "host", "priority"]]
+            fronts[(residency, thresh)] = f[["url", "host", "priority"]]
             if thresh == 0:
                 assert c._host_rank.sharded and c._host_rank.local == {}
             c.shutdown()
-    for mode in ("driver", "dataset"):
-        pd.testing.assert_frame_equal(fronts[(mode, None)], fronts[(mode, 0)])
+    for residency in RESIDENCY:
+        pd.testing.assert_frame_equal(fronts[(residency, None)], fronts[(residency, 0)])
     pd.testing.assert_frame_equal(fronts[("driver", 0)], fronts[("dataset", 0)])

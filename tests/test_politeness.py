@@ -253,7 +253,7 @@ def test_crawl_parity_with_inflight_enforcement(ray_session):
                                   max_num=25, max_depth=3).run()
     docs, results, _ = greedy_crawl(
         ray.put(web.url_map()), web.domains, policy=pol, max_num=25,
-        max_depth=3, num_shards=2, mode="driver", enforce_inflight=True,
+        max_depth=3, num_shards=2, enforce_inflight=True,
     )
     edocs = docs.to_pandas()
     assert {d["doc_id"] for d in odocs} == set(edocs["doc_id"])
