@@ -73,7 +73,9 @@ def normalize_hrefs(hrefs: pd.Series, base_url: str) -> pd.Series:
     root_vals = s[root_rel].str.strip("/")
     root_simple = (
         root_vals.str.match(r"^(?![.;?#\s])(?![^/]*:).", na=False)
-        & ~root_vals.str.contains(r"(?:^|/)\.\.?(?:/|$)", regex=True, na=False)
+        # urljoin splits off ';params', '?query' and '#frag' before dot
+        # removal, so '.;x' or '..?y' are dot-segments too
+        & ~root_vals.str.contains(r"(?:^|/)\.\.?(?:[/;?#]|$)", regex=True, na=False)
         & ~root_vals.str.contains("//", regex=False, na=False)
         & ~root_vals.str.contains(r";[?#]", regex=True, na=False)
         & ~root_vals.str.contains(r"\?#", regex=True, na=False)

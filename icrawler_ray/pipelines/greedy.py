@@ -47,20 +47,26 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from icrawler_ray.defaults import DEFAULT_EXT, DEFAULT_SEEN_SHARDS
+from icrawler_ray.defaults import DEFAULT_EXT
 from icrawler_ray.functions.seq import cluster_cpus, from_table_blocks
 from icrawler_ray.functions.urlnorm import canonicalize, hash_urls, hosts_of
 from icrawler_ray.schemas import FRONTIER
 from icrawler_ray.stages.download import make_fetcher_fn, name_files
 from icrawler_ray.stages.fetch_parse import make_fetch_parse_fn
-from icrawler_ray.stages.politeness import (HostPolicy, _topk_per_host, politeness_gate,
-                                            robots_filter)
+from icrawler_ray.stages.politeness import (HostPolicy, _topk_per_host, make_inflight_limiter,
+                                            politeness_gate, robots_filter)
 from icrawler_ray.state.checkpoint import CheckpointManager, RoundOutputs
+from icrawler_ray.state.hostrank import HostRankState
 from icrawler_ray.state.seen import ShardedSeenSet, await_claims, is_actor_death
 
 #: FRONTIER column names as the politeness gate and the parse tasks read them
 _GATE_COLS = ["url", "url_canon", "url_hash", "host", "depth", "priority", "seq",
               "parent_doc_id"]
+#: in-process fault-recovery budget: on a seen-shard actor death mid-round,
+#: rewind to the last round-boundary checkpoint (fresh shard fleet, restored
+#: state) and retry the round, at most this many times per run (requires
+#: checkpoint_dir)
+_MAX_RECOVERIES = 2
 
 
 def normalize_domains(domains) -> list[str]:
@@ -108,14 +114,13 @@ class GreedyCrawl:
         max_rounds: int = 64,
         min_size=None,
         max_size=None,
-        num_shards: int = DEFAULT_SEEN_SHARDS,
+        num_shards: int = 8,
         seen_capacity: int = 1 << 18,
         exact_seen: bool = False,
         out_dir: str | None = None,
         checkpoint_dir: str | None = None,
         default_ext: str = DEFAULT_EXT,
         keep_content: bool = True,
-        run_id: str | None = None,
         driver_threshold: int = 200_000,
         seeds: list[str] | None = None,
         emit_docs: bool = True,
@@ -123,9 +128,7 @@ class GreedyCrawl:
         max_idle_time: float | None = None,
         file_idx_offset: int = 0,
         seen_full_every: int = 8,
-        max_recoveries: int = 2,
         host_rank_priority: bool = False,
-        host_rank_shard_threshold: int | None = None,
         downloader_hooks=None,
     ):
         # host_rank_priority (opt-in; default preserves reference/oracle
@@ -134,23 +137,11 @@ class GreedyCrawl:
         # link-graph signal (stages/linkgraph.py) wired into the politeness
         # gate's (-priority, seq) ordering, so heavily-referenced hosts are
         # crawled first when budgets bind. Counter state lives in
-        # HostRankState: a driver dict while distinct hosts are few,
-        # auto-migrated to hash-partitioned counter shard actors past
-        # host_rank_shard_threshold (state/hostrank.py — the 1e8-host
-        # design point holds no per-host driver state and exchanges only
-        # the round's own (host, n) rows). Intentionally NOT
+        # hash-partitioned counter shard actors (state/hostrank.py — the
+        # 1e8-host design point holds no per-host driver state and
+        # exchanges only the round's own (host, n) rows). Intentionally NOT
         # checkpointed: the signal re-warms after resume.
-        from icrawler_ray.state.hostrank import DEFAULT_SHARD_THRESHOLD, HostRankState
-
         self.host_rank_priority = bool(host_rank_priority)
-        self._host_rank = HostRankState(DEFAULT_SHARD_THRESHOLD
-                                        if host_rank_shard_threshold is None
-                                        else int(host_rank_shard_threshold))
-        # max_recoveries: in-process fault-recovery budget — on a seen-shard
-        # actor death mid-round, rewind to the last round-boundary
-        # checkpoint (fresh shard fleet, restored state) and retry the
-        # round, at most this many times per run (requires checkpoint_dir).
-        self.max_recoveries = int(max_recoveries)
         # seen_full_every: a FULL seen-set snapshot costs O(capacity) bytes
         # per round (~21 GiB at the 10^10-key design point); rounds in
         # between checkpoint only the O(novel) inserted-key DELTA, and
@@ -196,8 +187,13 @@ class GreedyCrawl:
         self.out_dir = out_dir
         self.default_ext = default_ext
         self.keep_content = keep_content
-        self.run_id = run_id or uuid.uuid4().hex[:8]
+        self.run_id = uuid.uuid4().hex[:8]  # actor-name namespace of this crawl
+        # num_shards: seen-set (and host-rank counter) shard actors per
+        # fleet, each holding seen_capacity keys before a new filter
+        # generation opens. Fixed, not read from the cluster: a checkpoint
+        # resumes only with the shard count it was written with.
         self.num_shards = num_shards
+        self._host_rank = HostRankState(self.num_shards)
         self.seen_capacity = seen_capacity
         self.exact_seen = exact_seen
         self._seen_gen = 0  # bumped on fault recovery (fresh actor fleet)
@@ -205,13 +201,9 @@ class GreedyCrawl:
         self.ckpt = CheckpointManager(checkpoint_dir) if checkpoint_dir else None
         # exact per-host inflight caps (opt-in: one named token actor per
         # run, slots acquired per (task, host run) in the fetch stages)
-        if enforce_inflight:
-            from icrawler_ray.stages.politeness import make_inflight_limiter
-
-            self.inflight_name, self._inflight_actor = make_inflight_limiter(
-                f"inflight:{self.run_id}", self.policy)
-        else:
-            self.inflight_name, self._inflight_actor = None, None
+        self.inflight_name, self._inflight_actor = (
+            make_inflight_limiter(f"inflight:{self.run_id}", self.policy)
+            if enforce_inflight else (None, None))
         self.metrics: list[dict] = []
         self.dl_count = 0
         self.next_seq = 0
@@ -354,7 +346,7 @@ class GreedyCrawl:
             try:
                 m = self._run_round(round_idx)
             except Exception as e:  # noqa: BLE001 — filtered to actor death below
-                if (self.ckpt is None or self._recoveries >= self.max_recoveries
+                if (self.ckpt is None or self._recoveries >= _MAX_RECOVERIES
                         or not is_actor_death(e)):
                     raise
                 self._recoveries += 1
@@ -432,12 +424,16 @@ class GreedyCrawl:
             print(f"--- round {round_idx} parse stats ---")
             print(parsed.stats())
 
+        t0 = time.time()
         metrics["errors"] = parsed.filter(expr="row_kind == 'error'").count()
+        tm["error_count"] = time.time() - t0
         metrics["docs"] = 0
         if self.emit_docs:
+            t0 = time.time()
             docs = parsed.filter(expr="row_kind == 'doc'").select_columns(
                 ["doc_id", "spans", "depth", "parent_seq", "status"])
             metrics["docs"] = self.outputs.persist(docs, round_idx, "docs")
+            tm["docs_persist"] = time.time() - t0
 
         # claims were routed to the seen-set shard actors INSIDE the parse
         # tasks (fused, NON-blocking); materialize() bounds submission and

@@ -270,9 +270,6 @@ class FetchParse:
             canon = canonicalize(merged)
             uh = hash_urls(canon.fillna(""))
             out = out.append_column("url_hash", pa.array(uh, type=pa.uint64()))
-            # int64 bit-view of the hash: Ray's sort/groupby machinery
-            # round-trips keys through int64; raw uint64 overflows it
-            out = out.append_column("url_hash_i", pa.array(uh.view(np.int64)))
             # packed order key: min over a hash group == min (parent_seq,
             # emit_ord). Fits int64 up to parent_seq < 2^43 (8.8e12 pages,
             # above the 10^10 design point) with emit_ord < 2^20 per page.

@@ -262,9 +262,10 @@ def politeness_gate(frontier: ray.data.Dataset, policy_ref,
 # ONCE. Each fetch task walks its sub-batch sequentially, so a task holds at
 # most one in-flight request per host — a task-level slot per (task, host)
 # therefore enforces the request-level cap exactly, with ONE actor
-# round-trip per host per batch instead of per URL.
+# round-trip per host per batch instead of per URL. Like the seen shards, the
+# limiter reserves no CPU: a reservation would hold back a fetch task slot.
 
-@ray.remote(num_cpus=0.05)
+@ray.remote(num_cpus=0, scheduling_strategy="SPREAD")
 class HostInflightLimiter:
     """Named token actor: at most ``limits[host]`` concurrent slot holders
     per host (0 / missing = uncapped), optionally paced so successive

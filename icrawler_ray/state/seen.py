@@ -7,17 +7,22 @@ single-threaded, unbounded memory, lost on crash. This engine shards it:
     shard(key) = url_hash % S      (url_hash = SipHash64 of canonical URL)
 
 Each shard is a named Ray actor holding a bloom pre-filter + a cuckoo
-filter (deletable, bounded FP). Candidates are routed to shards with a
-``groupby(shard)`` shuffle — each group makes exactly ONE actor call per
-round, batching all its keys (no per-row RPCs). At cluster scale the S
-actors spread across nodes and the groupby is the hash-partitioned
-exchange the north rule prescribes.
+filter (bounded FP). S is fixed for a crawl's life, checkpoints included
+(a snapshot restores only into S shards). The actors reserve no CPU: they
+are bursty (a few batched calls per round), and a reservation would
+starve the fetch/parse tasks on small clusters. They are SPREAD across
+nodes, so the hash-partitioned state and its claim traffic scale out with
+the cluster, as the north rule prescribes.
 
-``filter_and_insert`` is atomic per shard: membership test + insert of the
-novel keys in one call, so a key seen twice in different rounds is admitted
-exactly once. Within-round duplicates are removed by an exact
-``groupby(url_canon)`` first (cached_queue dedup is insertion-ordered;
-the engine keeps the candidate with the smallest order key).
+Frontier dedup is a round-scoped claim protocol, not a shuffle. Each
+parse task pushes its emission rows' (url_hash, packed order) pairs
+straight to the owning shards (:func:`route_claims`, fused into the parse
+tasks); the driver's :func:`await_claims` is the delivery barrier; then
+each shard's ``finish_round`` keeps the min-order claim per key (the
+oracle's first-emission-wins), filters the winners against its persistent
+filters, inserts the novel ones and returns them. Claims commute, so the
+winners are the same at any parallelism; ``filter_and_insert`` is atomic
+per shard, so a key seen in different rounds is admitted exactly once.
 
 Checkpoint: each shard serializes (bloom, cuckoo, counters) to bytes;
 restore rebuilds actors from payloads (state/checkpoint.py).
@@ -25,7 +30,6 @@ restore rebuilds actors from payloads (state/checkpoint.py).
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -35,13 +39,14 @@ from icrawler_ray.state.bloom import BloomFilter
 from icrawler_ray.state.cuckoo import CuckooFilter
 
 
-@ray.remote(num_cpus=0.1)  # shards are bursty (one batched call per round);
-class SeenShard:           # a full-CPU reservation per shard would starve
-                           # the map stages on small machines
-    def __init__(self, capacity: int, use_bloom: bool = True, use_cuckoo: bool = True):
-        self.bloom = BloomFilter(capacity) if use_bloom else None
-        self.cuckoo = CuckooFilter(capacity) if use_cuckoo else None
-        self.exact: set | None = None if use_cuckoo else set()
+@ray.remote(num_cpus=0, scheduling_strategy="SPREAD")  # see module docstring
+class SeenShard:
+    def __init__(self, capacity: int, exact: bool = False):
+        # exact=True: a plain key set instead of the filters (test oracle
+        # cross-check; no false positives, unbounded memory)
+        self.bloom = None if exact else BloomFilter(capacity)
+        self.cuckoo = None if exact else CuckooFilter(capacity)
+        self.exact: set | None = set() if exact else None
         self.num_items = 0
         self.num_queries = 0
         self.num_hits = 0
@@ -50,14 +55,11 @@ class SeenShard:           # a full-CPU reservation per shard would starve
         """Returns novel-mask; novel keys are inserted."""
         keys = np.asarray(keys, dtype=np.uint64)
         self.num_queries += len(keys)
-        if self.cuckoo is not None:
-            if self.bloom is not None:
-                maybe = self.bloom.contains(keys)  # pre-filter: definite-new skips cuckoo probe
-                seen = np.zeros(len(keys), dtype=bool)
-                if maybe.any():
-                    seen[maybe] = self.cuckoo.contains(keys[maybe])
-            else:
-                seen = self.cuckoo.contains(keys)
+        if self.exact is None:
+            maybe = self.bloom.contains(keys)  # pre-filter: definite-new skips cuckoo probe
+            seen = np.zeros(len(keys), dtype=bool)
+            if maybe.any():
+                seen[maybe] = self.cuckoo.contains(keys[maybe])
             novel = ~seen
             # batch-internal first-occurrence wins
             _, first_idx = np.unique(keys, return_index=True)
@@ -66,9 +68,8 @@ class SeenShard:           # a full-CPU reservation per shard would starve
             novel &= first_mask
             if novel.any():
                 self.cuckoo.add(keys[novel])
-                if self.bloom is not None:
-                    self.bloom.add(keys[novel])
-        else:  # exact mode (test oracle cross-check)
+                self.bloom.add(keys[novel])
+        else:
             novel = np.zeros(len(keys), dtype=bool)
             for i, k in enumerate(keys):
                 if int(k) not in self.exact:
@@ -152,24 +153,6 @@ class SeenShard:           # a full-CPU reservation per shard would starve
         novel = self.filter_and_insert(ks)
         return ks[novel], ps[novel]
 
-    def contains(self, keys: np.ndarray) -> np.ndarray:
-        keys = np.asarray(keys, dtype=np.uint64)
-        if self.cuckoo is not None:
-            return self.cuckoo.contains(keys)
-        return np.array([int(k) in self.exact for k in keys], dtype=bool)
-
-    def delete(self, keys: np.ndarray) -> np.ndarray:
-        keys = np.asarray(keys, dtype=np.uint64)
-        if self.cuckoo is not None:
-            removed = self.cuckoo.delete(keys)
-            self.num_items -= int(removed.sum())
-            return removed
-        removed = np.array([int(k) in self.exact for k in keys], dtype=bool)
-        for k in keys:
-            self.exact.discard(int(k))
-        self.num_items -= int(removed.sum())
-        return removed
-
     def stats(self) -> dict:
         return {
             "num_items": self.num_items,
@@ -205,10 +188,9 @@ class SeenShard:           # a full-CPU reservation per shard would starve
         keys = np.asarray(keys, dtype=np.uint64)
         if not len(keys):
             return
-        if self.cuckoo is not None:
+        if self.exact is None:
             self.cuckoo.add(keys)
-            if self.bloom is not None:
-                self.bloom.add(keys)
+            self.bloom.add(keys)
         else:
             self.exact.update(int(k) for k in keys)
         self.num_items += len(keys)
@@ -237,8 +219,7 @@ class ShardedSeenSet:
         self.num_shards = num_shards
         self.shards = [
             SeenShard.options(name=f"seen:{name}:{i}", get_if_exists=True).remote(
-                capacity_per_shard, use_bloom=not exact, use_cuckoo=not exact
-            )
+                capacity_per_shard, exact=exact)
             for i in range(num_shards)
         ]
 
@@ -287,6 +268,12 @@ class ShardedSeenSet:
 
     def restore(self, payloads: list[dict],
                 deltas: list[list[np.ndarray]] | None = None) -> None:
+        # keys live in shard h % num_shards: another count would look them up
+        # in the wrong shard and silently admit seen URLs again
+        if len(payloads) != self.num_shards:
+            raise ValueError(f"seen set {self.name!r}: snapshot has {len(payloads)} shards, "
+                             f"this set has {self.num_shards}; resume with "
+                             f"num_shards={len(payloads)}")
         ray.get([s.restore.remote(p) for s, p in zip(self.shards, payloads)])
         if deltas:
             futs = []
@@ -316,16 +303,13 @@ def get_shard_actor(name: str, shard: int):
     return a
 
 
-#: escape hatch / A-B knob: ICRAWLER_CLAIMS_BLOCK=1 restores the blocking
-#: submission (workers inherit the driver's environment)
-_CLAIMS_BLOCK_DEFAULT = os.environ.get("ICRAWLER_CLAIMS_BLOCK", "0") == "1"
 #: per-worker outstanding-claim window (see route_claims backpressure note)
-_CLAIMS_WINDOW = int(os.environ.get("ICRAWLER_CLAIMS_WINDOW", "64"))
+_CLAIMS_WINDOW = 64
 _PENDING: list = []
 
 
 def route_claims(t, pages_set: str, files_set: str, num_shards: int,
-                 max_depth: int, block: bool | None = None,
+                 max_depth: int, block: bool = False,
                  round_idx: int | None = None) -> int:
     """Push one Arrow block's candidate (url_hash, packed) pairs to their
     seen-set shard actors (link rows -> pages set, task rows -> files set).
@@ -361,8 +345,6 @@ def route_claims(t, pages_set: str, files_set: str, num_shards: int,
                 keys[sel], packed[sel], None if elig is None else elig[sel],
                 round_idx))
             n_pushed += int(sel.sum())
-    if block is None:
-        block = _CLAIMS_BLOCK_DEFAULT
     if block and futs:
         return sum(ray.get(futs))
     # bounded-window backpressure: fully unbounded submission lets fat

@@ -59,19 +59,19 @@ def cmd_crawl(args) -> dict:
     policy = HostPolicy({h: {"crawl_delay_ms": 0, "max_inflight": 64,
                              "robots_disallow": []} for h in web.hosts},
                         round_ms=1000)
-    from icrawler_ray.defaults import DEFAULT_SEEN_SHARDS
-
-    # size each seen shard for the expected key volume (pages + ~0.9x
-    # files) so the filters stay single-generation in the common case;
-    # past-estimate growth is handled by the scalable bloom/cuckoo gens
-    seen_capacity = max(1 << 18, int(args.pages * 2.0 / DEFAULT_SEEN_SHARDS))
+    # size each seen shard for its share of the expected key volume
+    # (pages + ~0.9x files) so the filters stay single-generation in the
+    # common case; past-estimate growth is handled by the scalable
+    # bloom/cuckoo gens
+    num_shards = 8
+    seen_capacity = max(1 << 18, int(args.pages * 2.0 / num_shards))
     t0 = time.time()
     docs, results, metrics = greedy_crawl(
         ("procedural", web.spec()), web.domains,
         seeds=web.seed_urls(max(64, args.pages // 100)), policy=policy,
         max_num=0, max_depth=4, keep_content=False,
         driver_threshold=2_000_000, emit_docs=args.emit_docs,
-        seen_capacity=seen_capacity,
+        num_shards=num_shards, seen_capacity=seen_capacity,
         out_dir=args.out, checkpoint_dir=args.checkpoint,
     )
     dt = time.time() - t0

@@ -128,6 +128,21 @@ def test_resume_equals_fresh(small_web, small_ref, policy, golden, tmp_path):
     _assert_parity(golden, docs, results)
 
 
+def test_resume_with_other_shard_count_raises(small_web, small_ref, policy, tmp_path):
+    """Seen keys live in shard h % num_shards, so a checkpoint written with
+    2 shards must not be restored into 3: that would re-admit seen URLs."""
+    kw = dict(policy=policy, max_num=25, max_depth=3, checkpoint_dir=str(tmp_path))
+    c1 = GreedyCrawl(small_ref, small_web.domains, num_shards=2, max_rounds=2, **kw)
+    c1.run()
+    c1.shutdown()
+    c2 = GreedyCrawl(small_ref, small_web.domains, num_shards=3, **kw)
+    try:
+        with pytest.raises(ValueError, match="snapshot has 2 shards"):
+            c2.run()
+    finally:
+        c2.shutdown()
+
+
 @pytest.mark.parametrize("residency", list(RESIDENCY))
 def test_shard_actor_death_recovers_in_process(small_web, small_ref, policy, golden,
                                                tmp_path, residency):
@@ -429,6 +444,7 @@ def test_checkpoint_pruning_keeps_only_resume_chain(ray_session, tmp_path):
                     num_shards=2, checkpoint_dir=ck,
                     seen_full_every=2)  # fulls at rounds 0, 2, ...
     c.run()
+    assert c._host_rank.shards is None  # no host rank: no counter actors started
     c.shutdown()
     last = json.load(open(os.path.join(ck, "MANIFEST.json")))["last_round"]
     assert last >= 2
@@ -480,40 +496,49 @@ def test_dataset_mode_resume_equals_fresh(small_web, small_ref, policy, golden, 
 
 
 def test_host_rank_sharded_counters_match_dict_and_hold_1e5_hosts(ray_session):
-    """Above host_rank_shard_threshold the counter state migrates to
-    hash-partitioned shard actors; counts must equal the dict path
-    exactly and the driver must hold NO per-host state afterwards —
-    exercised at >= 1e5 distinct hosts (the scale the driver dict was
-    flagged for)."""
-    import numpy as np
+    """The hash-partitioned counter shards must count exactly like an
+    independent in-test dict, and the driver must hold NO per-host state —
+    exercised at >= 1e5 distinct hosts (the scale a driver dict was
+    flagged for) through the crawl's own priority rewrite."""
+    import pyarrow as pa
 
+    from icrawler_ray.schemas import FRONTIER
     from icrawler_ray.state.hostrank import HostRankState
 
     rng = np.random.default_rng(3)
     n_hosts = 120_000
     hosts = np.array([f"h{i}.example.com" for i in range(n_hosts)], dtype=object)
 
-    dict_state = HostRankState(shard_threshold=10**9)
-    shard_state = HostRankState(shard_threshold=50_000, num_shards=4)
+    state = HostRankState(num_shards=4)
+    assert state.shards is None  # no counter actors before the first round
     expect = {}
     for _round in range(3):
-        take = rng.integers(0, n_hosts, size=60_000)
-        uniq, ns = np.unique(hosts[take], return_counts=True)
-        a = dict_state.update_and_counts(uniq, ns)
-        b = shard_state.update_and_counts(uniq, ns)
-        np.testing.assert_array_equal(a, b)
-        for h, n, c in zip(uniq.tolist(), ns.tolist(), a.tolist()):
-            expect[h] = expect.get(h, 0) + n
-            assert expect[h] == c
-    assert shard_state.sharded and shard_state.local == {}  # driver dict gone
-    assert not dict_state.sharded
-    shard_state.reset()
-    dict_state.reset()
+        take = hosts[rng.integers(0, n_hosts, size=80_000)]
+        n = len(take)
+        rows = pd.DataFrame({
+            "url": [f"http://{h}/p{i}" for i, h in enumerate(take)],
+            "url_canon": [f"http://{h}/p{i}" for i, h in enumerate(take)],
+            "url_hash": np.arange(n, dtype=np.uint64),
+            "host": take, "depth": np.ones(n, dtype=np.int32),
+            "priority": np.ones(n), "discovered_seq": np.arange(n, dtype=np.int64),
+            "parent_doc_id": [""] * n})
+        new = ray.data.from_arrow(pa.Table.from_pandas(rows, preserve_index=False)
+                                  .cast(FRONTIER)).repartition(8)
+        out = state.rewrite_priorities(new, FRONTIER).to_pandas()
+        assert len(out) == n
+        for h in take.tolist():
+            expect[h] = expect.get(h, 0) + 1
+        got = np.rint(np.expm1(out["priority"].to_numpy() - 1.0)).astype(np.int64)
+        want = np.array([expect[h] for h in out["host"].tolist()], dtype=np.int64)
+        np.testing.assert_array_equal(got, want)
+    assert len(expect) > 100_000
+    assert set(vars(state)) == {"num_shards", "shards"}  # no driver-side counts
+    state.reset()
 
 
 def test_host_rank_ds_rewrite_1m_hosts_off_driver(ray_session):
     """VERDICT r4 #4: in sharded mode the per-round distinct-host frame
-    must stay a Dataset — rewrite_priorities_ds over a 1M-distinct-host
+    must stay a Dataset — rewrite_priorities over a 1M-distinct-host
     round frontier built OFF-driver, with a driver RSS pin (the old path
     pulled the (host, n) frame to the driver: ~100 MB of host strings at
     this scale) and exact priorities spot-checked against the counter
@@ -524,7 +549,7 @@ def test_host_rank_ds_rewrite_1m_hosts_off_driver(ray_session):
     import pyarrow as _pa
 
     from icrawler_ray.schemas import FRONTIER
-    from icrawler_ray.state.hostrank import HostRankState, rewrite_priorities_ds
+    from icrawler_ray.state.hostrank import HostRankState
 
     n = 1_000_000
 
@@ -542,19 +567,15 @@ def test_host_rank_ds_rewrite_1m_hosts_off_driver(ray_session):
             "parent_doc_id": _pa.array([""] * len(ids)),
         }, schema=FRONTIER)
 
-    state = HostRankState(shard_threshold=0, num_shards=4)
-    state.maybe_migrate(1)
-    assert state.sharded and state.local == {}
+    state = HostRankState(num_shards=4)
     # warm-up on a small frame pays Ray Data's one-time driver machinery
     warm = ray.data.range(1000).map_batches(make_rows, batch_format="pyarrow")
-    rewrite_priorities_ds(state, warm, FRONTIER).materialize()
+    state.rewrite_priorities(warm, FRONTIER)
     state.reset()
-    state = HostRankState(shard_threshold=0, num_shards=4)
-    state.maybe_migrate(1)
 
     frontier = ray.data.range(n).map_batches(make_rows, batch_format="pyarrow")
     rss0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    out = rewrite_priorities_ds(state, frontier, FRONTIER).materialize()
+    out = state.rewrite_priorities(frontier, FRONTIER)
     assert out.count() == n
     rss1 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     assert (rss1 - rss0) * 1024 < 48 << 20, (
@@ -563,42 +584,7 @@ def test_host_rank_ds_rewrite_1m_hosts_off_driver(ray_session):
     sample = out.limit(500).to_pandas()
     np.testing.assert_allclose(sample["priority"], 1.0 + np.log1p(1.0))
     # second round doubles the counts -> 1 + log1p(2)
-    out2 = rewrite_priorities_ds(state, frontier, FRONTIER).materialize()
+    out2 = state.rewrite_priorities(frontier, FRONTIER)
     sample2 = out2.limit(500).to_pandas()
     np.testing.assert_allclose(sample2["priority"], 1.0 + np.log1p(2.0))
     state.reset()
-
-
-def test_host_rank_crawl_parity_dict_vs_sharded(ray_session):
-    """A host-rank crawl forced onto the sharded-counter path from the
-    first round produces the identical frontier priorities as the dict
-    path, with the frontier on the driver and in the object store."""
-    import ray
-
-    body = (b'<html><a href="http://b.com/b1.html">1</a>'
-            b'<a href="http://b.com/b2.html">2</a>'
-            b'<a href="http://b.com/b3.html">3</a>'
-            b'<a href="http://c.com/c1.html">4</a></html>')
-    m = {"http://a.com": (200, body)}
-    for u in ("http://b.com/b1.html", "http://b.com/b2.html",
-              "http://b.com/b3.html", "http://c.com/c1.html"):
-        m[u] = (200, b"<html>leaf</html>")
-    ref = ray.put(m)
-    domains = ["a.com", "b.com", "c.com"]
-
-    fronts = {}
-    for residency, kw in RESIDENCY.items():
-        for thresh in (None, 0):  # None = dict path, 0 = sharded from round 0
-            c = GreedyCrawl(ref, domains, max_depth=3, max_rounds=1, num_shards=2,
-                            host_rank_priority=True, host_rank_shard_threshold=thresh,
-                            **kw)
-            c.run()
-            f = c._frontier_as_table().to_pandas().sort_values("url") \
-                .reset_index(drop=True)
-            fronts[(residency, thresh)] = f[["url", "host", "priority"]]
-            if thresh == 0:
-                assert c._host_rank.sharded and c._host_rank.local == {}
-            c.shutdown()
-    for residency in RESIDENCY:
-        pd.testing.assert_frame_equal(fronts[(residency, None)], fronts[(residency, 0)])
-    pd.testing.assert_frame_equal(fronts[("driver", 0)], fronts[("dataset", 0)])

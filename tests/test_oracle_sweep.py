@@ -82,3 +82,47 @@ def test_below_window_oracle(name, ray_session):
     assert len(got_n) == len(want_n), (name, len(got_n), len(want_n))
     pd.testing.assert_frame_equal(got_n, want_n, check_dtype=False,
                                   check_exact=False, atol=1e-6, rtol=1e-6)
+
+
+def _brunner_munzel_w(x1, x2) -> tuple[float, float]:
+    """(W, relative effect) of the Brunner-Munzel test from explicit
+    tie-averaged ranks — pooled and within each sample — independent of
+    the value-count-grid fold the query and its SQL oracle share."""
+    import numpy as np
+
+    x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
+    n1, n2 = len(x1), len(x2)
+    pooled = pd.Series(np.concatenate([x1, x2])).rank(method="average").to_numpy()
+    rc1, rc2 = pooled[:n1], pooled[n1:]
+    ri1 = pd.Series(x1).rank(method="average").to_numpy()
+    ri2 = pd.Series(x2).rank(method="average").to_numpy()
+    s1 = ((rc1 - ri1 - rc1.mean() + (n1 + 1) / 2) ** 2).sum() / (n1 - 1)
+    s2 = ((rc2 - ri2 - rc2.mean() + (n2 + 1) / 2) ** 2).sum() / (n2 - 1)
+    w = n1 * n2 * (rc2.mean() - rc1.mean()) / ((n1 + n2) * np.sqrt(n1 * s1 + n2 * s2))
+    return float(w), float((rc2.mean() - (n2 + 1) / 2) / n1)
+
+
+def test_brunner_munzel_oracle_is_canonical():
+    # published example (Brunner & Munzel 2000; also scipy's docs)
+    w, _ = _brunner_munzel_w([1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 2, 4, 1, 1],
+                             [3, 3, 4, 3, 1, 2, 3, 1, 1, 5, 4])
+    assert w == pytest.approx(3.1374674823029505, rel=1e-12)
+
+
+@pytest.mark.skipif(not osp.isdir(SF_DIR), reason="driver testdata absent")
+def test_brunner_munzel_matches_rank_oracle(ray_session):
+    """q_brunner_munzel (weekend vs weekday purchase values, in cents)
+    equals the explicit-rank oracle."""
+    import numpy as np
+
+    from icrawler_ray.queries import QUERIES
+
+    ev = pd.read_parquet(f"{SF_DIR}/events.parquet", columns=["ts", "event_type", "value"])
+    ev = ev[ev["event_type"] == "purchase"]
+    cents = np.round(ev["value"].to_numpy() * 100).astype(np.int64)
+    weekend = (pd.to_datetime(ev["ts"]).dt.dayofweek >= 5).to_numpy()
+    w, p_hat = _brunner_munzel_w(cents[weekend], cents[~weekend])
+    got = _to_pandas(QUERIES["brunner_munzel"](SF_DIR)).iloc[0]
+    assert (got["n_weekend"], got["n_weekday"]) == (weekend.sum(), (~weekend).sum())
+    assert got["bm_w"] == pytest.approx(w, abs=1e-6)
+    assert got["relative_effect"] == pytest.approx(p_hat, abs=1e-6)

@@ -124,7 +124,7 @@ def test_scalar_twins_match_vectorized():
 
 # --------------------------------------------------------- property fuzz
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 _url_chars = st.text(
@@ -158,6 +158,7 @@ def test_fuzz_scalar_twins_match_vectorized(urls):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_urlish, min_size=1, max_size=8))
+@example(["/0/.;0", "/a/..;x", "/0/.?x", "/0/..#y"])  # dot-segments before ;?#
 def test_fuzz_norm_href_twins(hrefs):
     """Property: GreedyRules._norm_href (scalar, oracle/crawl path,
     including the absolute-URL urljoin fast path) and normalize_hrefs
