@@ -16,9 +16,10 @@ greedy.py:10-15). Here the feedback loop is an explicit driver round loop
 
 Frontier residency: between rounds the frontier lives where its size
 allows. At or below ``driver_threshold`` rows it is an Arrow table on the
-driver, gated by vectorized pandas ops; above it, a Dataset whose blocks
-stay in the object store (the 10^10-URL design point), gated by the
-distributed ``politeness_gate``. Everything after the gate is one code
+driver, gated by ``split_by_budget`` directly; above it, a Dataset whose
+blocks stay in the object store (the 10^10-URL design point), gated by the
+distributed ``politeness_gate``, which runs the same kernel on each block
+and each exchange partition. Everything after the gate is one code
 path. The driver holds only control arrays (claim winner sets, the kept
 downloads' order keys), never link rows — the memory-bounded pipeline
 scheduling argument of "Memory Efficient Scheduling of Query Pipeline
@@ -53,8 +54,8 @@ from icrawler_ray.functions.urlnorm import canonicalize, hash_urls, hosts_of
 from icrawler_ray.schemas import FRONTIER
 from icrawler_ray.stages.download import make_fetcher_fn, name_files
 from icrawler_ray.stages.fetch_parse import make_fetch_parse_fn
-from icrawler_ray.stages.politeness import (HostPolicy, _topk_per_host, make_inflight_limiter,
-                                            politeness_gate, robots_filter)
+from icrawler_ray.stages.politeness import (HostPolicy, make_inflight_limiter, politeness_gate,
+                                            split_rows)
 from icrawler_ray.state.checkpoint import CheckpointManager, RoundOutputs
 from icrawler_ray.state.hostrank import HostRankState
 from icrawler_ray.state.seen import ShardedSeenSet, await_claims, is_actor_death
@@ -375,16 +376,11 @@ class GreedyCrawl:
                 lambda t: t.rename_columns(FRONTIER.names).cast(FRONTIER),
                 batch_format="pyarrow")
             return gated, deferred, gated.count()
-        fdf = self._frontier_as_table().to_pandas()
-        fdf.columns = _GATE_COLS
-        live = robots_filter(fdf, self.policy)
-        gated = _topk_per_host(live, self.policy)
-        deferred = live.loc[~live.index.isin(gated.index)]
-        deferred = (pa.Table.from_pandas(deferred, preserve_index=False)
-                    .rename_columns(FRONTIER.names).cast(FRONTIER)
-                    if len(deferred) else FRONTIER.empty_table())
-        gated = pa.Table.from_pandas(gated[["url", "depth", "seq"]], preserve_index=False)
-        return gated.replace_schema_metadata(None), deferred, gated.num_rows
+        frontier = self._frontier_as_table()
+        rows = frontier.rename_columns(_GATE_COLS)
+        gated, deferred = split_rows(rows, self.policy)
+        return (rows.take(gated).select(["url", "depth", "seq"]), frontier.take(deferred),
+                len(gated))
 
     def _run_round(self, round_idx: int) -> dict:
         tm = {"gate": time.time()}

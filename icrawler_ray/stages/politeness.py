@@ -20,12 +20,15 @@ Semantics (shared with the sequential oracle, so goldens match):
   request-level concurrency exactly.
 
 Scale shape (SURVEY.md §7.4 skew decoupling): the gate never shuffles the
-full frontier by host. It computes per-block partial top-B_h candidates
-(vectorized pandas groupby inside map_batches — a combiner), shuffles only
-those candidates with groupby(host) for the final top-B_h, then broadcasts
-the small gated-key set to anti-filter the frontier into the deferred
-remainder. A hot host therefore contributes at most B_h rows per block to
-the shuffle, not its full frontier share.
+full frontier by host. Every block splits its rows with ``split_by_budget``
+(a combiner): its local top-B_h rows become candidates, tagged with their
+host-hash partition, and the rest are deferred on the spot, which is exact
+because a row outside its block's top-B_h cannot be in its host's global
+top-B_h. Only candidates cross the groupby exchange, where the same split
+marks each as gated or not; deferred = the blocks' non-candidates plus the
+candidates the exchange did not gate. A hot host therefore contributes at
+most B_h rows per block to the shuffle, not its full frontier share, and
+the driver holds no per-key state at any gated-set size.
 """
 
 from __future__ import annotations
@@ -35,52 +38,7 @@ import pandas as pd
 import pyarrow as pa
 import ray
 
-from icrawler_ray.state.bloom import _mix
-
-#: gated sets up to this many keys broadcast as an exact uint64 array
-#: (8 B/key); past it, the bloom + exact-FP-correction path keeps driver
-#: memory bounded by MAX_GATED_BLOOM_BITS regardless of gated size.
-EXACT_GATED_BROADCAST_MAX = 1 << 18
-#: constant cap on the gated-key bloom (2^28 bits = 32 MiB): ~2% FP at
-#: 27M keys; past that FP rate degrades gracefully — the correction join
-#: grows but stays exact and distributed.
-MAX_GATED_BLOOM_BITS = 1 << 28
-_BLOOM_K = 4
-
-
-def _bloom_positions(nbits: int, keys: np.ndarray) -> np.ndarray:
-    pos = np.empty((_BLOOM_K, len(keys)), dtype=np.uint64)
-    for r in range(_BLOOM_K):
-        pos[r] = _mix(keys, r) % np.uint64(nbits)
-    return pos
-
-
-def _bloom_contains(bits: np.ndarray, nbits: int, keys: np.ndarray) -> np.ndarray:
-    if not len(keys):
-        return np.zeros(0, dtype=bool)
-    pos = _bloom_positions(nbits, keys)
-    word = pos >> np.uint64(6)
-    bit = np.uint64(1) << (pos & np.uint64(63))
-    return ((bits[word] & bit) != 0).all(axis=0)
-
-
-@ray.remote(num_cpus=0.25)
-def _bloom_of_block(block: pa.Table, nbits: int) -> np.ndarray:
-    bits = np.zeros((nbits + 63) // 64, dtype=np.uint64)
-    if "url_hash" not in block.schema.names:  # empty map_groups stub block
-        return bits
-    keys = np.asarray(block["url_hash"].to_pylist(), dtype=np.uint64)
-    if len(keys):
-        pos = _bloom_positions(nbits, keys)
-        word = (pos >> np.uint64(6)).ravel()
-        bit = np.uint64(1) << (pos & np.uint64(63)).ravel()
-        np.bitwise_or.at(bits, word, bit)
-    return bits
-
-
-@ray.remote(num_cpus=0.25)
-def _or_bits(a: np.ndarray, b: np.ndarray = None) -> np.ndarray:
-    return a if b is None else a | b
+from icrawler_ray.functions.seq import cluster_cpus
 
 
 class HostPolicy:
@@ -113,21 +71,19 @@ def _path_of(urls: pd.Series) -> pd.Series:
     return urls.str.replace(r"^[A-Za-z][A-Za-z0-9+.-]*://[^/]*", "", regex=True).replace("", "/")
 
 
-def robots_filter(df: pd.DataFrame, policy: HostPolicy, url_col: str = "url") -> pd.DataFrame:
+def robots_filter(df: pd.DataFrame, policy: HostPolicy) -> pd.DataFrame:
     """Drop rows whose path hits a disallowed prefix for their host."""
     if not len(df):
         return df
-    path = _path_of(df[url_col].astype("string"))
+    rules = {h: tuple(p) for h in df["host"].unique() if (p := policy.disallowed(h))}
+    if not rules:
+        return df
+    # one vectorized path pass over the ruled hosts' rows, then a C-level
+    # str.startswith per row: no per-host pandas call
+    ruled = df["host"].isin(list(rules)).to_numpy()
+    paths = _path_of(df["url"][ruled].astype("string"))
     drop = np.zeros(len(df), dtype=bool)
-    for host, g in df.groupby("host", sort=False):
-        prefixes = policy.disallowed(host)
-        if not prefixes:
-            continue
-        p = path.loc[g.index]
-        m = np.zeros(len(g), dtype=bool)
-        for pref in prefixes:
-            m |= p.str.startswith(pref).to_numpy()
-        drop[df.index.get_indexer(g.index)] = m
+    drop[ruled] = [p.startswith(rules[h]) for h, p in zip(df["host"][ruled], paths)]
     return df[~drop]
 
 
@@ -137,121 +93,74 @@ def _topk_per_host(df: pd.DataFrame, policy: HostPolicy) -> pd.DataFrame:
         return df
     df = df.sort_values(["host", "priority", "seq"], ascending=[True, False, True], kind="mergesort")
     rank = df.groupby("host", sort=False).cumcount()
-    budgets = df["host"].map(lambda h: policy.budget(h))
-    return df[rank < budgets]
+    codes, hosts = pd.factorize(df["host"], use_na_sentinel=False)
+    budgets = np.array([policy.budget(h) for h in hosts], dtype=np.int64)[codes]
+    return df[rank.to_numpy() < budgets]
 
 
-def politeness_gate(frontier: ray.data.Dataset, policy_ref,
-                    url_col: str = "url"):
+def split_by_budget(df: pd.DataFrame, policy: HostPolicy) -> tuple[pd.DataFrame, pd.DataFrame]:
+    """(gated, deferred) rows of one frame: the robots-live rows within their
+    host's top-B_h, and the other robots-live rows. Disallowed rows are in
+    neither. ``df`` needs url, host, priority and seq and a unique index."""
+    live = robots_filter(df, policy)
+    gated = _topk_per_host(live, policy)
+    return gated, live.loc[~live.index.isin(gated.index)]
+
+
+def split_rows(t: pa.Table, policy: HostPolicy) -> tuple[np.ndarray, np.ndarray]:
+    """split_by_budget on an Arrow table -> (gated, deferred) row positions,
+    gated in (host, priority DESC, seq) order, deferred in table order."""
+    df = t.select(["url", "host", "priority", "seq"]).to_pandas()
+    df.index = pd.RangeIndex(len(df))  # positions, whatever the pandas metadata says
+    gated, deferred = split_by_budget(df, policy)
+    return gated.index.to_numpy(), deferred.index.to_numpy()
+
+
+def politeness_gate(frontier: ray.data.Dataset, policy_ref):
     """(gated, deferred) split of a frontier dataset.
 
     ``policy_ref`` is a ``ray.put`` handle to a HostPolicy (broadcast once).
     Returns gated as a materialized small Dataset (it is at most
-    sum_h(B_h) rows) and deferred as a lazy filter of the frontier.
+    sum_h(B_h) rows) and deferred as a lazy filter of the tagged frontier
+    and the exchange output.
     """
-    policy_handle = policy_ref
     P = 32  # bounded fat host-hash partitions: one group PER HOST would be
-    # the many-tiny-groups map_groups pitfall at web host counts, and
-    # _topk_per_host is already vectorized across hosts within a frame
+    # the many-tiny-groups pitfall at web host counts, and split_by_budget
+    # is already vectorized across hosts within a frame; the exchange
+    # merges them into at most P reducer blocks
 
-    def partial(batch: pa.Table) -> pa.Table:
-        pol = ray.get(policy_handle) if isinstance(policy_handle, ray.ObjectRef) else policy_handle
-        df = batch.to_pandas()
-        df = robots_filter(df, pol, url_col=url_col)
-        df = _topk_per_host(df, pol)
-        df["_part"] = (pd.util.hash_array(df["host"].to_numpy(dtype=object)) % P
-                       ).astype(np.int32)
-        # replace_schema_metadata(None): from_pandas attaches a b'pandas'
-        # metadata blob that makes pa.Schema UNHASHABLE, defeating Ray's
-        # schema-dedup fast path (one warning per reduce task)
-        return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
+    def tag(batch: pa.Table) -> pa.Table:
+        # _part: the host-hash partition of a block-local top-B_h candidate,
+        # -1 for a deferred row; robots-disallowed rows are dropped here
+        gated, deferred = split_rows(batch, ray.get(policy_ref))
+        part = np.full(batch.num_rows, -2, dtype=np.int32)
+        part[deferred] = -1
+        hosts = batch["host"].take(gated).to_numpy(zero_copy_only=False)
+        part[gated] = pd.util.hash_array(hosts.astype(object)) % P
+        return batch.append_column("_part", pa.array(part)).filter(pa.array(part > -2))
 
-    def final(g: pd.DataFrame) -> pa.Table:
-        pol = ray.get(policy_handle) if isinstance(policy_handle, ray.ObjectRef) else policy_handle
-        out = _topk_per_host(g.drop(columns=["_part"]), pol)
-        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
+    def final(g: pa.Table) -> pa.Table:
+        # from here _part only says gated (0) or deferred (-1): a candidate
+        # outside its host's global top-B_h is deferred as well
+        gated, _ = split_rows(g, ray.get(policy_ref))
+        part = np.full(g.num_rows, -1, dtype=np.int32)
+        part[gated] = 0
+        return g.drop_columns(["_part"]).append_column("_part", pa.array(part))
 
-    candidates = frontier.map_batches(partial, batch_format="pyarrow")
-    gated = candidates.groupby("_part").map_groups(final, batch_format="pandas").materialize()
-
-    n_gated = gated.count()
-    if n_gated <= EXACT_GATED_BROADCAST_MAX:
-        # small gated set: exact key-array broadcast (the fast path)
-        gated_keys = np.unique(gated.to_pandas()["url_hash"].to_numpy().astype(np.uint64))
-        not_gated_ref = ray.put(("exact", gated_keys))
-    else:
-        # VERDICT r4 #2: past the threshold the driver must NOT hold the
-        # gated key array (10^8 politeness-capped hosts -> multi-GB per
-        # round). Instead: (a) a SIZE-CAPPED bloom of gated keys, built by
-        # per-block remote tasks and OR-tree-reduced off the driver — the
-        # driver holds ONE constant-size bit array; (b) bloom false
-        # positives are corrected EXACTLY by a distributed narrow anti-join
-        # (bloom-positive frontier keys minus gated keys = the small FP key
-        # set), so `deferred` stays exact:
-        #   keep row <=> bloom-miss (definitely not gated) OR key in FP set.
-        nbits = int(min(max(64, n_gated * 10), MAX_GATED_BLOOM_BITS))
-        brefs = [_bloom_of_block.remote(r, nbits)
-                 for r in gated.to_arrow_refs()]
-        while len(brefs) > 1:  # OR tree-reduce in the object store
-            brefs = [_or_bits.remote(*brefs[i:i + 2])
-                     for i in range(0, len(brefs), 2)]
-        bloom_bits_ref = brefs[0]  # never ray.get on the driver
-
-        def maybe_keys(batch: pa.Table) -> pa.Table:
-            bits = ray.get(bloom_bits_ref)
-            h = np.asarray(batch["url_hash"].to_pylist(), dtype=np.uint64)
-            hit = h[_bloom_contains(bits, nbits, h)]
-            return pa.table({"url_hash": pa.array(hit),
-                             "kind": pa.array(np.zeros(len(hit), dtype=np.int8))})
-
-        def fp_in_partition(g: pd.DataFrame) -> pd.DataFrame:
-            gk = set(g.loc[g["kind"] == 1, "url_hash"])
-            out = g.loc[(g["kind"] == 0) & ~g["url_hash"].isin(gk), ["url_hash"]]
-            return out.drop_duplicates()
-
-        P_fp = 32
-        maybe = frontier.select_columns(["url_hash"]).map_batches(
-            maybe_keys, batch_format="pyarrow")
-        def tag_gated(t: pa.Table) -> pa.Table:
-            if "url_hash" not in t.schema.names:  # empty map_groups stub
-                return pa.table({"url_hash": pa.array([], type=pa.uint64()),
-                                 "kind": pa.array([], type=pa.int8())})
-            return pa.table({
-                "url_hash": t["url_hash"].cast(pa.uint64()),
-                "kind": pa.array(np.ones(t.num_rows, dtype=np.int8))})
-
-        gated_tag = gated.map_batches(tag_gated, batch_format="pyarrow")
-        fp = (maybe.union(gated_tag)
-              .map_batches(lambda t: t.append_column(
-                  "_p", pa.array((np.asarray(t["url_hash"].to_pylist(),
-                                             dtype=np.uint64) % P_fp).astype(np.int32))),
-                  batch_format="pyarrow")
-              .groupby("_p").map_groups(fp_in_partition, batch_format="pandas")
-              ).to_pandas()  # FP-rate-sized, tiny by construction
-        fp_keys = np.unique(fp["url_hash"].to_numpy().astype(np.uint64)) \
-            if len(fp) else np.empty(0, dtype=np.uint64)
-        not_gated_ref = ray.put(("bloom", bloom_bits_ref, nbits, fp_keys))
-
-    # robots-dropped rows must not linger in the frontier either: deferred =
-    # frontier minus gated minus robots-disallowed.
-    def deferred_fn(batch: pa.Table) -> pa.Table:
-        pol = ray.get(policy_handle) if isinstance(policy_handle, ray.ObjectRef) else policy_handle
-        df = batch.to_pandas()
-        df = robots_filter(df, pol, url_col=url_col)
-        if not len(df):
-            return batch.slice(0, 0)
-        spec = ray.get(not_gated_ref)
-        h = df["url_hash"].to_numpy().astype(np.uint64)
-        if spec[0] == "exact":
-            keep = ~np.isin(h, spec[1])
-        else:
-            _, bits_ref, nb, fpk = spec
-            bits = ray.get(bits_ref)
-            keep = ~_bloom_contains(bits, nb, h) | np.isin(h, fpk)
-        out = pa.Table.from_pandas(df[keep], preserve_index=False)
-        return out.cast(batch.schema)
-
-    deferred = frontier.map_batches(deferred_fn, batch_format="pyarrow")
+    # Tagged once and materialized: a second run of `tag` over other block
+    # boundaries could make a row a candidate in one run and not the other.
+    tagged = frontier.map_batches(tag, batch_format="pyarrow").materialize()
+    # The exchange is a sort on _part with fixed boundaries (what
+    # groupby().map_groups runs, minus its sampling pass): each output block
+    # holds whole partitions, so whole hosts. Reducers scale with the rows
+    # and the cluster: every reducer adds a task and an object per input
+    # block, which at small frontiers costs more than the kernel.
+    k = int(min(P, max(2, tagged.count() // 4096), 4 * cluster_cpus()))
+    exchanged = (tagged.filter(expr="_part >= 0")
+                 .sort("_part", boundaries=[P * i // k for i in range(1, k)])
+                 .map_batches(final, batch_format="pyarrow", batch_size=None).materialize())
+    gated = exchanged.filter(expr="_part >= 0").drop_columns(["_part"]).materialize()
+    deferred = tagged.union(exchanged).filter(expr="_part < 0").drop_columns(["_part"])
     return gated, deferred
 
 

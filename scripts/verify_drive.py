@@ -1,7 +1,8 @@
 """The canonical end-to-end drive from .claude/skills/verify/SKILL.md:
 crawl the synthetic web with the Ray engine and assert doc-span and
-crawl-order parity against the sequential oracle.  Run from the repo
-root: ``python scripts/verify_drive.py``."""
+crawl-order parity against the sequential oracle, once with the frontier
+on the driver and once (``driver_threshold=0``) in the object store.  Run
+from the repo root: ``python scripts/verify_drive.py``."""
 
 import logging
 import os.path as osp
@@ -29,19 +30,22 @@ def main() -> None:
     pol = HostPolicy(web.host_policy, round_ms=1000)
     odocs, oresults = OracleCrawl(m, web.domains, policy=pol, max_num=30,
                                   max_depth=3).run()
-    docs, results, _metrics = greedy_crawl(ray.put(m), web.domains,
-                                           policy=pol, max_num=30, max_depth=3)
     odoc_map = {d["doc_id"]: d["spans"] for d in odocs}
-    edf = docs.to_pandas()
-    edoc_map = {r.doc_id: [dict(s) for s in r.spans] for r in edf.itertuples()}
-    assert set(odoc_map) == set(edoc_map)
-    for k in odoc_map:
-        assert edoc_map[k] == odoc_map[k], k
-    rdf = results.to_pandas().sort_values("filename")
-    assert list(zip(rdf.file_url, rdf.filename)) == [
-        (r["file_url"], r["filename"]) for r in oresults]
+    # default residency (frontier on the driver), then driver_threshold=0
+    # (frontier in the object store, gated by the distributed gate)
+    for kw in ({}, {"driver_threshold": 0}):
+        docs, results, _metrics = greedy_crawl(ray.put(m), web.domains, policy=pol,
+                                               max_num=30, max_depth=3, **kw)
+        edf = docs.to_pandas()
+        edoc_map = {r.doc_id: [dict(s) for s in r.spans] for r in edf.itertuples()}
+        assert set(odoc_map) == set(edoc_map), kw
+        for k in odoc_map:
+            assert edoc_map[k] == odoc_map[k], (kw, k)
+        rdf = results.to_pandas().sort_values("filename")
+        assert list(zip(rdf.file_url, rdf.filename)) == [
+            (r["file_url"], r["filename"]) for r in oresults], kw
     ray.shutdown()
-    print("VERIFY PASS: docs/spans/crawl-order == oracle")
+    print("VERIFY PASS: docs/spans/crawl-order == oracle at both frontier residencies")
 
 
 if __name__ == "__main__":

@@ -279,6 +279,20 @@ def test_parallelism_invariance(small_web, small_ref, policy, golden):
         _assert_parity(golden, docs, results)
 
 
+@pytest.mark.parametrize("residency", list(RESIDENCY))
+def test_all_frontier_rows_disallowed(residency):
+    """Robots disallow every path on every host: the first gate admits
+    nothing and the crawl ends after round 0 with no docs, wherever the
+    frontier lives."""
+    web = make_synthweb(n_pages=100, n_hosts=4, seed=42)
+    policy = HostPolicy({h: {"robots_disallow": ["/"]} for h in web.host_policy})
+    docs, results, metrics = greedy_crawl(
+        ray.put(web.url_map()), web.domains, policy=policy, num_shards=2,
+        **RESIDENCY[residency])
+    assert metrics == [{"round": 0, "gated": 0}]
+    assert docs is None and results is None
+
+
 def test_retry_path_does_not_change_results(small_web, small_map):
     """Transient transport failures (retried inside the session with <=3
     attempts, T2 / parser.py:82-94) leave stage outputs unchanged; a URL

@@ -5,7 +5,8 @@ import pandas as pd
 import pytest
 import ray
 
-from icrawler_ray.stages.politeness import HostPolicy, _topk_per_host, politeness_gate, robots_filter
+from icrawler_ray.stages.politeness import (HostPolicy, _topk_per_host, politeness_gate, robots_filter,
+                                            split_by_budget)
 
 
 def frontier_df():
@@ -40,6 +41,14 @@ def test_robots_filter_drops_prefixes():
     df = robots_filter(frontier_df(), POLICY)
     assert len(df) == 11
     assert not df.url.str.contains("/private").any()
+    # row-by-row reference: several prefixes, unruled hosts, empty paths
+    urls = ["http://a.com/x/1", "http://a.com/y", "http://a.com", "http://a.com/z/x",
+            "http://b.com/x/1", "http://c.com/", "http://c.com/q?x=/a", "http://c.com/ab"]
+    frame = pd.DataFrame({"url": urls, "host": [u.split("/")[2] for u in urls]})
+    pol = HostPolicy({"a.com": {"robots_disallow": ["/x", "/y"]}, "c.com": {"robots_disallow": ["/a"]}})
+    expect = [u for u, h in zip(frame.url, frame.host)
+              if not any((u.split(h, 1)[1] or "/").startswith(p) for p in pol.disallowed(h))]
+    assert robots_filter(frame, pol).url.tolist() == expect
 
 
 def test_topk_orders_by_priority_then_seq():
@@ -66,7 +75,8 @@ def test_politeness_gate_hot_host_skew(ray_session):
     """1000:1 hot-host skew through the distributed gate: the per-block
     combiner already caps each host at B_h per block, so the host-hash
     exchange never moves more than blocks x B_h rows of the hot host; the
-    final output equals the single-frame reference top-k exactly."""
+    final output equals the single-frame reference top-k exactly, and so
+    does ``deferred``: the robots-live rows minus the gated ones."""
     from icrawler_ray.functions.seq import from_pandas_blocks
 
     n_hot, n_cold_hosts = 50_000, 50
@@ -85,76 +95,36 @@ def test_politeness_gate_hot_host_skew(ray_session):
         "url_hash": np.arange(n).astype(np.uint64),
     })
     policy = HostPolicy(
-        {"hot.com": {"crawl_delay_ms": 100, "max_inflight": 64, "robots_disallow": []},
+        {"hot.com": {"crawl_delay_ms": 100, "max_inflight": 64, "robots_disallow": ["/p/1"]},
          **{f"c{j}.com": {"crawl_delay_ms": 200, "max_inflight": 64,
-                          "robots_disallow": []} for j in range(n_cold_hosts)}},
+                          "robots_disallow": ["/p/2"] if j % 3 == 0 else []}
+            for j in range(n_cold_hosts)}},
         round_ms=1000,
     )
     ds = from_pandas_blocks(df, min_rows_per_block=1000)
     gated, deferred = politeness_gate(ds, ray.put(policy))
     g = gated.to_pandas().sort_values(["host", "priority", "seq"],
                                       ascending=[True, False, True]).reset_index(drop=True)
-    expect = _topk_per_host(df, policy).sort_values(
+    expect_gated, expect_deferred = split_by_budget(df, policy)
+    expect = expect_gated.sort_values(
         ["host", "priority", "seq"], ascending=[True, False, True]).reset_index(drop=True)
     assert len(g) == 10 + n_cold_hosts * 5  # B=10 hot + 5 per cold host
     pd.testing.assert_frame_equal(
         g[["host", "priority", "seq"]], expect[["host", "priority", "seq"]])
-    assert deferred.count() == n - len(g)
+    live = set(robots_filter(df, policy)["seq"])
+    assert len(live) < n  # the robots rules dropped rows
+    d = deferred.to_pandas()
+    assert len(d) == d["seq"].nunique()
+    assert set(d["seq"]) == live - set(g["seq"]) == set(expect_deferred["seq"])
 
 
-def test_politeness_gate_bloom_path_parity(ray_session, monkeypatch):
-    """VERDICT r4 #2: past EXACT_GATED_BROADCAST_MAX the gate broadcasts a
-    size-capped bloom of gated keys instead of the exact key array.  With
-    the threshold forced to 0 and the bloom squeezed to 1024 bits (massive
-    FP rate), the distributed FP-correction anti-join must still keep
-    ``deferred`` EXACTLY equal to the exact-broadcast path's."""
-    import icrawler_ray.stages.politeness as pol_mod
-    from icrawler_ray.functions.seq import from_pandas_blocks
-
-    n_hot, n_cold_hosts = 5_000, 20
-    rng = np.random.default_rng(9)
-    rows = {
-        "url": [f"http://hot.com/p/{i}.html" for i in range(n_hot)]
-               + [f"http://c{j}.com/p/{i}.html" for j in range(n_cold_hosts) for i in range(40)],
-        "host": ["hot.com"] * n_hot
-                + [f"c{j}.com" for j in range(n_cold_hosts) for _ in range(40)],
-    }
-    n = len(rows["url"])
-    df = pd.DataFrame({**rows, "priority": rng.random(n).round(3),
-                       "seq": np.arange(n, dtype=np.int64),
-                       "url_hash": np.arange(n).astype(np.uint64)})
-    policy = HostPolicy(
-        {"hot.com": {"crawl_delay_ms": 100, "max_inflight": 64, "robots_disallow": []},
-         **{f"c{j}.com": {"crawl_delay_ms": 250, "max_inflight": 64,
-                          "robots_disallow": []} for j in range(n_cold_hosts)}},
-        round_ms=1000)
-    ds = from_pandas_blocks(df, min_rows_per_block=500)
-
-    g_exact, d_exact = politeness_gate(ds, ray.put(policy))
-    ge, de = g_exact.to_pandas(), d_exact.to_pandas()
-
-    monkeypatch.setattr(pol_mod, "EXACT_GATED_BROADCAST_MAX", 0)
-    monkeypatch.setattr(pol_mod, "MAX_GATED_BLOOM_BITS", 1024)
-    g_bloom, d_bloom = politeness_gate(ds, ray.put(policy))
-    gb, db = g_bloom.to_pandas(), d_bloom.to_pandas()
-
-    key = lambda f: sorted(f["seq"].tolist())
-    assert key(gb) == key(ge)
-    assert key(db) == key(de)
-    assert len(db) == n - len(ge)  # nothing lost to bloom false positives
-
-
-def test_politeness_gate_bloom_driver_rss_independent(ray_session, monkeypatch):
-    """The bloom path must keep driver memory independent of the gated-set
-    size: a ~2M-key gated set (exact path: ~16 MB key array + a full
-    gated.to_pandas() of hundreds of MB) is gated with the frontier built
-    OFF-driver, and driver peak RSS may grow far less than the exact
-    array would cost."""
+def test_politeness_gate_bloom_driver_rss_independent(ray_session):
+    """The gate must keep driver memory independent of the gated-set
+    size: a ~2M-key gated set (a driver key array would be ~16 MB, a full
+    gated.to_pandas() hundreds of MB) is gated with the frontier built
+    OFF-driver, and driver peak RSS may grow far less than either."""
     import resource
 
-    import icrawler_ray.stages.politeness as pol_mod
-
-    monkeypatch.setattr(pol_mod, "EXACT_GATED_BROADCAST_MAX", 0)
     n = 2_000_000
 
     def make_rows(t):
@@ -171,7 +141,7 @@ def test_politeness_gate_bloom_driver_rss_independent(ray_session, monkeypatch):
     policy = HostPolicy({}, round_ms=1000)  # unknown hosts: unbounded budget
     # warm-up run pays Ray Data's one-time driver machinery (~100 MiB of
     # scheduler/metadata allocations); the measured run then isolates
-    # per-gated-key driver state, which must be ~zero on the bloom path
+    # per-gated-key driver state, which must be ~zero
     for measured in (False, True):
         frontier = ray.data.range(n).map_batches(make_rows, batch_format="pyarrow")
         rss0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on linux
@@ -181,7 +151,17 @@ def test_politeness_gate_bloom_driver_rss_independent(ray_session, monkeypatch):
         rss1 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         assert n_gated == n and n_def == 0
     assert (rss1 - rss0) * 1024 < 32 << 20, (
-        f"driver RSS grew {(rss1 - rss0) // 1024} MiB on the bloom path")
+        f"driver RSS grew {(rss1 - rss0) // 1024} MiB in the gate")
+
+
+def test_politeness_gate_all_disallowed(ray_session):
+    """Every row robots-disallowed: no candidate crosses the exchange, and
+    both outputs are empty rather than a crash on the column-less
+    exchange output."""
+    policy = HostPolicy({h: {"robots_disallow": ["/"]} for h in ("hot.com", "cold.com")})
+    gated, deferred = politeness_gate(ray.data.from_pandas(frontier_df()), ray.put(policy))
+    assert gated.count() == 0
+    assert deferred.count() == 0
 
 
 @pytest.mark.parametrize("delay,expected", [(0, 10), (500, 2), (2000, 1)])
