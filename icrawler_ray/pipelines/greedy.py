@@ -68,6 +68,11 @@ _GATE_COLS = ["url", "url_canon", "url_hash", "host", "depth", "priority", "seq"
 #: state) and retry the round, at most this many times per run (requires
 #: checkpoint_dir)
 _MAX_RECOVERIES = 2
+#: every this many rounds the seen shards checkpoint a FULL snapshot
+#: (O(capacity) bytes, ~21 GiB at the 10^10-key design point); the rounds
+#: in between write only the O(novel) inserted-key delta, and restore
+#: replays the deltas onto the latest full snapshot
+_SEEN_FULL_EVERY = 8
 
 
 def normalize_domains(domains) -> list[str]:
@@ -128,7 +133,6 @@ class GreedyCrawl:
         enforce_inflight: bool = False,
         max_idle_time: float | None = None,
         file_idx_offset: int = 0,
-        seen_full_every: int = 8,
         host_rank_priority: bool = False,
         downloader_hooks=None,
     ):
@@ -143,11 +147,6 @@ class GreedyCrawl:
         # exchanges only the round's own (host, n) rows). Intentionally NOT
         # checkpointed: the signal re-warms after resume.
         self.host_rank_priority = bool(host_rank_priority)
-        # seen_full_every: a FULL seen-set snapshot costs O(capacity) bytes
-        # per round (~21 GiB at the 10^10-key design point); rounds in
-        # between checkpoint only the O(novel) inserted-key DELTA, and
-        # restore replays deltas onto the latest full snapshot.
-        self.seen_full_every = max(1, int(seen_full_every))
         # file_idx_offset: filename numbering starts after this offset
         # (the reference's resume numbering, downloader.py:53-58); does not
         # affect the max_num download budget.
@@ -236,8 +235,8 @@ class GreedyCrawl:
     def _resume(self, manifest: dict) -> None:
         r = manifest["last_round"]
         frontier, seen_pages, seen_files = self.ckpt.load_round(r)
-        self.seen_pages.restore(*seen_pages)
-        self.seen_files.restore(*seen_files)
+        self.seen_pages.restore(seen_pages)
+        self.seen_files.restore(seen_files)
         self._set_frontier(frontier.cast(FRONTIER) if frontier is not None else None)
         c = manifest["counters"]
         self.dl_count = c["dl_count"]
@@ -527,18 +526,10 @@ class GreedyCrawl:
         return n_kept
 
     def _checkpoint(self, round_idx: int, metrics: dict) -> None:
-        if not self.ckpt:
-            return
-        full = round_idx % self.seen_full_every == 0
-        self.ckpt.save_round(
-            round_idx,
-            self._frontier,
-            self.seen_pages.serialize() if full else self.seen_pages.take_deltas(),
-            self.seen_files.serialize() if full else self.seen_files.take_deltas(),
-            {"dl_count": self.dl_count, "next_seq": self.next_seq},
-            metrics,
-            seen_kind="full" if full else "delta",
-        )
+        if self.ckpt:
+            self.ckpt.save_round(round_idx, self._frontier, self.seen_pages, self.seen_files,
+                                 {"dl_count": self.dl_count, "next_seq": self.next_seq},
+                                 metrics, full=round_idx % _SEEN_FULL_EVERY == 0)
 
     def shutdown(self) -> None:
         self.seen_pages.shutdown()

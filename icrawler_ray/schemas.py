@@ -68,17 +68,6 @@ RESULTS = pa.schema(
     ]
 )
 
-# Seen-set shard checkpoint payloads.
-SEEN_CHECKPOINT = pa.schema(
-    [
-        ("shard_id", pa.int32()),
-        ("filter_kind", pa.string()),  # "bloom" | "cuckoo"
-        ("payload", pa.binary()),
-        ("num_items", pa.int64()),
-        ("epoch", pa.int64()),
-    ]
-)
-
 
 def empty_table(schema: pa.Schema) -> pa.Table:
     return schema.empty_table()

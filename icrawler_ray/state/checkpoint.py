@@ -6,17 +6,21 @@ skip already-written files (downloader.py:109-116); frontier and seen-set
 die with the process. This engine checkpoints at every round boundary —
 the natural lineage unit of the frontier loop:
 
-    <dir>/round=<r>/frontier/*.parquet     (hash-partitioned frontier)
-    <dir>/round=<r>/seen_pages.parquet     (per-shard filter payloads)
-    <dir>/round=<r>/seen_files.parquet
-    <dir>/round=<r>/docs/*.parquet         (round outputs, partitioned)
+    <dir>/round=<r>/frontier/*.parquet           (hash-partitioned frontier)
+    <dir>/round=<r>/seen_pages/shard=<i>.full.npz  (a full snapshot round)
+    <dir>/round=<r>/seen_pages/shard=<i>.delta.npy (a delta round)
+    <dir>/round=<r>/seen_files/shard=<i>.*
+    <dir>/round=<r>/docs/*.parquet               (round outputs, partitioned)
     <dir>/round=<r>/results/*.parquet
-    <dir>/MANIFEST.json                    (atomic: tmp + rename)
+    <dir>/MANIFEST.json                          (atomic: tmp + rename)
 
-MANIFEST carries counters, per-round metrics and lineage edges
-(round -> parent round + input files), so a resumed run (a) restores
-frontier + seen shards from the last complete round and (b) skips finished
-partitions — resume-equals-fresh is a tested property.
+Each seen shard writes and reads its own files (state/seen.py); this
+module only names them. MANIFEST carries counters, per-round metrics and
+lineage edges (round -> parent round, frontier dir, and the seen record:
+kind, shard count, per-shard capacity and the files each shard wrote), so
+a resumed run (a) restores frontier + seen shards from the last complete
+round and (b) skips finished partitions — resume-equals-fresh is a tested
+property. All paths in the manifest are relative to ``<dir>``.
 """
 
 from __future__ import annotations
@@ -29,51 +33,15 @@ import shutil
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from icrawler_ray.schemas import SEEN_CHECKPOINT
-
-
-def _seen_table(payloads: list[dict], epoch: int) -> pa.Table:
-    rows = {"shard_id": [], "filter_kind": [], "payload": [], "num_items": [], "epoch": []}
-    for i, p in enumerate(payloads):
-        for kind in ("bloom", "cuckoo", "exact"):
-            if p.get(kind) is not None:
-                rows["shard_id"].append(i)
-                rows["filter_kind"].append(kind)
-                rows["payload"].append(p[kind])
-                rows["num_items"].append(p["num_items"])
-                rows["epoch"].append(epoch)
-    meta = {"shard_id": -1, "filter_kind": "meta", "num_items": -1, "epoch": epoch}
-    rows["shard_id"].append(-1)
-    rows["filter_kind"].append("meta")
-    rows["payload"].append(json.dumps(
-        [{k: p[k] for k in ("num_items", "num_queries", "num_hits")} for p in payloads]
-    ).encode())
-    rows["num_items"].append(-1)
-    rows["epoch"].append(epoch)
-    del meta
-    return pa.table(rows, schema=SEEN_CHECKPOINT)
-
-
-def _seen_payloads(table: pa.Table) -> list[dict]:
-    df = table.to_pandas()
-    meta_row = df[df.filter_kind == "meta"].iloc[0]
-    counters = json.loads(bytes(meta_row.payload).decode())
-    payloads = []
-    for i, c in enumerate(counters):
-        p = dict(c)
-        p.setdefault("bloom", None)
-        p.setdefault("cuckoo", None)
-        p.setdefault("exact", None)
-        for _, row in df[(df.shard_id == i) & (df.filter_kind != "meta")].iterrows():
-            p[row.filter_kind] = bytes(row.payload)
-        payloads.append(p)
-    return payloads
+#: the seen sets a crawl checkpoints; each has a ``seen_<kind>`` dir per round
+SEEN_KINDS = ("pages", "files")
 
 
 class CheckpointManager:
     def __init__(self, root: str):
-        self.root = root
-        os.makedirs(root, exist_ok=True)
+        # absolute: seen shards resolve the paths in their own processes
+        self.root = osp.abspath(root)
+        os.makedirs(self.root, exist_ok=True)
 
     def manifest_path(self) -> str:
         return osp.join(self.root, "MANIFEST.json")
@@ -87,29 +55,19 @@ class CheckpointManager:
     def round_dir(self, r: int) -> str:
         return osp.join(self.root, f"round={r}")
 
-    @staticmethod
-    def _delta_table(deltas: list) -> pa.Table:
-        import numpy as np
-
-        sid = np.concatenate([np.full(len(k), i, dtype=np.int32)
-                              for i, k in enumerate(deltas)]) if deltas else np.empty(0, np.int32)
-        keys = np.concatenate([np.asarray(k, dtype=np.uint64) for k in deltas]) \
-            if deltas else np.empty(0, np.uint64)
-        return pa.table({"shard_id": pa.array(sid), "key": pa.array(keys, type=pa.uint64())})
-
-    def save_round(self, r: int, frontier,
-                   seen_pages, seen_files,
-                   counters: dict, metrics: dict, seen_kind: str = "full") -> None:
+    def save_round(self, r: int, frontier, seen_pages, seen_files,
+                   counters: dict, metrics: dict, full: bool) -> None:
         """``frontier``: pa.Table (driver-resident), ray.data.Dataset
         (object-store resident — written distributed, never collected), or
         None. The frontier dir is replaced, not appended, so a crash
         between write and manifest publish cannot leave duplicated
         partials.
 
-        ``seen_kind``: "full" (seen_* are per-shard filter payloads —
-        O(capacity) bytes) or "delta" (seen_* are per-shard arrays of keys
-        inserted since the previous checkpoint — O(novel) bytes; restore
-        replays them onto the latest full snapshot)."""
+        ``seen_pages``/``seen_files``: the ShardedSeenSets. Each shard
+        writes a full snapshot (``full``; O(capacity) bytes) or the delta
+        of keys inserted since its last save (O(novel) bytes) into this
+        round's dir; only the file records come back. Their byte total is
+        recorded as ``metrics["seen_ckpt_bytes"]``."""
         rd = self.round_dir(r)
         fdir = osp.join(rd, "frontier")
         if osp.isdir(fdir):
@@ -119,49 +77,58 @@ class CheckpointManager:
             pq.write_table(frontier, osp.join(fdir, "part-0.parquet"))
         elif frontier is not None:
             frontier.write_parquet(fdir)
-        if seen_kind == "full":
-            pq.write_table(_seen_table(seen_pages, r), osp.join(rd, "seen_pages.parquet"))
-            pq.write_table(_seen_table(seen_files, r), osp.join(rd, "seen_files.parquet"))
-        else:
-            pq.write_table(self._delta_table(seen_pages),
-                           osp.join(rd, "seen_pages.delta.parquet"))
-            pq.write_table(self._delta_table(seen_files),
-                           osp.join(rd, "seen_files.delta.parquet"))
+        seen = {"kind": "full" if full else "delta",
+                "num_shards": seen_pages.num_shards, "capacity": seen_pages.capacity}
+        for kind, s in zip(SEEN_KINDS, (seen_pages, seen_files)):
+            seen[kind] = [dict(f, path=osp.relpath(f["path"], self.root))
+                          for f in s.save(osp.join(rd, f"seen_{kind}"), full)]
+        metrics["seen_ckpt_bytes"] = sum(f["bytes"] for k in SEEN_KINDS for f in seen[k])
         manifest = self.load_manifest() or {"rounds": [], "lineage": []}
         manifest["last_round"] = r
         manifest["counters"] = counters
         manifest["rounds"] = [x for x in manifest["rounds"] if x["round"] != r] + [
             {"round": r, "metrics": metrics}
         ]
-        manifest["lineage"].append(
-            {"round": r, "parent": r - 1, "frontier": f"round={r}/frontier",
-             "seen": [f"round={r}/seen_pages.parquet", f"round={r}/seen_files.parquet"]}
-        )
+        manifest["lineage"] = [x for x in manifest["lineage"] if x["round"] != r] + [
+            {"round": r, "parent": r - 1, "frontier": f"round={r}/frontier", "seen": seen}
+        ]
         tmp = self.manifest_path() + ".tmp"
         with open(tmp, "w") as f:
             json.dump(manifest, f, indent=1)
         os.replace(tmp, self.manifest_path())  # atomic publish
-        self.prune(r)
+        self.prune(r, self.seen_chain(manifest, r)[0]["round"])
 
-    def prune(self, r: int) -> None:
+    @staticmethod
+    def seen_chain(manifest: dict, r: int) -> list[dict]:
+        """Lineage records a resume from round ``r`` reads: the latest full
+        seen snapshot at or before ``r``, then each delta round up to
+        ``r``. Raises ValueError when a round has no per-shard seen record
+        (a dir written before seen shards wrote their own files)."""
+        by_round = {x["round"]: x for x in manifest["lineage"]}
+        chain = []
+        for x in range(r, -1, -1):
+            rec = by_round.get(x, {})
+            if not isinstance(rec.get("seen"), dict):
+                raise ValueError(
+                    f"MANIFEST.json has no per-shard seen record for round {x} "
+                    f"(lineage[round={x}].seen): the checkpoint dir was written before "
+                    f"seen shards saved their own files; start a new checkpoint_dir")
+            chain.append(rec)
+            if rec["seen"]["kind"] == "full":
+                return chain[::-1]
+        raise ValueError(f"MANIFEST.json has no full seen snapshot at or before round {r}")
+
+    def prune(self, r: int, last_full: int) -> None:
         """Drop bulky state a resume can no longer need: resume loads
-        round ``r``'s frontier plus the seen chain (latest FULL snapshot
-        .. r deltas).  Older frontier snapshots — the dominant cost at the
-        10^10-URL design point — and rounds before the latest full are
-        deleted; the manifest keeps the full lineage/metrics history
-        (cheap JSON).  Runs after each atomic manifest publish, so a
-        crash mid-prune only leaves extra (never missing) state."""
-        rounds = []
-        for name in os.listdir(self.root):
-            if name.startswith("round="):
-                try:
-                    rounds.append(int(name.split("=", 1)[1]))
-                except ValueError:
-                    continue
-        fulls = [x for x in rounds
-                 if x <= r and osp.isfile(osp.join(self.round_dir(x), "seen_pages.parquet"))]
-        last_full = max(fulls) if fulls else r
-        for x in sorted(rounds):
+        round ``r``'s frontier plus the seen chain (the full snapshot of
+        round ``last_full`` .. r deltas).  Older frontier snapshots — the
+        dominant cost at the 10^10-URL design point — and seen files of
+        rounds before ``last_full`` are deleted; the manifest keeps the
+        full lineage/metrics history (cheap JSON).  Runs after each atomic
+        manifest publish, so a crash mid-prune only leaves extra (never
+        missing) state."""
+        for x in [int(n[6:]) for n in os.listdir(self.root)
+                  if n.startswith("round=") and n[6:].isdigit()]:
             if x >= r:
                 continue
             rd = self.round_dir(x)
@@ -170,41 +137,26 @@ class CheckpointManager:
             # final data (skip-finished resume reads them)
             shutil.rmtree(osp.join(rd, "frontier"), ignore_errors=True)
             if x < last_full:  # seen chain starts at the latest full
-                for fname in ("seen_pages.parquet", "seen_files.parquet",
-                              "seen_pages.delta.parquet", "seen_files.delta.parquet"):
-                    try:
-                        os.remove(osp.join(rd, fname))
-                    except FileNotFoundError:
-                        pass
-
-    def _load_seen(self, r: int, name: str):
-        """(full_payloads, [per-round per-shard delta key arrays]) walking
-        back from round r to the latest full snapshot."""
-        import numpy as np
-
-        r0 = r
-        while r0 >= 0 and not osp.isfile(osp.join(self.round_dir(r0), f"{name}.parquet")):
-            r0 -= 1
-        if r0 < 0:
-            raise FileNotFoundError(f"no full {name} snapshot at or before round {r}")
-        payloads = _seen_payloads(pq.read_table(osp.join(self.round_dir(r0), f"{name}.parquet")))
-        deltas = []
-        for rr in range(r0 + 1, r + 1):
-            p = osp.join(self.round_dir(rr), f"{name}.delta.parquet")
-            t = pq.read_table(p)
-            sid = t["shard_id"].to_numpy()
-            keys = t["key"].to_numpy()
-            deltas.append([keys[sid == s] for s in range(len(payloads))])
-        return payloads, deltas
+                for kind in SEEN_KINDS:
+                    shutil.rmtree(osp.join(rd, f"seen_{kind}"), ignore_errors=True)
 
     def load_round(self, r: int):
-        rd = self.round_dir(r)
-        fdir = osp.join(rd, "frontier")
+        """-> (frontier table or None, pages chains, files chains): a
+        chains list has one entry per shard, that shard's file paths from
+        its latest full snapshot through round ``r``'s delta."""
+        chain = self.seen_chain(self.load_manifest(), r)
+        fdir = osp.join(self.round_dir(r), "frontier")
         parts = sorted(os.listdir(fdir)) if osp.isdir(fdir) else []
         frontier = (
             pa.concat_tables([pq.read_table(osp.join(fdir, p)) for p in parts]) if parts else None
         )
-        return frontier, self._load_seen(r, "seen_pages"), self._load_seen(r, "seen_files")
+
+        def shard_chains(kind: str) -> list[list[str]]:
+            n = len(chain[0]["seen"][kind])
+            return [[osp.join(self.root, rec["seen"][kind][i]["path"]) for rec in chain]
+                    for i in range(n)]
+
+        return frontier, shard_chains("pages"), shard_chains("files")
 
 
 class RoundOutputs:

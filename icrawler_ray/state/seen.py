@@ -24,12 +24,24 @@ filters, inserts the novel ones and returns them. Claims commute, so the
 winners are the same at any parallelism; ``filter_and_insert`` is atomic
 per shard, so a key seen in different rounds is admitted exactly once.
 
-Checkpoint: each shard serializes (bloom, cuckoo, counters) to bytes;
-restore rebuilds actors from payloads (state/checkpoint.py).
+Checkpoint: each shard writes its own file into the round dir and returns
+only its path, key count and size; the driver publishes them in the
+manifest (state/checkpoint.py) and never holds filter bytes or keys:
+
+    <round dir>/seen_<kind>/shard=<i>.full.npz    counters + bloom/cuckoo
+                                                  bytes (exact: the key set)
+    <round dir>/seen_<kind>/shard=<i>.delta.npy   uint64 keys inserted since
+                                                  the shard's last save
+
+Restore hands each shard its own chain (latest full, then the deltas after
+it) and the shard reads it back. The checkpoint dir must be reachable at
+the same path from every node that runs a shard.
 """
 
 from __future__ import annotations
 
+import os
+import os.path as osp
 import time
 
 import numpy as np
@@ -50,6 +62,16 @@ class SeenShard:
         self.num_items = 0
         self.num_queries = 0
         self.num_hits = 0
+        self._stale_n = 0  # tagged claims dropped by the round fence
+        self._rewind()
+
+    def _rewind(self) -> None:
+        """Drop round-scoped claim state and the pending delta: the shard
+        stands at a round boundary (start, or a restored checkpoint)."""
+        self._claims: list = []
+        self._claimed_n = 0
+        self._round: int | None = None  # claim window, opened by begin_round
+        self._delta: list = []  # keys inserted since the last save
 
     def filter_and_insert(self, keys: np.ndarray) -> np.ndarray:
         """Returns novel-mask; novel keys are inserted."""
@@ -77,10 +99,8 @@ class SeenShard:
                     novel[i] = True
         self.num_items += int(novel.sum())
         self.num_hits += int(len(keys) - novel.sum())
-        if novel.any():  # delta-checkpoint capture (keys since last ckpt)
-            if not hasattr(self, "_delta") or self._delta is None:
-                self._delta = []
-            self._delta.append(keys[novel].copy())
+        if novel.any():  # delta-checkpoint capture (keys since last save)
+            self._delta.append(keys[novel])
         return novel
 
     # ---- round-scoped claim protocol (frontier dedup without a shuffle):
@@ -102,11 +122,9 @@ class SeenShard:
     def claim(self, keys: np.ndarray, packed: np.ndarray,
               eligible: np.ndarray | None = None,
               round_idx: int | None = None) -> int:
-        if round_idx is not None and round_idx != getattr(self, "_round", None):
-            self._stale_n = getattr(self, "_stale_n", 0) + len(keys)
+        if round_idx is not None and round_idx != self._round:
+            self._stale_n += len(keys)
             return 0
-        if not hasattr(self, "_claims") or self._claims is None:
-            self._claims = []
         n = len(keys)
         if eligible is None:
             eligible = np.ones(n, dtype=bool)
@@ -116,13 +134,13 @@ class SeenShard:
         # round-scoped delivery counter: the driver's flush barrier
         # compares this against the claimable-row count it derives from
         # the materialized parse output ([[claim-protocol-design]])
-        self._claimed_n = getattr(self, "_claimed_n", 0) + n
+        self._claimed_n += n
         return n
 
     def claims_received(self) -> int:
         """Rows received by claim() since the last finish_round — the
         flush-barrier signal for non-blocking claim submission."""
-        return getattr(self, "_claimed_n", 0)
+        return self._claimed_n
 
     def finish_round(self):
         """-> (novel_keys, novel_packed): min-order first occurrence per
@@ -135,7 +153,7 @@ class SeenShard:
         neither admitted nor inserted into the persistent seen state —
         matching the oracle's claimed-before-depth-check semantics
         (oracle.py:176-185)."""
-        claims = getattr(self, "_claims", None)
+        claims = self._claims
         self._claims = []
         self._claimed_n = 0
         self._round = None  # close the window: late tagged stragglers drop
@@ -158,56 +176,61 @@ class SeenShard:
             "num_items": self.num_items,
             "num_queries": self.num_queries,
             "num_hits": self.num_hits,
-            "stale_claims": getattr(self, "_stale_n", 0),
+            "stale_claims": self._stale_n,
         }
 
-    def serialize(self) -> dict:
-        out = {"num_items": self.num_items, "num_queries": self.num_queries,
-               "num_hits": self.num_hits}
-        out["bloom"] = self.bloom.serialize() if self.bloom else None
-        out["cuckoo"] = self.cuckoo.serialize() if self.cuckoo else None
-        out["exact"] = np.array(sorted(self.exact), dtype=np.uint64).tobytes() if self.exact is not None else None
-        self._delta = []  # full snapshot subsumes any pending delta
-        return out
+    # ---- checkpoints: a full snapshot costs O(capacity) bytes (~21 GiB
+    # over all shards at the 10^10-key design point); a delta is just the
+    # keys inserted since the last save, O(novel), and load replays the
+    # deltas onto the latest full snapshot.
 
-    # ---- incremental checkpoints: a full filter snapshot costs
-    # O(capacity) bytes EVERY round; at the 10^10-key design point that is
-    # ~21 GiB/round. The delta is just the keys inserted since the last
-    # checkpoint — O(novel) — and restore replays deltas onto the most
-    # recent full snapshot.
-
-    def take_delta(self) -> np.ndarray:
-        d = getattr(self, "_delta", None) or []
-        self._delta = []
-        return np.concatenate(d) if d else np.empty(0, dtype=np.uint64)
-
-    def replay(self, keys: np.ndarray) -> None:
-        """Re-insert checkpointed delta keys (restore path): membership
-        structures + num_items only — per-round query/hit counters are not
-        reconstructed from deltas (documented approximation)."""
-        keys = np.asarray(keys, dtype=np.uint64)
-        if not len(keys):
-            return
-        if self.exact is None:
-            self.cuckoo.add(keys)
-            self.bloom.add(keys)
+    def save(self, path: str, full: bool) -> dict:
+        """Write this shard's full snapshot (``full``) or delta to
+        ``path`` -> {"path", "keys", "bytes"}. Either way the pending delta
+        is consumed: a full snapshot subsumes it."""
+        os.makedirs(osp.dirname(path), exist_ok=True)
+        if full:
+            if self.exact is not None:
+                arrays = {"exact": np.fromiter(self.exact, dtype=np.uint64,
+                                               count=len(self.exact))}
+            else:
+                arrays = {"bloom": np.frombuffer(self.bloom.serialize(), dtype=np.uint8),
+                          "cuckoo": np.frombuffer(self.cuckoo.serialize(), dtype=np.uint8)}
+            counters = [self.num_items, self.num_queries, self.num_hits]
+            np.savez(path, counters=np.array(counters, dtype=np.int64), **arrays)
+            n = self.num_items
         else:
-            self.exact.update(int(k) for k in keys)
-        self.num_items += len(keys)
-
-    def restore(self, payload: dict) -> None:
-        # drop any mid-round claim/delta state: restore() rewinds this
-        # shard to a round BOUNDARY (in-process fault recovery restores
-        # surviving shards alongside respawned ones)
-        self._claims = []
+            keys = (np.concatenate(self._delta) if self._delta
+                    else np.empty(0, dtype=np.uint64))
+            np.save(path, keys)
+            n = len(keys)
         self._delta = []
-        self._round = None  # re-opened by the driver's next begin_round
-        self.num_items = payload["num_items"]
-        self.num_queries = payload["num_queries"]
-        self.num_hits = payload["num_hits"]
-        self.bloom = BloomFilter.deserialize(payload["bloom"]) if payload["bloom"] else None
-        self.cuckoo = CuckooFilter.deserialize(payload["cuckoo"]) if payload["cuckoo"] else None
-        self.exact = set(np.frombuffer(payload["exact"], dtype=np.uint64).tolist()) if payload["exact"] is not None else None
+        return {"path": path, "keys": int(n), "bytes": osp.getsize(path)}
+
+    def load(self, chain: list[str]) -> None:
+        """Restore from ``chain``: this shard's latest full snapshot, then
+        the deltas after it, oldest first. The shard is rewound to that
+        round boundary (in-process fault recovery loads surviving shards
+        alongside respawned ones). Deltas restore membership and num_items;
+        query/hit counters come from the full snapshot only."""
+        self._rewind()
+        with np.load(chain[0]) as z:
+            self.num_items, self.num_queries, self.num_hits = (int(x) for x in z["counters"])
+            if "exact" in z:
+                self.bloom = self.cuckoo = None
+                self.exact = set(z["exact"].tolist())
+            else:
+                self.bloom = BloomFilter.deserialize(z["bloom"].tobytes())
+                self.cuckoo = CuckooFilter.deserialize(z["cuckoo"].tobytes())
+                self.exact = None
+        for path in chain[1:]:
+            keys = np.load(path)
+            if self.exact is None:
+                self.cuckoo.add(keys)
+                self.bloom.add(keys)
+            else:
+                self.exact.update(keys.tolist())
+            self.num_items += len(keys)
 
 
 class ShardedSeenSet:
@@ -217,6 +240,7 @@ class ShardedSeenSet:
                  exact: bool = False):
         self.name = name
         self.num_shards = num_shards
+        self.capacity = capacity_per_shard
         self.shards = [
             SeenShard.options(name=f"seen:{name}:{i}", get_if_exists=True).remote(
                 capacity_per_shard, exact=exact)
@@ -260,28 +284,23 @@ class ShardedSeenSet:
     def stats(self) -> list[dict]:
         return ray.get([s.stats.remote() for s in self.shards])
 
-    def serialize(self) -> list[dict]:
-        return ray.get([s.serialize.remote() for s in self.shards])
+    def save(self, dirname: str, full: bool) -> list[dict]:
+        """Every shard writes its own file under ``dirname`` (the driver
+        sees only the returned records) -> per-shard {"path", "keys",
+        "bytes"}."""
+        kind = "full.npz" if full else "delta.npy"
+        return ray.get([s.save.remote(osp.join(dirname, f"shard={i}.{kind}"), full)
+                        for i, s in enumerate(self.shards)])
 
-    def take_deltas(self) -> list[np.ndarray]:
-        return ray.get([s.take_delta.remote() for s in self.shards])
-
-    def restore(self, payloads: list[dict],
-                deltas: list[list[np.ndarray]] | None = None) -> None:
+    def restore(self, chains: list[list[str]]) -> None:
+        """Load shard i from ``chains[i]`` (full snapshot, then deltas)."""
         # keys live in shard h % num_shards: another count would look them up
         # in the wrong shard and silently admit seen URLs again
-        if len(payloads) != self.num_shards:
-            raise ValueError(f"seen set {self.name!r}: snapshot has {len(payloads)} shards, "
+        if len(chains) != self.num_shards:
+            raise ValueError(f"seen set {self.name!r}: snapshot has {len(chains)} shards, "
                              f"this set has {self.num_shards}; resume with "
-                             f"num_shards={len(payloads)}")
-        ray.get([s.restore.remote(p) for s, p in zip(self.shards, payloads)])
-        if deltas:
-            futs = []
-            for per_round in deltas:
-                futs.extend(s.replay.remote(k) for s, k in zip(self.shards, per_round)
-                            if len(k))
-            if futs:
-                ray.get(futs)
+                             f"num_shards={len(chains)}")
+        ray.get([s.load.remote(c) for s, c in zip(self.shards, chains)])
 
     def shutdown(self) -> None:
         for s in self.shards:

@@ -80,7 +80,7 @@ def test_dataset_mode_matches_oracle(small_web, small_ref, policy, golden):
     _assert_parity(golden, docs, results)
 
 
-def test_seen_set_equality(small_web, small_map, small_ref, policy):
+def test_seen_set_equality(small_web, small_map, small_ref, policy, tmp_path):
     """Final URL-seen sets equal the oracle's (exact shard mode so filter FP
     can't blur the comparison; cuckoo mode is equal w.h.p. and covered by
     the parity tests above)."""
@@ -96,11 +96,11 @@ def test_seen_set_equality(small_web, small_map, small_ref, policy):
         crawl.run()
         expected_pages = set(int(h) for h in hash_urls(sorted(o.seen_pages)))
         expected_files = set(int(h) for h in hash_urls(sorted(o.seen_files)))
-        def shard_keys(seen):
+        def shard_keys(seen):  # each shard's full snapshot holds its exact key set
             out = set()
-            for shard in seen.shards:
-                payload = ray.get(shard.serialize.remote())["exact"]
-                out |= {int(k) for k in np.frombuffer(payload, dtype=np.uint64)}
+            for f in seen.save(str(tmp_path / seen.name.rsplit(":", 1)[1]), full=True):
+                with np.load(f["path"]) as z:
+                    out |= set(z["exact"].tolist())
             return out
 
         got_pages = shard_keys(crawl.seen_pages)
@@ -398,12 +398,15 @@ def test_max_idle_time_watchdog(ray_session):
     assert len(metrics) == 1 and metrics[-1].get("idle_stop")
 
 
-def test_delta_checkpoints_resume_across_chain(ray_session, tmp_path):
+def test_delta_checkpoints_resume_across_chain(ray_session, tmp_path, monkeypatch):
     """Rounds between full snapshots checkpoint only the inserted-key
     delta (O(novel) bytes, not O(capacity)); resuming from the middle of a
     delta chain replays onto the last full snapshot and continues to the
     same outputs as a fresh run."""
+    import json
     import os
+
+    from icrawler_ray.pipelines import greedy
 
     web = make_synthweb(n_pages=60, n_hosts=3, seed=7)
     pol = HostPolicy(web.host_policy, round_ms=1000)
@@ -413,26 +416,35 @@ def test_delta_checkpoints_resume_across_chain(ray_session, tmp_path):
     golden, gres, _ = greedy_crawl(ref, web.domains, policy=pol, max_num=25,
                                    max_depth=3, num_shards=2)
 
+    monkeypatch.setattr(greedy, "_SEEN_FULL_EVERY", 100)  # rounds 1-2 = deltas
     c1 = GreedyCrawl(ref, web.domains, policy=pol, max_num=25, max_depth=3,
-                     num_shards=2, checkpoint_dir=ck,
-                     seen_full_every=100, max_rounds=3)  # rounds 1-2 = deltas
+                     num_shards=2, checkpoint_dir=ck, max_rounds=3)
     c1.run()
     c1.shutdown()
-    assert os.path.isfile(os.path.join(ck, "round=0", "seen_pages.parquet"))
+    full0 = os.path.join(ck, "round=0", "seen_pages", "shard=0.full.npz")
+    assert os.path.isfile(full0)
     for r in (1, 2):
-        assert os.path.isfile(os.path.join(ck, f"round={r}", "seen_pages.delta.parquet"))
-        assert not os.path.isfile(os.path.join(ck, f"round={r}", "seen_pages.parquet"))
+        assert os.path.isfile(os.path.join(ck, f"round={r}", "seen_pages", "shard=0.delta.npy"))
+        assert not os.path.isfile(os.path.join(ck, f"round={r}", "seen_pages", "shard=0.full.npz"))
     # delta files are key-sized, far smaller than the full filter snapshot
-    full_sz = os.path.getsize(os.path.join(ck, "round=0", "seen_pages.parquet"))
-    delta_sz = os.path.getsize(os.path.join(ck, "round=2", "seen_pages.delta.parquet"))
+    full_sz = os.path.getsize(full0)
+    delta_sz = os.path.getsize(os.path.join(ck, "round=2", "seen_pages", "shard=0.delta.npy"))
     assert delta_sz < full_sz / 10
+    # lineage names the seen files each round actually wrote, with their kind
+    lineage = json.load(open(os.path.join(ck, "MANIFEST.json")))["lineage"]
+    assert [x["seen"]["kind"] for x in lineage] == ["full", "delta", "delta"]
+    for x in lineage:
+        for kind in ("pages", "files"):
+            assert len(x["seen"][kind]) == 2
+            for f in x["seen"][kind]:
+                assert os.path.isfile(os.path.join(ck, f["path"])), f
 
     c2 = GreedyCrawl(ref, web.domains, policy=pol, max_num=25, max_depth=3,
-                     num_shards=2, checkpoint_dir=ck,
-                     seen_full_every=100)
-    docs, results, _ = c2.run()
+                     num_shards=2, checkpoint_dir=ck)
+    docs, results, metrics = c2.run()
     c2.shutdown()
     assert c2.start_round == 3  # resumed from the tip of the delta chain
+    assert all(m["seen_ckpt_bytes"] > 0 for m in metrics)
     gdf = golden.to_pandas()
     edf = docs.to_pandas()
     assert set(gdf["doc_id"]) == set(edf["doc_id"])
@@ -441,7 +453,7 @@ def test_delta_checkpoints_resume_across_chain(ray_session, tmp_path):
     assert list(zip(grf.file_url, grf.filename)) == list(zip(erf.file_url, erf.filename))
 
 
-def test_checkpoint_pruning_keeps_only_resume_chain(ray_session, tmp_path):
+def test_checkpoint_pruning_keeps_only_resume_chain(ray_session, tmp_path, monkeypatch):
     """After each round's atomic publish, bulky state a resume can no
     longer need is pruned: rounds before the latest full snapshot vanish,
     delta rounds in the live chain lose their frontier snapshot (kept
@@ -449,21 +461,23 @@ def test_checkpoint_pruning_keeps_only_resume_chain(ray_session, tmp_path):
     import json
     import os
 
+    from icrawler_ray.pipelines import greedy
+
     web = make_synthweb(n_pages=60, n_hosts=3, seed=7)
     pol = HostPolicy(web.host_policy, round_ms=1000)
     ref = ray.put(web.url_map())
     ck = str(tmp_path / "ck")
 
+    monkeypatch.setattr(greedy, "_SEEN_FULL_EVERY", 2)  # fulls at rounds 0, 2, ...
     c = GreedyCrawl(ref, web.domains, policy=pol, max_num=25, max_depth=3,
-                    num_shards=2, checkpoint_dir=ck,
-                    seen_full_every=2)  # fulls at rounds 0, 2, ...
+                    num_shards=2, checkpoint_dir=ck)
     c.run()
     assert c._host_rank.shards is None  # no host rank: no counter actors started
     c.shutdown()
     last = json.load(open(os.path.join(ck, "MANIFEST.json")))["last_round"]
     assert last >= 2
     fulls = [r for r in range(last + 1)
-             if os.path.isfile(os.path.join(ck, f"round={r}", "seen_pages.parquet"))]
+             if os.path.isfile(os.path.join(ck, f"round={r}", "seen_pages", "shard=0.full.npz"))]
     last_full = max(f for f in fulls if f <= last)
     for r in range(last_full):  # pre-chain rounds: all checkpoint state gone
         rd = os.path.join(ck, f"round={r}")
@@ -481,11 +495,41 @@ def test_checkpoint_pruning_keeps_only_resume_chain(ray_session, tmp_path):
 
     # a fresh GreedyCrawl still resumes from the pruned dir
     c2 = GreedyCrawl(ref, web.domains, policy=pol, max_num=25, max_depth=3,
-                     num_shards=2, checkpoint_dir=ck,
-                     seen_full_every=2)
+                     num_shards=2, checkpoint_dir=ck)
     c2.run()
     c2.shutdown()
     assert c2.start_round == last + 1
+
+
+def test_resume_from_pre_shard_file_checkpoint_raises(small_web, small_ref, policy, tmp_path):
+    """A checkpoint dir from before seen shards wrote their own files has
+    seen_pages.parquet and a lineage without per-shard seen records: the
+    resume must say which record is missing, not fail on a lookup."""
+    import json
+    import os
+
+    import pyarrow.parquet as pq
+
+    from icrawler_ray.pipelines.greedy import _frontier_table
+
+    rd = tmp_path / "round=0"
+    os.makedirs(rd / "frontier")
+    pq.write_table(_frontier_table(small_web.domains, [0] * 3, range(3)),
+                   str(rd / "frontier" / "part-0.parquet"))
+    for kind in ("pages", "files"):
+        (rd / f"seen_{kind}.parquet").write_bytes(b"")
+    (tmp_path / "MANIFEST.json").write_text(json.dumps({
+        "last_round": 0, "counters": {"dl_count": 0, "next_seq": 3},
+        "rounds": [{"round": 0, "metrics": {}}],
+        "lineage": [{"round": 0, "parent": -1, "frontier": "round=0/frontier",
+                     "seen": ["round=0/seen_pages.parquet", "round=0/seen_files.parquet"]}]}))
+    c = GreedyCrawl(small_ref, small_web.domains, policy=policy, max_num=25, max_depth=3,
+                    num_shards=2, checkpoint_dir=str(tmp_path))
+    try:
+        with pytest.raises(ValueError, match=r"no per-shard seen record for round 0"):
+            c.run()
+    finally:
+        c.shutdown()
 
 
 def test_dataset_mode_resume_equals_fresh(small_web, small_ref, policy, golden, tmp_path):

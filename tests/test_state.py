@@ -116,17 +116,52 @@ def test_sharded_seen_checkpoint_restore(ray_session, tmp_path):
     seen = ShardedSeenSet("t2", num_shards=2, capacity_per_shard=4096)
     k = keys(500)
     seen.filter_and_insert_array(k)
-    payloads = seen.serialize()
-    seen.shutdown()
-
     ck = CheckpointManager(str(tmp_path))
-    ck.save_round(0, None, payloads, payloads, {"dl_count": 0, "next_seq": 0}, {})
+    ck.save_round(0, None, seen, seen, {"dl_count": 0, "next_seq": 0}, {}, full=True)
+    seen.shutdown()
     _, restored, _ = ck.load_round(0)
 
     seen2 = ShardedSeenSet("t3", num_shards=2, capacity_per_shard=4096)
-    seen2.restore(*restored)  # (full payloads, delta chain)
+    seen2.restore(restored)  # per shard: (full snapshot, delta chain)
     assert not seen2.filter_and_insert_array(k).any()  # all remembered
     seen2.shutdown()
+
+
+def test_seen_checkpoint_1m_keys_stays_off_driver(ray_session, tmp_path):
+    """Seen shards write and read their own checkpoint files: a full and a
+    delta save of 2 shards at capacity 1<<22 holding 1M keys, then a
+    restore into a fresh fleet, must not pass filter bytes or key arrays
+    through the driver (the 42 MiB snapshot used to add 300-426 MiB of
+    driver RSS), and every key must still read as seen."""
+    import resource
+
+    from icrawler_ray.state.checkpoint import CheckpointManager
+
+    k = keys(1_000_000, seed=11)
+    ck = CheckpointManager(str(tmp_path))
+    counters = {"dl_count": 0, "next_seq": 0}
+    a = ShardedSeenSet("rss-a", num_shards=2, capacity_per_shard=1 << 22)
+    b = ShardedSeenSet("rss-b", num_shards=2, capacity_per_shard=1 << 22)
+    try:
+        a.filter_and_insert_array(k[:900_000])
+        rss0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        metrics = {}
+        ck.save_round(0, None, a, a, counters, metrics, full=True)
+        assert metrics["seen_ckpt_bytes"] > 2 * (20 << 20)  # both sets' filters
+        a.filter_and_insert_array(k[900_000:])
+        ck.save_round(1, None, a, a, counters, {}, full=False)
+        n_items = sum(s["num_items"] for s in a.stats())
+        a.shutdown()
+        _, pages, _ = ck.load_round(1)
+        b.restore(pages)
+        rss1 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        assert (rss1 - rss0) * 1024 < 48 << 20, (
+            f"driver RSS grew {(rss1 - rss0) // 1024} MiB in seen save/restore")
+        assert not b.filter_and_insert_array(k).any()
+        assert sum(s["num_items"] for s in b.stats()) == n_items
+    finally:
+        a.shutdown()
+        b.shutdown()
 
 
 def test_exact_mode_matches_filter_mode(ray_session):
