@@ -234,9 +234,9 @@ class GreedyCrawl:
 
     def _resume(self, manifest: dict) -> None:
         r = manifest["last_round"]
-        frontier, seen_pages, seen_files = self.ckpt.load_round(r)
-        self.seen_pages.restore(seen_pages)
-        self.seen_files.restore(seen_files)
+        frontier, seen_pages, seen_files, capacity = self.ckpt.load_round(r)
+        self.seen_pages.restore(seen_pages, capacity)
+        self.seen_files.restore(seen_files, capacity)
         self._set_frontier(frontier.cast(FRONTIER) if frontier is not None else None)
         c = manifest["counters"]
         self.dl_count = c["dl_count"]

@@ -141,9 +141,11 @@ class CheckpointManager:
                     shutil.rmtree(osp.join(rd, f"seen_{kind}"), ignore_errors=True)
 
     def load_round(self, r: int):
-        """-> (frontier table or None, pages chains, files chains): a
-        chains list has one entry per shard, that shard's file paths from
-        its latest full snapshot through round ``r``'s delta."""
+        """-> (frontier table or None, pages chains, files chains,
+        capacity): a chains list has one entry per shard, that shard's file
+        paths from its latest full snapshot through round ``r``'s delta;
+        ``capacity`` is the per-shard capacity that snapshot's filters were
+        built with."""
         chain = self.seen_chain(self.load_manifest(), r)
         fdir = osp.join(self.round_dir(r), "frontier")
         parts = sorted(os.listdir(fdir)) if osp.isdir(fdir) else []
@@ -156,7 +158,8 @@ class CheckpointManager:
             return [[osp.join(self.root, rec["seen"][kind][i]["path"]) for rec in chain]
                     for i in range(n)]
 
-        return frontier, shard_chains("pages"), shard_chains("files")
+        return (frontier, shard_chains("pages"), shard_chains("files"),
+                chain[0]["seen"]["capacity"])
 
 
 class RoundOutputs:

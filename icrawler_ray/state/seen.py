@@ -292,14 +292,21 @@ class ShardedSeenSet:
         return ray.get([s.save.remote(osp.join(dirname, f"shard={i}.{kind}"), full)
                         for i, s in enumerate(self.shards)])
 
-    def restore(self, chains: list[list[str]]) -> None:
-        """Load shard i from ``chains[i]`` (full snapshot, then deltas)."""
+    def restore(self, chains: list[list[str]], capacity: int) -> None:
+        """Load shard i from ``chains[i]`` (full snapshot, then deltas),
+        written by shards of ``capacity`` keys each."""
         # keys live in shard h % num_shards: another count would look them up
         # in the wrong shard and silently admit seen URLs again
         if len(chains) != self.num_shards:
             raise ValueError(f"seen set {self.name!r}: snapshot has {len(chains)} shards, "
                              f"this set has {self.num_shards}; resume with "
                              f"num_shards={len(chains)}")
+        # the snapshot's filters keep the capacity they were built with, so
+        # another one would be recorded in the lineage but never hold
+        if capacity != self.capacity:
+            raise ValueError(f"seen set {self.name!r}: snapshot has capacity {capacity} "
+                             f"per shard, this set has {self.capacity}; resume with "
+                             f"seen_capacity={capacity}")
         ray.get([s.load.remote(c) for s, c in zip(self.shards, chains)])
 
     def shutdown(self) -> None:

@@ -143,6 +143,24 @@ def test_resume_with_other_shard_count_raises(small_web, small_ref, policy, tmp_
         c2.shutdown()
 
 
+def test_resume_with_other_seen_capacity_raises(small_web, small_ref, policy, tmp_path):
+    """A restored snapshot keeps the filters it was written with, so a
+    resume with another seen_capacity must not record the new one in the
+    lineage of later rounds as if the filters had it."""
+    kw = dict(policy=policy, max_num=25, max_depth=3, num_shards=2,
+              checkpoint_dir=str(tmp_path))
+    c1 = GreedyCrawl(small_ref, small_web.domains, seen_capacity=1 << 12, max_rounds=2, **kw)
+    c1.run()
+    c1.shutdown()
+    c2 = GreedyCrawl(small_ref, small_web.domains, seen_capacity=1 << 13, **kw)
+    try:
+        with pytest.raises(ValueError, match="snapshot has capacity 4096 per shard, "
+                                             "this set has 8192"):
+            c2.run()
+    finally:
+        c2.shutdown()
+
+
 @pytest.mark.parametrize("residency", list(RESIDENCY))
 def test_shard_actor_death_recovers_in_process(small_web, small_ref, policy, golden,
                                                tmp_path, residency):

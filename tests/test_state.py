@@ -119,10 +119,10 @@ def test_sharded_seen_checkpoint_restore(ray_session, tmp_path):
     ck = CheckpointManager(str(tmp_path))
     ck.save_round(0, None, seen, seen, {"dl_count": 0, "next_seq": 0}, {}, full=True)
     seen.shutdown()
-    _, restored, _ = ck.load_round(0)
+    _, restored, _, capacity = ck.load_round(0)
 
     seen2 = ShardedSeenSet("t3", num_shards=2, capacity_per_shard=4096)
-    seen2.restore(restored)  # per shard: (full snapshot, delta chain)
+    seen2.restore(restored, capacity)  # per shard: (full snapshot, delta chain)
     assert not seen2.filter_and_insert_array(k).any()  # all remembered
     seen2.shutdown()
 
@@ -152,8 +152,8 @@ def test_seen_checkpoint_1m_keys_stays_off_driver(ray_session, tmp_path):
         ck.save_round(1, None, a, a, counters, {}, full=False)
         n_items = sum(s["num_items"] for s in a.stats())
         a.shutdown()
-        _, pages, _ = ck.load_round(1)
-        b.restore(pages)
+        _, pages, _, capacity = ck.load_round(1)
+        b.restore(pages, capacity)
         rss1 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         assert (rss1 - rss0) * 1024 < 48 << 20, (
             f"driver RSS grew {(rss1 - rss0) // 1024} MiB in seen save/restore")
