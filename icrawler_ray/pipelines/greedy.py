@@ -14,16 +14,25 @@ greedy.py:10-15). Here the feedback loop is an explicit driver round loop
     winning links --rank among the winners = discovered seq--> new rows
     frontier_{r+1} = deferred U new rows ; checkpoint(round)
 
+Control values ride the claim channel. Each parse and fetch batch sends
+the seen shards a keyed report with its counts (pages in, error and doc
+rows, claims sent; rows fetched and the kept files' order keys), and the
+driver's claim barrier sums them: no Ray Data execution runs just to count
+rows. With a round dir (``out_dir`` or ``checkpoint_dir``) the parse tasks
+also write the round's docs into it themselves. A round then runs one Ray
+Data execution per stage: parse, fetch, results persist and link admit
+(plus a docs materialise without a round dir).
+
 Frontier residency: between rounds the frontier lives where its size
 allows. At or below ``driver_threshold`` rows it is an Arrow table on the
 driver, gated by ``split_by_budget`` directly; above it, a Dataset whose
 blocks stay in the object store (the 10^10-URL design point), gated by the
 distributed ``politeness_gate``, which runs the same kernel on each block
 and each exchange partition. Everything after the gate is one code
-path. The driver holds only control arrays (claim winner sets, the kept
-downloads' order keys), never link rows — the memory-bounded pipeline
-scheduling argument of "Memory Efficient Scheduling of Query Pipeline
-Execution" (CIDR 2022).
+path. The driver holds only control values (claim winner sets, the kept
+downloads' order keys, the task reports), never link rows — the
+memory-bounded pipeline scheduling argument of "Memory Efficient
+Scheduling of Query Pipeline Execution" (CIDR 2022).
 
 Determinism: every ordering is defined by explicit sort keys
 (depth/priority/discovered seq — SURVEY.md §7.4), so outputs are identical
@@ -53,12 +62,13 @@ from icrawler_ray.functions.seq import cluster_cpus, from_table_blocks
 from icrawler_ray.functions.urlnorm import canonicalize, hash_urls, hosts_of
 from icrawler_ray.schemas import FRONTIER
 from icrawler_ray.stages.download import make_fetcher_fn, name_files
-from icrawler_ray.stages.fetch_parse import make_fetch_parse_fn
+from icrawler_ray.stages.fetch_parse import DOC_COLUMNS, make_fetch_parse_fn
 from icrawler_ray.stages.politeness import (HostPolicy, make_inflight_limiter, politeness_gate,
                                             split_rows)
 from icrawler_ray.state.checkpoint import CheckpointManager, RoundOutputs
 from icrawler_ray.state.hostrank import HostRankState
-from icrawler_ray.state.seen import ShardedSeenSet, await_claims, is_actor_death
+from icrawler_ray.state.seen import (ShardedSeenSet, await_claims, await_fetched, begin_rounds,
+                                     finish_rounds, is_actor_death, packed_order)
 
 #: FRONTIER column names as the politeness gate and the parse tasks read them
 _GATE_COLS = ["url", "url_canon", "url_hash", "host", "depth", "priority", "seq",
@@ -397,10 +407,12 @@ class GreedyCrawl:
         # execution per round, and actor pools respawn per execution —
         # measured 13x slower end-to-end at 200k pages. The seen-shard
         # claims ride inside the parse tasks ([[claim-protocol-design]]):
-        # frontier dedup and seen filtering cost zero shuffles.
+        # frontier dedup and seen filtering cost zero shuffles. So do the
+        # round's counts (task reports), and with a round dir the tasks
+        # write the docs themselves.
         t0 = time.time()
-        self.seen_pages.begin_round(round_idx)  # open the claim fence
-        self.seen_files.begin_round(round_idx)
+        docs_dir = self.outputs.prepare(round_idx, "docs") if self.emit_docs else None
+        begin_rounds([self.seen_pages, self.seen_files], round_idx)  # open the claim fence
         parsed = _reblock(gated, n_gated).map_batches(
             make_fetch_parse_fn(
                 self.url_map_ref, "greedy", {"domains": self.domains},
@@ -408,7 +420,7 @@ class GreedyCrawl:
                 claim=(self.seen_pages.name, self.seen_files.name,
                        self.seen_pages.num_shards, self.max_depth),
                 inflight=self.inflight_name,
-                claim_round=round_idx,
+                claim_round=round_idx, docs_dir=docs_dir,
             ),
             batch_format="pyarrow",
             batch_size=None,
@@ -419,34 +431,29 @@ class GreedyCrawl:
             print(f"--- round {round_idx} parse stats ---")
             print(parsed.stats())
 
+        # claims and reports were sent to the seen-set shard actors INSIDE
+        # the parse tasks (fused, NON-blocking); materialize() bounds
+        # submission and await_claims is the delivery barrier, which also
+        # sums the reported counts
         t0 = time.time()
-        metrics["errors"] = parsed.filter(expr="row_kind == 'error'").count()
-        tm["error_count"] = time.time() - t0
-        metrics["docs"] = 0
-        if self.emit_docs:
+        rep = await_claims(self.seen_pages, self.seen_files, parsed, n_gated,
+                           self.max_depth, round_idx=round_idx, docs_dir=docs_dir)
+        (_, task_packed), (_, link_packed) = finish_rounds([self.seen_files, self.seen_pages])
+        tm["claims"] = time.time() - t0
+        metrics.update(errors=rep["errors"], docs=rep["docs"], claims=rep["claims"])
+        if docs_dir is not None:
+            self.outputs.adopt(round_idx, "docs", rep["docs"])
+        elif self.emit_docs and rep["docs"]:
             t0 = time.time()
-            docs = parsed.filter(expr="row_kind == 'doc'").select_columns(
-                ["doc_id", "spans", "depth", "parent_seq", "status"])
-            metrics["docs"] = self.outputs.persist(docs, round_idx, "docs")
+            self.outputs.persist(parsed.filter(expr="row_kind == 'doc'").select_columns(
+                DOC_COLUMNS), round_idx, "docs")
             tm["docs_persist"] = time.time() - t0
 
-        # claims were routed to the seen-set shard actors INSIDE the parse
-        # tasks (fused, NON-blocking); materialize() bounds submission and
-        # await_claims is the delivery barrier. Expected = every
-        # task/link row claims exactly once; derived by subtraction from
-        # counts already taken (parsed.count() is block metadata, free).
-        t0 = time.time()
-        if await_claims(self.seen_pages, self.seen_files, parsed,
-                        parsed.count() - metrics["errors"] - metrics["docs"],
-                        self.max_depth, round_idx=round_idx):
-            metrics["claims_resent"] = True
-        _task_keys, task_packed = self.seen_files.finish_round_winners()
-        _link_keys, link_packed = self.seen_pages.finish_round_winners()
-        tm["claims"] = time.time() - t0
-
-        n_kept = self._download(parsed, task_packed, round_idx, tm)
+        n_kept, dl_resent = self._download(parsed, task_packed, round_idx, tm)
         self.dl_count += n_kept
         metrics["downloads"] = n_kept
+        if rep["resent"] or dl_resent:
+            metrics["claims_resent"] = True
 
         # ---- frontier expansion: link winners are already depth-eligible
         # (capped winners were dropped, unmarked, in finish_round — oracle
@@ -475,16 +482,18 @@ class GreedyCrawl:
         self._checkpoint(round_idx, metrics)
         return metrics
 
-    def _download(self, parsed, task_packed, round_idx: int, tm: dict) -> int:
+    def _download(self, parsed, task_packed, round_idx: int, tm: dict) -> tuple[int, bool]:
         """Fetch the round's winning tasks, then name and persist the kept
         files in crawl order. The fetched blocks (binary content) stay in
-        the object store; the driver sees only the kept files' packed
-        (parent_seq, emit_ord) keys, truncates them to the max_num budget
-        in crawl order and broadcasts them back: a file's download
-        sequence is its key's rank. Returns the number of files kept."""
+        the object store; the fetch tasks report the kept files' packed
+        (parent_seq, emit_ord) keys over the seen-shard channel, and the
+        driver truncates them to the max_num budget in crawl order and
+        broadcasts them back: a file's download sequence is its key's
+        rank. -> (files kept, whether the fetch barrier fell back to the
+        fetched blocks)."""
         tasks = _admitted_rows(parsed, "task", task_packed)
         if tasks is None:
-            return 0
+            return 0, False
         t0 = time.time()
         cols = [c for c in ("file_url", "meta_json", "parent_seq", "emit_ord")
                 if c in parsed.schema().names]
@@ -493,29 +502,25 @@ class GreedyCrawl:
                 self.url_map_ref, min_size=self.min_size, max_size=self.max_size,
                 keep_content=self.keep_content, inflight=self.inflight_name,
                 user_downloader=self.downloader_hooks,
+                report=(self.seen_files.name, self.seen_files.num_shards, round_idx),
             ),
             batch_format="pyarrow",
             batch_size=None,
             num_cpus=1,
         ).filter(expr="success == True").materialize()
+        kept, resent = await_fetched(self.seen_files, fetched, len(task_packed))
         tm["download"] = time.time() - t0
-        if not fetched.count():
-            return 0
-        t0 = time.time()
-        ctrl = ray.get(fetched.select_columns(["parent_seq", "emit_ord"]).to_arrow_refs())
-        kept = np.sort(np.concatenate([_packed(t) for t in ctrl if t.num_rows]))
-        tm["dl_ctrl"] = time.time() - t0
         if self.max_num:
             kept = kept[: max(0, self.max_num - self.dl_count)]
         if not len(kept):
-            return 0
+            return 0, resent
         t0 = time.time()
         kept_ref = ray.put(kept)
         offset = self.dl_count + self.file_idx_offset
         ext, hooks = self.default_ext, self.downloader_hooks
 
         def name(t: pa.Table) -> pa.Table:
-            seq, hit = _lookup(ray.get(kept_ref), _packed(t))
+            seq, hit = _lookup(ray.get(kept_ref), packed_order(t))
             t = t.filter(pa.array(hit))
             t = t.append_column("dl_seq", pa.array(seq[hit]))
             return name_files(t, seq[hit], ext, offset, hooks)
@@ -523,7 +528,7 @@ class GreedyCrawl:
         n_kept = self.outputs.persist(fetched.map_batches(name, batch_format="pyarrow"),
                                       round_idx, "results")
         tm["dl_persist"] = time.time() - t0
-        return n_kept
+        return n_kept, resent
 
     def _checkpoint(self, round_idx: int, metrics: dict) -> None:
         if self.ckpt:
@@ -553,13 +558,6 @@ def _reblock(gated, n: int):
     if isinstance(gated, pa.Table):
         return from_table_blocks(gated, min_rows_per_block=64, tasks_per_cpu=4.0)
     return gated.repartition(min(max(1, n // 64), 4 * cluster_cpus()))
-
-
-def _packed(t: pa.Table) -> np.ndarray:
-    """parent_seq<<20 | emit_ord — the crawl-order key of an emission row,
-    unique per row (stages/fetch_parse.FetchParse._finish)."""
-    ph = t["parent_seq"].to_numpy(zero_copy_only=False).astype(np.int64)
-    return (ph << np.int64(20)) | t["emit_ord"].to_numpy(zero_copy_only=False).astype(np.int64)
 
 
 def _lookup(sorted_keys: np.ndarray, keys: np.ndarray):

@@ -30,6 +30,7 @@ import ray
 from icrawler_ray.defaults import DEFAULT_EXT, IMAGE_EXT_WHITELIST
 from icrawler_ray.functions.seq import assign_global_seq
 from icrawler_ray.functions.urlnorm import path_ext
+from icrawler_ray.state.seen import packed_order, send_report
 from icrawler_ray.synthweb import fakeimg
 from icrawler_ray.synthweb.fetchstub import make_session, session_spec_key
 
@@ -231,11 +232,17 @@ _FETCHER_CACHE: dict = {}
 
 
 def make_fetcher_fn(url_map_ref, min_size=None, max_size=None, keep_content=True,
-                    inflight: str | None = None, user_downloader=None):
+                    inflight: str | None = None, user_downloader=None,
+                    report: tuple | None = None):
     """Task-pool variant of Fetcher with a worker-process-level cache —
     same rationale as stages.fetch_parse.make_fetch_parse_fn (amortize
     session state across the per-round Ray Data executions of an iterative
-    crawl without per-execution actor spin-up)."""
+    crawl without per-execution actor spin-up).
+
+    ``report=(files_set_name, num_shards, round_idx)``: each batch reports
+    its rows in and the packed (parent_seq, emit_ord) keys of the rows it
+    kept to that seen set, keyed by its smallest packed key
+    (state/seen.await_fetched); the rows need parent_seq and emit_ord."""
     key = (
         session_spec_key(url_map_ref),
         tuple(min_size) if min_size else None,
@@ -254,7 +261,13 @@ def make_fetcher_fn(url_map_ref, min_size=None, max_size=None, keep_content=True
                         keep_content=keep_content, inflight=inflight,
                         user_downloader=user_downloader)
             _FETCHER_CACHE[key] = f
-        return f(batch)
+        out = f(batch)
+        if report is not None and out.num_rows:
+            packed = packed_order(out)
+            kept = packed[out["success"].to_numpy(zero_copy_only=False)]
+            send_report(report[0], report[1], "fetch", int(packed.min()),
+                        {"rows": out.num_rows, "kept": kept}, report[2])
+        return out
 
     return fn
 

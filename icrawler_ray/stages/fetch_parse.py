@@ -19,12 +19,16 @@ reads it in ``__init__`` — never shipped per batch.
 
 from __future__ import annotations
 
+import os
+import os.path as osp
+
 import pyarrow as pa
 import ray
 
 from icrawler_ray import schemas
 from icrawler_ray.functions.urlnorm import canonicalize, hash_urls
 from icrawler_ray.stages.parsers import RULES_REGISTRY
+from icrawler_ray.state.seen import packed_order, route_claims, send_report
 from icrawler_ray.synthweb.fetchstub import make_session, session_spec_key
 
 import pandas as pd
@@ -45,6 +49,8 @@ FETCH_PARSE_SCHEMA = pa.schema(
         ("error", pa.string()),
     ]
 )
+#: the columns of a crawl's docs output
+DOC_COLUMNS = ["doc_id", "spans", "depth", "parent_seq", "status"]
 
 
 class FetchParse:
@@ -77,8 +83,15 @@ class FetchParse:
         # fused seen-shard claim routing: each batch pushes its candidate
         # (hash, packed) pairs to the shard actors before returning, so
         # the frontier-dedup exchange rides the parse execution (no extra
-        # pass, no shuffle).
+        # pass, no shuffle). Each batch also reports its counts (pages in,
+        # error and doc rows, claims sent) to the pages set, keyed by its
+        # smallest input seq.
         self.claim = claim
+        # set per round by make_fetch_parse_fn on the cached instance
+        # (rounds run sequentially): the claims' round-fence tag, and the
+        # dir the batches write their doc rows to (None: docs stay rows)
+        self.claim_round: int | None = None
+        self.docs_dir: str | None = None
         # slim: emit only the throughput-critical columns (ints + the two
         # URL strings); requires emit_docs=False. Halves materialized bytes.
         self.slim = slim and not emit_docs
@@ -139,10 +152,36 @@ class FetchParse:
             if held is not None:
                 self.guard.release(held)
 
-        return self._assemble(row_kind, page_url, status, depth_c,
-                              parent_seq, emit_ord, file_url, link_url,
-                              meta_json, doc_id, error, span_offsets, sp_kind,
-                              sp_text, sp_ref, sp_off, span_row_idx)
+        out = self._assemble(row_kind, page_url, status, depth_c,
+                             parent_seq, emit_ord, file_url, link_url,
+                             meta_json, doc_id, error, span_offsets, sp_kind,
+                             sp_text, sp_ref, sp_off, span_row_idx)
+        if self.docs_dir is not None and n:
+            out = self._write_docs(out, min(seqs))
+        if self.claim is not None:
+            n_claims = route_claims(out, *self.claim, round_idx=self.claim_round)
+            if n:
+                send_report(self.claim[0], self.claim[2], "parse", min(seqs),
+                            {"pages": n, "errors": row_kind.count("error"),
+                             "docs": row_kind.count("doc"), "claims": n_claims},
+                            self.claim_round)
+        return out
+
+    def _write_docs(self, out: pa.Table, key: int) -> pa.Table:
+        """Write the batch's doc rows to ``docs_dir/part-<key>.parquet`` and
+        drop them from the output. The file is written under a tmp name and
+        renamed, so a re-executed task replaces its own file."""
+        import pyarrow.compute as pc
+        import pyarrow.parquet as pq
+
+        is_doc = pc.equal(out["row_kind"], "doc")
+        docs = out.filter(is_doc).select(DOC_COLUMNS)
+        if docs.num_rows:
+            path = osp.join(self.docs_dir, f"part-{key:020d}.parquet")
+            tmp = f"{path}.tmp{os.getpid()}"
+            pq.write_table(docs, tmp)
+            os.replace(tmp, path)
+        return out.filter(pc.invert(is_doc))
 
     def _one(self, url, depth, seq, row_kind, page_url, status, depth_c,
              parent_seq, emit_ord, file_url, link_url, meta_json, doc_id,
@@ -209,7 +248,7 @@ class FetchParse:
                     "link_url": pa.array(link_url, type=pa.string()),
                 }
             )
-            return self._finish(out, file_url, link_url, parent_seq, emit_ord)
+            return self._finish(out, file_url, link_url)
         # spans column: null for non-doc rows; doc rows take consecutive
         # slices of the flat struct array.
         struct = pa.StructArray.from_arrays(
@@ -254,11 +293,9 @@ class FetchParse:
             },
             schema=FETCH_PARSE_SCHEMA,
         )
-        return self._finish(out, file_url, link_url, parent_seq, emit_ord)
+        return self._finish(out, file_url, link_url)
 
-    def _finish(self, out: pa.Table, file_url, link_url, parent_seq, emit_ord) -> pa.Table:
-        import numpy as np
-
+    def _finish(self, out: pa.Table, file_url, link_url) -> pa.Table:
         if self.with_keys:
             # one vectorized pass: tasks use file_url, links use link_url.
             # Only the 64-bit hash ships (dedup/seen key); the canonical
@@ -271,19 +308,8 @@ class FetchParse:
             uh = hash_urls(canon.fillna(""))
             out = out.append_column("url_hash", pa.array(uh, type=pa.uint64()))
             # packed order key: min over a hash group == min (parent_seq,
-            # emit_ord). Fits int64 up to parent_seq < 2^43 (8.8e12 pages,
-            # above the 10^10 design point) with emit_ord < 2^20 per page.
-            packed = (np.asarray(parent_seq, dtype=np.int64) << np.int64(20)) + np.asarray(
-                emit_ord, dtype=np.int64)
-            out = out.append_column("packed", pa.array(packed, type=pa.int64()))
-        if self.claim is not None:
-            from icrawler_ray.state.seen import route_claims
-
-            # claim_round is set per round by make_fetch_parse_fn on the
-            # cached instance (rounds run sequentially): the shard-side
-            # fence drops any straggler tagged with an older round
-            route_claims(out, *self.claim,
-                         round_idx=getattr(self, "claim_round", None))
+            # emit_ord), the first emission
+            out = out.append_column("packed", pa.array(packed_order(out), type=pa.int64()))
         return out
 
 
@@ -294,7 +320,7 @@ def make_fetch_parse_fn(url_map_ref, rules: str, rules_kwargs: dict | None = Non
                         emit_docs: bool = True, with_keys: bool = False,
                         claim: tuple | None = None, slim: bool = False,
                         inflight: str | None = None,
-                        claim_round: int | None = None):
+                        claim_round: int | None = None, docs_dir: str | None = None):
     """Task-pool variant of FetchParse with a worker-process-level cache.
 
     An iterative crawl runs one Ray Data execution per round; an actor pool
@@ -304,6 +330,9 @@ def make_fetch_parse_fn(url_map_ref, rules: str, rules_kwargs: dict | None = Non
     batches AND rounds — same state-amortization contract as the actor
     pool, without per-execution spin-up. The ObjectRef travels in the task
     closure; the url map is fetched once per worker process.
+
+    ``docs_dir``: the batches write their doc rows there instead of
+    returning them (:meth:`FetchParse._write_docs`).
     """
     import json as _json
 
@@ -320,10 +349,10 @@ def make_fetch_parse_fn(url_map_ref, rules: str, rules_kwargs: dict | None = Non
                             with_keys=with_keys, claim=claim, slim=slim,
                             inflight=inflight)
             _FP_CACHE[key] = fp
-        # round tag rides on the closure, NOT the cache key: the cached
-        # session/state survives across rounds while each round's claims
-        # carry its own fence tag (rounds execute sequentially)
-        fp.claim_round = claim_round
+        # round tag and docs dir ride on the closure, NOT the cache key: the
+        # cached session/state survives across rounds while each round's
+        # claims carry its own fence tag (rounds execute sequentially)
+        fp.claim_round, fp.docs_dir = claim_round, docs_dir
         return fp(batch)
 
     return fn

@@ -143,9 +143,13 @@ def _block_rank(block: pa.Table, part_col: str, val_col: str, out_col: str,
     run_id = np.cumsum(change) - 1
     first_global = offset + starts_local[run_id]
     first_global[run_id == 0] = leading_start       # stitched boundary run
-    lo = np.asarray([lo_map[x] for x in p], dtype=np.float64)
-    cnt = np.asarray([n_map[x] for x in p], dtype=np.float64)
-    pr = np.where(cnt > 1, (first_global - lo) / (cnt - 1.0), 0.0)
+    # one dict lookup per partition in the block, spread to the rows
+    parts, inv = np.unique(p, return_inverse=True)
+    lo = np.asarray([lo_map[x] for x in parts.tolist()], dtype=np.float64)[inv]
+    cnt = np.asarray([n_map[x] for x in parts.tolist()], dtype=np.float64)[inv]
+    # single-row partitions rank 0; the safe denominator keeps them from
+    # dividing by zero
+    pr = np.where(cnt > 1, (first_global - lo) / np.maximum(cnt - 1.0, 1.0), 0.0)
     return block.append_column(out_col, pa.array(_round(pr, round_to)))
 
 

@@ -10,8 +10,8 @@ the natural lineage unit of the frontier loop:
     <dir>/round=<r>/seen_pages/shard=<i>.full.npz  (a full snapshot round)
     <dir>/round=<r>/seen_pages/shard=<i>.delta.npy (a delta round)
     <dir>/round=<r>/seen_files/shard=<i>.*
-    <dir>/round=<r>/docs/*.parquet               (round outputs, partitioned)
-    <dir>/round=<r>/results/*.parquet
+    <dir>/round=<r>/docs/part-<seq>.parquet      (round outputs; the parse tasks
+    <dir>/round=<r>/results/*.parquet             write the docs, one per batch)
     <dir>/MANIFEST.json                          (atomic: tmp + rename)
 
 Each seen shard writes and reads its own files (state/seen.py); this
@@ -162,6 +162,12 @@ class CheckpointManager:
                 chain[0]["seen"]["capacity"])
 
 
+def parquet_rows(d: str) -> int:
+    """Rows of the parquet files in dir ``d``, from their footers."""
+    return sum(pq.ParquetFile(osp.join(d, p)).metadata.num_rows
+               for p in os.listdir(d) if p.endswith(".parquet"))
+
+
 class RoundOutputs:
     """A crawl's per-round output partitions (``docs``, ``results``).
 
@@ -170,7 +176,13 @@ class RoundOutputs:
     or the checkpoint's round dir) or kept as Arrow block refs in the
     object store. :meth:`assemble` turns them into lazy Datasets; only row
     COUNTS cross the driver, so resident-set stays flat with crawl size
-    (VERDICT r1 #3)."""
+    (VERDICT r1 #3).
+
+    A partition dir is written either by a Ray Data write (:meth:`persist`)
+    or by the tasks that make the rows: the greedy crawl's parse tasks
+    write the round's docs into the dir :meth:`prepare` returns, one file
+    per batch, and report their row counts; the driver then records the
+    dir with :meth:`adopt`, with no execution of its own."""
 
     KINDS = ("docs", "results")
 
@@ -196,26 +208,36 @@ class RoundOutputs:
                 if d and osp.isdir(d) and os.listdir(d):
                     parts.append(d)
 
-    def persist(self, ds, r: int, kind: str) -> int:
-        """Store one round's output without driver materialization.
-
-        With a base dir: distributed parquet write into the round partition
-        dir. The dir is REPLACED, not appended — a round re-executed after a
-        mid-round crash overwrites its stale partials instead of
-        duplicating rows (ADVICE r1 #2). Without: the materialized blocks
-        stay in the object store as refs. Returns the row count (parquet
-        footers / block metadata only)."""
+    def prepare(self, r: int, kind: str) -> str | None:
+        """An empty partition dir for round ``r``'s ``kind`` rows, or None
+        without a base dir. The dir is REPLACED, not appended — a round
+        re-executed after a mid-round crash overwrites its stale partials
+        instead of duplicating rows (ADVICE r1 #2)."""
         d = self.round_dir(r, kind)
         if d is not None:
             if osp.isdir(d):
                 shutil.rmtree(d)
             os.makedirs(d)
+        return d
+
+    def adopt(self, r: int, kind: str, n: int) -> int:
+        """Record round ``r``'s prepared ``kind`` dir, into which tasks
+        wrote ``n`` rows -> n."""
+        if n:
+            self.parts[kind].append(self.round_dir(r, kind))
+        return n
+
+    def persist(self, ds, r: int, kind: str) -> int:
+        """Store one round's output without driver materialization.
+
+        With a base dir: distributed parquet write into the prepared round
+        partition dir. Without: the materialized blocks stay in the object
+        store as refs. Returns the row count (parquet footers / block
+        metadata only)."""
+        d = self.prepare(r, kind)
+        if d is not None:
             ds.write_parquet(d)
-            n = sum(pq.ParquetFile(osp.join(d, p)).metadata.num_rows
-                    for p in os.listdir(d) if p.endswith(".parquet"))
-            if n:
-                self.parts[kind].append(d)
-            return n
+            return self.adopt(r, kind, parquet_rows(d))
         md = ds.materialize()
         n = md.count()
         if n:

@@ -24,6 +24,13 @@ filters, inserts the novel ones and returns them. Claims commute, so the
 winners are the same at any parallelism; ``filter_and_insert`` is atomic
 per shard, so a key seen in different rounds is admitted exactly once.
 
+The round's control values ride the same channel. Each parse batch sends
+one keyed report (:func:`send_report`: pages in, error rows, doc rows,
+claims sent) and each fetch batch one (rows in, the packed keys of the
+rows it kept). The barriers (:func:`await_claims`, :func:`await_fetched`)
+sum them, so the driver needs no Dataset pass for a count. A re-executed
+task replaces its report rather than counting twice.
+
 Checkpoint: each shard writes its own file into the round dir and returns
 only its path, key count and size; the driver publishes them in the
 manifest (state/checkpoint.py) and never holds filter bytes or keys:
@@ -47,8 +54,21 @@ import time
 import numpy as np
 import ray
 
+# Every seen-shard actor process imports this module at start-up, so it
+# imports nothing heavier than numpy and ray (ray.data alone costs about
+# 0.5 s of CPU per fresh process).
 from icrawler_ray.state.bloom import BloomFilter
 from icrawler_ray.state.cuckoo import CuckooFilter
+
+
+def packed_order(t) -> np.ndarray:
+    """parent_seq<<20 | emit_ord of an Arrow table's emission rows: the
+    crawl-order key a claim carries, unique per row, so the min over a
+    URL's rows is its first emission. Fits int64 up to parent_seq < 2^43
+    (8.8e12 pages, above the 10^10 design point) with emit_ord < 2^20 per
+    page."""
+    ph = t["parent_seq"].to_numpy(zero_copy_only=False).astype(np.int64)
+    return (ph << np.int64(20)) | t["emit_ord"].to_numpy(zero_copy_only=False).astype(np.int64)
 
 
 @ray.remote(num_cpus=0, scheduling_strategy="SPREAD")  # see module docstring
@@ -71,6 +91,10 @@ class SeenShard:
         self._claims: list = []
         self._claimed_n = 0
         self._round: int | None = None  # claim window, opened by begin_round
+        # task reports of the round begin_round opened: {(kind, key): values};
+        # they outlive finish_round, since fetch tasks report after it
+        self._reports: dict = {}
+        self._report_round: int | None = None
         self._delta: list = []  # keys inserted since the last save
 
     def filter_and_insert(self, keys: np.ndarray) -> np.ndarray:
@@ -116,8 +140,10 @@ class SeenShard:
         stale_claims) — in-flight stragglers from a timed-out previous
         round can neither inflate the next round's delivery counter nor
         steal its min-packed winner slots (ADVICE r3 #1). Untagged claims
-        (round_idx=None at the call site) bypass the fence."""
-        self._round = round_idx
+        (round_idx=None at the call site) bypass the fence. Drops the
+        previous round's reports."""
+        self._round = self._report_round = round_idx
+        self._reports = {}
 
     def claim(self, keys: np.ndarray, packed: np.ndarray,
               eligible: np.ndarray | None = None,
@@ -137,10 +163,18 @@ class SeenShard:
         self._claimed_n += n
         return n
 
-    def claims_received(self) -> int:
-        """Rows received by claim() since the last finish_round — the
-        flush-barrier signal for non-blocking claim submission."""
-        return self._claimed_n
+    def report(self, kind: str, key: int, values: dict, round_idx: int) -> None:
+        """Keep one task's report of ``kind`` under ``key``; a second
+        report under the same key (a re-executed task) replaces the first.
+        Reports tagged with another round than the open one are dropped."""
+        if round_idx == self._report_round:
+            self._reports[(kind, key)] = values
+
+    def progress(self, kind: str | None = None) -> tuple[int, list]:
+        """-> (rows received by claim() since the last finish_round, this
+        round's reports of ``kind``): the flush-barrier signal for
+        non-blocking claim and report submission."""
+        return self._claimed_n, [v for (k, _), v in self._reports.items() if k == kind]
 
     def finish_round(self):
         """-> (novel_keys, novel_packed): min-order first occurrence per
@@ -268,18 +302,15 @@ class ShardedSeenSet:
 
     def finish_round_winners(self):
         """Gather each shard's round winners -> (keys, packed) arrays."""
-        res = ray.get([s.finish_round.remote() for s in self.shards])
-        keys = np.concatenate([r[0] for r in res]) if res else np.empty(0, dtype=np.uint64)
-        packed = np.concatenate([r[1] for r in res]) if res else np.empty(0, dtype=np.int64)
-        return keys, packed
+        return finish_rounds([self])[0]
 
     def claims_received(self) -> int:
         """Total claim rows the shards have received this round."""
-        return int(sum(ray.get([s.claims_received.remote() for s in self.shards])))
+        return _poll([self])[0]
 
     def begin_round(self, round_idx: int) -> None:
         """Open every shard's claim window for ``round_idx`` (round fence)."""
-        ray.get([s.begin_round.remote(round_idx) for s in self.shards])
+        begin_rounds([self], round_idx)
 
     def stats(self) -> list[dict]:
         return ray.get([s.stats.remote() for s in self.shards])
@@ -317,6 +348,28 @@ class ShardedSeenSet:
                 pass
 
 
+def begin_rounds(sets: list[ShardedSeenSet], round_idx: int) -> None:
+    """Open the claim window of every shard of ``sets`` in one round trip."""
+    ray.get([s.begin_round.remote(round_idx) for ss in sets for s in ss.shards])
+
+
+def finish_rounds(sets: list[ShardedSeenSet]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each set's round winners (keys, packed), gathered in one round trip."""
+    res = ray.get([s.finish_round.remote() for ss in sets for s in ss.shards])
+    out, i = [], 0
+    for ss in sets:
+        part, i = res[i:i + ss.num_shards], i + ss.num_shards
+        out.append((np.concatenate([r[0] for r in part]), np.concatenate([r[1] for r in part])))
+    return out
+
+
+def _poll(sets: list[ShardedSeenSet], kind: str | None = None) -> tuple[int, list]:
+    """-> (claims received, reports of ``kind``) over every shard of ``sets``,
+    in one round trip."""
+    res = ray.get([s.progress.remote(kind) for ss in sets for s in ss.shards])
+    return int(sum(r[0] for r in res)), [v for r in res for v in r[1]]
+
+
 _ACTOR_CACHE: dict = {}
 
 
@@ -329,7 +382,7 @@ def get_shard_actor(name: str, shard: int):
     return a
 
 
-#: per-worker outstanding-claim window (see route_claims backpressure note)
+#: per-worker window of outstanding claim and report calls (see _track)
 _CLAIMS_WINDOW = 64
 _PENDING: list = []
 
@@ -373,18 +426,30 @@ def route_claims(t, pages_set: str, files_set: str, num_shards: int,
             n_pushed += int(sel.sum())
     if block and futs:
         return sum(ray.get(futs))
-    # bounded-window backpressure: fully unbounded submission lets fat
-    # rounds outrun the shard actors and the object store (measured: the
-    # old always-blocking call accidentally paced 1M-page rounds), while
-    # per-call blocking over-spawns workers. Keep up to _CLAIMS_WINDOW
-    # claim futures outstanding per worker process and drain half when
-    # the window fills — a short wait instead of a per-call round-trip.
+    _track(futs)
+    return n_pushed
+
+
+def _track(futs: list) -> None:
+    """Bounded-window backpressure for non-blocking shard calls: fully
+    unbounded submission lets fat rounds outrun the shard actors and the
+    object store (measured: the old always-blocking call accidentally
+    paced 1M-page rounds), while per-call blocking over-spawns workers.
+    Keep up to _CLAIMS_WINDOW futures outstanding per worker process and
+    drain half when the window fills — a short wait instead of a per-call
+    round-trip."""
     _PENDING.extend(futs)
     if len(_PENDING) > _CLAIMS_WINDOW:
-        done, rest = ray.wait(_PENDING, num_returns=len(_PENDING) // 2,
-                              fetch_local=False)
+        _, rest = ray.wait(_PENDING, num_returns=len(_PENDING) // 2, fetch_local=False)
         _PENDING[:] = rest
-    return n_pushed
+
+
+def send_report(set_name: str, num_shards: int, kind: str, key: int, values: dict,
+                round_idx: int) -> None:
+    """Send one task's report to shard ``key % num_shards`` of ``set_name``,
+    non-blocking like the claims it rides with (:func:`route_claims`)."""
+    _track([get_shard_actor(set_name, key % num_shards).report.remote(
+        kind, key, values, round_idx)])
 
 
 def is_actor_death(e: BaseException) -> bool:
@@ -413,25 +478,73 @@ def is_actor_death(e: BaseException) -> bool:
     return False
 
 
-def await_claims(pages: ShardedSeenSet, files: ShardedSeenSet, parsed, expected: int,
-                 max_depth: int, round_idx: int | None = None) -> bool:
-    """Delivery barrier for the NON-BLOCKING fused claims: compare the
-    shards' claims_received() totals against the claimable-row count
-    ``expected`` of the materialized parse output ``parsed`` (every
-    task/link row claims exactly once; the caller derives the count by
-    subtraction from row totals it already has — no extra Dataset
-    execution). Normally satisfied on the first poll — the claims drained
-    while parse tasks were still running; the blocking resend covers the
-    rare case of a submitting worker dying between task completion and
-    submission-queue flush (claims are idempotent within a round:
-    finish_round keeps the min packed per key, so duplicates from a
-    resend cannot change the winners). Returns True iff it resent."""
-    deadline = time.time() + 10.0
-    while time.time() < deadline:
-        if files.claims_received() + pages.claims_received() >= expected:
-            return False
+#: seconds a round barrier polls the shards for the task reports before
+#: it falls back to recomputing them from the materialised blocks
+BARRIER_S = 10.0
+
+
+def _await(sets: list[ShardedSeenSet], kind: str, done) -> list | None:
+    """Poll ``sets`` until ``done(claims received, reports of kind)``
+    -> the reports, or None once BARRIER_S has passed."""
+    deadline = time.time() + BARRIER_S
+    while True:
+        n, reports = _poll(sets, kind)
+        if done(n, reports):
+            return reports
+        if time.time() >= deadline:
+            return None
         time.sleep(0.02)
+
+
+def await_claims(pages: ShardedSeenSet, files: ShardedSeenSet, parsed, n_pages: int,
+                 max_depth: int, round_idx: int | None = None,
+                 docs_dir: str | None = None) -> dict:
+    """Delivery barrier for the NON-BLOCKING fused claims and the parse
+    reports: wait until the parse batches have reported all ``n_pages``
+    input pages and the shards have received at least the claims those
+    batches sent -> {"errors", "docs", "claims", "resent"}, the round's
+    error rows, doc rows (written to ``docs_dir`` by the tasks, when
+    given) and claims, summed from the reports with no Dataset pass.
+
+    Normally satisfied on the first poll or two. If the reports do not add
+    up within BARRIER_S (a submitting worker died between task completion
+    and submission-queue flush), every claim is resent, blocking, from the
+    materialised blocks ``parsed``, and the values are recomputed from
+    them; "resent" is then True. Claims are idempotent within a round:
+    finish_round keeps the min packed per key, so duplicates from a resend
+    cannot change the winners."""
+    def done(n_claims, reports):
+        return (sum(r["pages"] for r in reports) == n_pages
+                and n_claims >= sum(r["claims"] for r in reports))
+
+    reports = _await([pages, files], "parse", done)
+    if reports is not None:
+        out = {k: sum(r[k] for r in reports) for k in ("errors", "docs", "claims")}
+        return dict(out, resent=False)
+    import pyarrow.compute as pc
+
+    from icrawler_ray.state.checkpoint import parquet_rows
+
+    out = {"errors": 0, "docs": parquet_rows(docs_dir) if docs_dir else 0, "claims": 0,
+           "resent": True}
     for ref in parsed.to_arrow_refs():
-        route_claims(ray.get(ref), pages.name, files.name, pages.num_shards, max_depth,
-                     block=True, round_idx=round_idx)
-    return True
+        t = ray.get(ref)
+        for kind in ("error", "doc"):
+            out[kind + "s"] += pc.sum(pc.equal(t["row_kind"], kind)).as_py() or 0
+        out["claims"] += route_claims(t, pages.name, files.name, pages.num_shards, max_depth,
+                                      block=True, round_idx=round_idx)
+    return out
+
+
+def await_fetched(files: ShardedSeenSet, fetched, n_rows: int) -> tuple[np.ndarray, bool]:
+    """Barrier for the fetch reports: wait until the fetch batches have
+    reported all ``n_rows`` task rows -> (sorted packed keys of the kept
+    rows, resent). Past BARRIER_S the keys are recomputed from the
+    materialised kept rows ``fetched`` and resent is True."""
+    reports = _await([files], "fetch", lambda _n, reps: sum(r["rows"] for r in reps) == n_rows)
+    if reports is not None:
+        kept = [r["kept"] for r in reports]
+    else:
+        kept = [packed_order(ray.get(ref)) for ref in fetched.to_arrow_refs()]
+    kept = np.concatenate(kept) if kept else np.empty(0, dtype=np.int64)
+    return np.sort(kept), reports is None

@@ -1308,6 +1308,71 @@ def test_percent_rank_ties_and_single_row_partition(tmp_path):
     assert out[6] == 0.0  # single-row partition
 
 
+def test_block_rank_single_row_partition_warns_nothing():
+    """A sorted block's single-row partition ranks 0.0 without dividing by
+    zero (run in-process, so a RuntimeWarning would surface here)."""
+    import warnings
+
+    from icrawler_ray.stages.window import _block_rank
+
+    block = pa.table({"lang": ["en", "en", "en", "zh"], "n": [10, 20, 20, 99]})
+    ext = ({"en": 0, "zh": 3}, {"en": 3, "zh": 1})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _block_rank._function(block, "lang", "n", "pr", 0, 0, ext, None)
+    assert out["pr"].to_pylist() == [0.0, 0.5, 0.5, 0.0]
+
+
+def _events_dir(tmp_path, presence: dict) -> str:
+    """events.parquet with one event per (user, day) of ``presence``."""
+    import pyarrow.parquet as pq
+
+    t0 = pd.Timestamp("2024-01-01 09:30")
+    users, ts = [], []
+    for u, days in presence.items():
+        users += [u] * len(days)
+        ts += [t0 + pd.Timedelta(days=d) for d in days]
+    pq.write_table(pa.table({"user_id": pa.array(users, pa.int64()),
+                             "ts": pa.array(ts, pa.timestamp("us"))}),
+                   str(tmp_path / "events.parquet"))
+    return str(tmp_path)
+
+
+def test_cochran_q_weeks_matches_hand_value(tmp_path):
+    """Cochran's Q from a hand-built user x week presence matrix (weeks
+    0-3 from the first event's day; a day-30 event is outside them):
+
+        user 1: 1 1 0 0   user 3: 1 1 1 1
+        user 2: 1 0 0 0   user 4: 0 1 1 0
+
+    column sums C = 3 3 2 1, row sums R = 2 1 4 2, k = 4:
+    Q = (k-1)(k*sum C^2 - (sum C)^2) / (k*sum R - sum R^2)
+      = 3 * (4*23 - 81) / (4*9 - 25) = 3.0"""
+    from icrawler_ray.queries import q_cochran_q_weeks
+
+    d = _events_dir(tmp_path, {1: [0, 2, 8], 2: [1, 30], 3: [0, 7, 15, 27],
+                               4: [9, 20, 20]})
+    out = q_cochran_q_weeks(d)
+    assert out["n_users"].tolist() == [4]
+    assert out["cochran_q"].tolist() == [3.0]
+
+
+def test_cochran_q_weeks_undefined_is_nan_without_warning(tmp_path):
+    """Every user present in every week: k*sum R - sum R^2 is 0 and Q is
+    undefined, returned as NaN with no divide warning."""
+    import warnings
+
+    from icrawler_ray.queries import q_cochran_q_weeks
+
+    d = _events_dir(tmp_path, {1: [0, 7, 14, 21], 2: [1, 8, 15, 22]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = q_cochran_q_weeks(d)
+    assert np.isnan(out["cochran_q"].iloc[0])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)
+                and w.filename.endswith("queries.py")]
+
+
 def test_incremental_band_dedup_planted_pair(ray_session):
     """A new-shard doc that is a near-copy of a corpus doc is flagged;
     an unrelated new doc is kept; new-vs-new copies are NOT compared."""

@@ -664,3 +664,75 @@ def test_host_rank_ds_rewrite_1m_hosts_off_driver(ray_session):
     sample2 = out2.limit(500).to_pandas()
     np.testing.assert_allclose(sample2["priority"], 1.0 + np.log1p(2.0))
     state.reset()
+
+
+class _CountingCrawl(GreedyCrawl):
+    """Counts Ray Data executions (StreamingExecutor constructions) per
+    round, split into the gate and frontier store, whose count depends on
+    the residency, and the stages after the gate, which are one code path."""
+
+    def __init__(self, *a, executions, **kw):
+        super().__init__(*a, **kw)
+        self._n = executions
+        self.rounds = []  # (stage executions, gate+store executions, metrics)
+
+    def _counted(self, fn, *a):
+        n0 = self._n[0]
+        out = fn(*a)
+        self._frontier_n += self._n[0] - n0
+        return out
+
+    def _gate(self):
+        return self._counted(super()._gate)
+
+    def _store_frontier(self, *a):
+        return self._counted(super()._store_frontier, *a)
+
+    def _run_round(self, round_idx):
+        self._frontier_n, n0 = 0, self._n[0]
+        m = super()._run_round(round_idx)
+        self.rounds.append((self._n[0] - n0 - self._frontier_n, self._frontier_n, m))
+        return m
+
+
+@pytest.mark.parametrize("with_dir", [False, True], ids=["no_dir", "out_dir"])
+@pytest.mark.parametrize("residency", list(RESIDENCY))
+def test_executions_per_round(web, url_map_ref, tmp_path, monkeypatch, residency, with_dir):
+    """Pins the Ray Data executions of a round: parse (1), the docs
+    materialise of a crawl without a round dir (1), fetch and results
+    persist (2, with winning tasks) and link admit (1, with winning
+    links). The control values (error and doc counts, the kept files'
+    keys) ride the task reports and cost none; with a round dir the parse
+    tasks write the docs. A round that gains an execution fails here."""
+    import ray.data._internal.execution.streaming_executor as se
+
+    n = [0]
+    init = se.StreamingExecutor.__init__
+
+    def counting_init(self, *a, **kw):
+        n[0] += 1
+        init(self, *a, **kw)
+
+    monkeypatch.setattr(se.StreamingExecutor, "__init__", counting_init)
+    # 10 pages per host and round: the last round's pages find nothing new
+    pol = HostPolicy({h: {"crawl_delay_ms": 100} for h in web.host_policy}, round_ms=1000)
+    c = _CountingCrawl(url_map_ref, web.domains, policy=pol, max_depth=3, num_shards=2,
+                       executions=n, **RESIDENCY[residency],
+                       **({"out_dir": str(tmp_path)} if with_dir else {}))
+    try:
+        c.run()
+    finally:
+        c.shutdown()
+    base = 1 if with_dir else 2  # parse, + docs materialise without a dir
+    assert any(m["downloads"] for _, _, m in c.rounds)
+    last = c.rounds[-1][2]
+    assert not last["downloads"] and not last["new_links"]
+    for stages, frontier, m in c.rounds:
+        if m["downloads"]:
+            assert stages <= base + 3, (m["round"], stages)
+        elif m["new_links"]:
+            assert stages <= base + 2, (m["round"], stages)
+        else:
+            assert stages == base, (m["round"], stages)
+        # driver residency: gate and store run on the driver table
+        assert frontier <= (0 if residency == "driver" else 5), (m["round"], frontier)

@@ -273,3 +273,93 @@ def test_claim_round_fence_drops_stragglers(ray_session):
         assert seen.stats()[0]["stale_claims"] == 2
     finally:
         seen.shutdown()
+
+
+def test_shard_report_key_counts_once(ray_session):
+    """Task reports are keyed: a re-executed task's second report under
+    the same key replaces the first, a report tagged with another round
+    is dropped, and the next round starts with none."""
+    import ray
+
+    seen = ShardedSeenSet("reptest", num_shards=1, capacity_per_shard=4096)
+    try:
+        sh = seen.shards[0]
+        seen.begin_round(0)
+        for _ in range(2):
+            ray.get(sh.report.remote("parse", 5, {"pages": 3}, 0))
+        ray.get(sh.report.remote("parse", 9, {"pages": 2}, 0))
+        ray.get(sh.report.remote("parse", 11, {"pages": 7}, 1))
+        ray.get(sh.report.remote("fetch", 5, {"rows": 4}, 0))
+        _, reports = ray.get(sh.progress.remote("parse"))
+        assert sorted(r["pages"] for r in reports) == [2, 3]
+        seen.begin_round(1)
+        assert ray.get(sh.progress.remote("parse")) == (0, [])
+    finally:
+        seen.shutdown()
+
+
+def _barrier_round(url_map_ref, web, tag: str, withhold: bool, docs_dir):
+    """One crawl round's parse -> claim barrier -> winners -> fetch ->
+    fetch barrier, run through the real task functions; ``withhold``
+    builds them without the claim/report channel, so both barriers time
+    out and recompute their values from the materialised blocks."""
+    import pyarrow as pa
+    import ray.data
+
+    from icrawler_ray.pipelines.greedy import _admitted_rows
+    from icrawler_ray.stages.download import make_fetcher_fn
+    from icrawler_ray.stages.fetch_parse import make_fetch_parse_fn
+    from icrawler_ray.state.seen import (await_claims, await_fetched, begin_rounds,
+                                         finish_rounds)
+
+    urls = sorted(web.pages)[:40] + ["http://h0.example.com/missing"]
+    pages, files = (ShardedSeenSet(f"bar{tag}{k}", num_shards=2, capacity_per_shard=4096)
+                    for k in ("p", "f"))
+    try:
+        begin_rounds([pages, files], 0)
+        gated = pa.table({"url": urls, "depth": [0] * len(urls), "seq": list(range(len(urls)))})
+        claim = None if withhold else (pages.name, files.name, 2, 3)
+        parsed = ray.data.from_arrow([gated.slice(0, 16), gated.slice(16)]).map_batches(
+            make_fetch_parse_fn(url_map_ref, "greedy", {"domains": web.domains},
+                                with_keys=True, claim=claim, claim_round=0, docs_dir=docs_dir),
+            batch_format="pyarrow", batch_size=None).materialize()
+        rep = await_claims(pages, files, parsed, len(urls), 3, round_idx=0, docs_dir=docs_dir)
+        (_, task_packed), (_, link_packed) = finish_rounds([files, pages])
+        fetched = _admitted_rows(parsed, "task", task_packed).select_columns(
+            ["file_url", "parent_seq", "emit_ord"]).map_batches(
+            make_fetcher_fn(url_map_ref, report=None if withhold else (files.name, 2, 0)),
+            batch_format="pyarrow", batch_size=None).filter(expr="success == True").materialize()
+        kept, fetch_resent = await_fetched(files, fetched, len(task_packed))
+        return rep, np.sort(task_packed), np.sort(link_packed), kept, fetch_resent
+    finally:
+        pages.shutdown()
+        files.shutdown()
+
+
+@pytest.mark.parametrize("with_dir", [False, True])
+def test_barrier_resend_path_matches_reports(ray_session, url_map_ref, web, tmp_path,
+                                             monkeypatch, with_dir):
+    """With claims and reports withheld the barriers take the one recovery
+    path: claims resent from the parse blocks, counts and kept keys
+    recomputed from the blocks (and the docs dir). The values equal the
+    reported ones of a normal run, and the run is marked resent."""
+    from icrawler_ray.state import seen as seen_mod
+
+    monkeypatch.setattr(seen_mod, "BARRIER_S", 0.5)
+    out = {}
+    for withhold in (False, True):
+        docs_dir = None
+        if with_dir:
+            docs_dir = tmp_path / f"w{int(withhold)}" / "docs"
+            docs_dir.mkdir(parents=True)
+            docs_dir = str(docs_dir)
+        out[withhold] = _barrier_round(url_map_ref, web, f"{int(with_dir)}{int(withhold)}",
+                                       withhold, docs_dir)
+    (rep, tasks, links, kept, fr), (rrep, rtasks, rlinks, rkept, rfr) = out[False], out[True]
+    assert not rep.pop("resent") and not fr
+    assert rrep.pop("resent") and rfr
+    assert rep == rrep
+    assert rep["errors"] == 1 and rep["docs"] == 40 and rep["claims"] > 0
+    assert len(tasks) and len(links) and len(kept)
+    assert np.array_equal(tasks, rtasks) and np.array_equal(links, rlinks)
+    assert np.array_equal(kept, rkept)
