@@ -19,8 +19,6 @@ DEFAULT_HEADERS = {
 }
 
 # Engine knobs (scale-oriented; overridable per pipeline).
-DEFAULT_BATCH_SIZE = 4096          # rows per map_batches call in URL-metadata stages
 FETCH_BATCH_SIZE = 256             # rows per batch in fetch stages (binary-heavy)
 DEFAULT_EXT = "jpg"                # reference ImageDownloader default_ext
 IMAGE_EXT_WHITELIST = ("jpg", "jpeg", "png", "bmp", "tiff", "gif", "ppm", "pgm")
-HTML_EXT_WHITELIST = ("html", "shtml", "shtm", "php", "jsp", "asp")

@@ -36,18 +36,11 @@ IMAGE_URL_RE = re.compile(r"(http|\/\/)(.*)\.(jpg|jpeg|png|bmp|gif|tiff)")
 HTML_EXTS = frozenset(["html", "shtml", "shtm", "php", "jsp", "asp"])
 OK_SCHEMES = frozenset(["http", "https", "ftp"])
 
-_ABS_RE = re.compile(r"^(https?|ftp)://", re.I)
-
 
 def base_url_of(url: str) -> str:
     """``{scheme}://{netloc}`` of a page URL (parser.py:85 semantics)."""
     p = urlsplit(url)
     return f"{p.scheme}://{p.netloc}"
-
-
-def is_image_url(urls: pd.Series) -> pd.Series:
-    """Vectorized reference image-URL predicate (greedy.py:20)."""
-    return urls.str.match(IMAGE_URL_RE, na=False)
 
 
 def normalize_hrefs(hrefs: pd.Series, base_url: str) -> pd.Series:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import pandas as pd
 
 from icrawler_ray.defaults import DEFAULT_EXT, IMAGE_EXT_WHITELIST
-from icrawler_ray.functions.urlnorm import canonicalize_one, hash_urls, host_of_one, path_ext_one
+from icrawler_ray.functions.urlnorm import canonicalize_one, host_of_one, path_ext_one
 from icrawler_ray.pipelines.greedy import normalize_domains
 from icrawler_ray.stages.download import size_gt, size_lt
 from icrawler_ray.stages.parsers import GreedyRules
@@ -30,10 +30,6 @@ from icrawler_ray.synthweb.fetchstub import make_session
 
 _canon1 = canonicalize_one
 _host1 = host_of_one
-
-
-def _hash1(url: str) -> int:
-    return int(hash_urls([url])[0])
 
 
 def _ext1(url: str, default_ext: str) -> str:

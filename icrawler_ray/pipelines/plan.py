@@ -24,13 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from icrawler_ray.defaults import DEFAULT_EXT
-from icrawler_ray.stages.parsers import RULES_REGISTRY
 from icrawler_ray.stages.politeness import HostPolicy
-
-
-def register_rules(name: str, cls) -> None:
-    """Plug a custom parser rules class (the Parser.parse extension)."""
-    RULES_REGISTRY[name] = cls
 
 
 @dataclass

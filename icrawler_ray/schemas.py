@@ -2,8 +2,8 @@
 
 The reference is schemaless (dicts/strings on queues; see
 /root/reference/icrawler/utils/cached_queue.py:39-44 for the dynamic-typing
-contortions). This engine pins one pyarrow.Schema per logical table; all
-map_batches stages use batch_format="pyarrow" against these.
+contortions). This engine pins the pyarrow schemas its stages share: the
+span struct, the corpus documents and the URL frontier.
 """
 
 import pyarrow as pa
@@ -39,35 +39,3 @@ FRONTIER = pa.schema(
         ("parent_doc_id", pa.string()),
     ]
 )
-
-# Download tasks (parser output; reference "task dict" with required
-# file_url, /root/reference/icrawler/builtin/google.py:168).
-TASKS = pa.schema(
-    [
-        ("file_url", pa.string()),
-        ("url_hash", pa.uint64()),
-        ("host", pa.string()),
-        ("source_page", pa.string()),
-        ("meta_json", pa.string()),
-        ("order_in_page", pa.int32()),
-    ]
-)
-
-# Download results (reference task after Downloader.download mutated it,
-# /root/reference/icrawler/downloader.py:105-146 + img_size at :258).
-RESULTS = pa.schema(
-    [
-        ("file_url", pa.string()),
-        ("filename", pa.string()),
-        ("success", pa.bool_()),
-        ("status", pa.int32()),
-        ("img_w", pa.int32()),
-        ("img_h", pa.int32()),
-        ("content", pa.binary()),
-        ("error", pa.string()),
-    ]
-)
-
-
-def empty_table(schema: pa.Schema) -> pa.Table:
-    return schema.empty_table()

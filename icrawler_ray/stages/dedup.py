@@ -58,22 +58,13 @@ def shingle_hashes(texts: list[str], k: int = 3) -> list[np.ndarray]:
     return [md5_pair(sorted(_shingles(t, k))) for t in texts]
 
 
-def minhash_signature(pair: np.ndarray, num_perm: int = 64) -> np.ndarray:
-    """num_perm minimums of ``lower + p * upper (mod 2^64)`` over one
-    doc's shingle md5 pairs — standard double-hashing minhash."""
-    if len(pair) == 0:
-        return np.full(num_perm, np.iinfo(np.uint64).max, dtype=np.uint64)
-    p = np.arange(num_perm, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = pair[:, 0][:, None] + p[None, :] * pair[:, 1][:, None]
-    return z.min(axis=0)
-
-
 def minhash_signatures(pairs: list[np.ndarray], num_perm: int = 64) -> np.ndarray:
-    """Batched minhash: (n_docs, num_perm) uint64 — one flat
-    (total_shingles, num_perm) permuted-hash matrix + per-doc
-    ``minimum.reduceat`` instead of a per-doc Python loop. Bit-equal to
-    :func:`minhash_signature` row-by-row."""
+    """Batched minhash: (n_docs, num_perm) uint64 — per doc, the
+    num_perm minimums of ``lower + p * upper (mod 2^64)`` over its
+    shingle md5 pairs (standard double-hashing minhash; all-ones for a
+    doc without shingles), from one flat (total_shingles, num_perm)
+    permuted-hash matrix + per-doc ``minimum.reduceat`` instead of a
+    per-doc Python loop."""
     n = len(pairs)
     out = np.full((n, num_perm), np.iinfo(np.uint64).max, dtype=np.uint64)
     lens = np.fromiter((len(h) for h in pairs), dtype=np.int64, count=n)

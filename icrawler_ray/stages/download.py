@@ -30,6 +30,7 @@ import ray
 from icrawler_ray.defaults import DEFAULT_EXT, IMAGE_EXT_WHITELIST
 from icrawler_ray.functions.seq import assign_global_seq
 from icrawler_ray.functions.urlnorm import path_ext
+from icrawler_ray.stages.politeness import InflightGuard, walk_host_runs
 from icrawler_ray.state.seen import packed_order, send_report
 from icrawler_ray.synthweb import fakeimg
 from icrawler_ray.synthweb.fetchstub import make_session, session_spec_key
@@ -124,12 +125,7 @@ class Fetcher:
                 cls, kw, min_size=min_size, max_size=max_size)
         # exact per-host inflight caps via the named HostInflightLimiter
         # actor (stages/politeness.py); one slot per (task, host run)
-        if inflight:
-            from icrawler_ray.stages.politeness import InflightGuard
-
-            self.guard = InflightGuard(inflight)
-        else:
-            self.guard = None
+        self.guard = InflightGuard(inflight) if inflight else None
 
     def keep_file(self, content: bytes):
         """(keep, w, h): decode + size gates (ImageDownloader.keep_file,
@@ -158,28 +154,9 @@ class Fetcher:
             metas = (batch["meta_json"].to_pylist()
                      if "meta_json" in batch.column_names else [None] * n)
             tasks = [_task_from_row(urls[i], metas[i]) for i in range(n)]
-        if self.guard is not None:
-            from icrawler_ray.functions.urlnorm import host_of_one
-
-            hosts = [host_of_one(u) for u in urls]
-            order = sorted(range(n), key=hosts.__getitem__)  # stable host runs
-        else:
-            hosts, order = None, range(n)
-        held: str | None = None
-        try:
-            for i in order:
-                if hosts is not None and hosts[i] != held:
-                    if held is not None:
-                        self.guard.release(held)
-                        held = None
-                    self.guard.acquire(hosts[i])
-                    held = hosts[i]
-                self._fetch_one(i, urls[i], status, success, img_w, img_h,
-                                contents, errors,
-                                task=tasks[i] if tasks is not None else None)
-        finally:
-            if held is not None:
-                self.guard.release(held)
+        walk_host_runs(urls, self.guard, lambda i: self._fetch_one(
+            i, urls[i], status, success, img_w, img_h, contents, errors,
+            task=tasks[i] if tasks is not None else None))
         out = batch.drop_columns([c for c in ("status", "success", "img_w", "img_h", "content", "error", "task_meta") if c in batch.column_names])
         out = out.append_column("status", pa.array(status))
         out = out.append_column("success", pa.array(success))

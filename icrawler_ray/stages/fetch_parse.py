@@ -28,6 +28,7 @@ import ray
 from icrawler_ray import schemas
 from icrawler_ray.functions.urlnorm import canonicalize, hash_urls
 from icrawler_ray.stages.parsers import RULES_REGISTRY
+from icrawler_ray.stages.politeness import InflightGuard, walk_host_runs
 from icrawler_ray.state.seen import packed_order, route_claims, send_report
 from icrawler_ray.synthweb.fetchstub import make_session, session_spec_key
 
@@ -69,12 +70,7 @@ class FetchParse:
         # concurrent-request caps (politeness.py); one slot per (task,
         # host-run), URLs walked host-grouped so each host costs one
         # acquire/release round trip per batch.
-        if inflight:
-            from icrawler_ray.stages.politeness import InflightGuard
-
-            self.guard = InflightGuard(inflight)
-        else:
-            self.guard = None
+        self.guard = InflightGuard(inflight) if inflight else None
         # with_keys: compute url_canon/url_hash for task/link rows INSIDE
         # the parallel task (vectorized per batch) instead of a serial
         # driver pass — keeps the round loop's serial fraction small.
@@ -127,30 +123,13 @@ class FetchParse:
         sp_off: list = []
         span_row_idx: list = []  # row index of each doc row (for ListArray assembly)
 
-        if self.guard is not None:
-            from icrawler_ray.functions.urlnorm import host_of_one
+        def visit(i: int) -> None:
+            self._one(urls[i], depths[i], seqs[i], row_kind, page_url, status,
+                      depth_c, parent_seq, emit_ord, file_url, link_url,
+                      meta_json, doc_id, error, span_offsets, sp_kind, sp_text,
+                      sp_ref, sp_off, span_row_idx)
 
-            hosts = [host_of_one(u) for u in urls]
-            order = sorted(range(n), key=hosts.__getitem__)  # stable host runs
-        else:
-            hosts, order = None, range(n)
-        held: str | None = None
-        try:
-            for _i in order:
-                url, depth, seq = urls[_i], depths[_i], seqs[_i]
-                if hosts is not None and hosts[_i] != held:
-                    if held is not None:
-                        self.guard.release(held)
-                        held = None
-                    self.guard.acquire(hosts[_i])
-                    held = hosts[_i]
-                self._one(url, depth, seq, row_kind, page_url, status, depth_c,
-                          parent_seq, emit_ord, file_url, link_url, meta_json,
-                          doc_id, error, span_offsets, sp_kind, sp_text, sp_ref,
-                          sp_off, span_row_idx)
-        finally:
-            if held is not None:
-                self.guard.release(held)
+        walk_host_runs(urls, self.guard, visit)
 
         out = self._assemble(row_kind, page_url, status, depth_c,
                              parent_seq, emit_ord, file_url, link_url,

@@ -1,7 +1,7 @@
 """Multimodal (image/audio/video) column operators — Ray-side plumbing.
 
 Media rides as opaque ``binary`` columns with typed metadata, exactly the
-results-table layout the crawl writes (schemas.RESULTS). The decode /
+results-table layout the crawl writes (stages/download.py). The decode /
 resize / frame-sample kernels themselves need codec libraries that are NOT
 in this container (no PIL/ffmpeg) — per the build contract they are
 STUBBED: ``DecodeImage`` uses the deterministic fake codec

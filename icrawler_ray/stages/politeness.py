@@ -253,6 +253,34 @@ class InflightGuard:
         return ray.get(self._actor().stats.remote())
 
 
+def walk_host_runs(urls: list, guard: InflightGuard | None, visit) -> None:
+    """Call ``visit(i)`` for each row ``i`` of ``urls``. With a guard the
+    rows run grouped by host (stable sort) and each host run holds one
+    inflight slot, so a host costs one acquire/release round trip per
+    batch; the held slot is released even when ``visit`` raises. Without
+    a guard the rows run in input order and no host is computed."""
+    if guard is None:
+        for i in range(len(urls)):
+            visit(i)
+        return
+    from icrawler_ray.functions.urlnorm import host_of_one
+
+    hosts = [host_of_one(u) for u in urls]
+    held: str | None = None
+    try:
+        for i in sorted(range(len(urls)), key=hosts.__getitem__):
+            if hosts[i] != held:
+                if held is not None:
+                    guard.release(held)
+                    held = None
+                guard.acquire(hosts[i])
+                held = hosts[i]
+            visit(i)
+    finally:
+        if held is not None:
+            guard.release(held)
+
+
 def make_inflight_limiter(name: str, policy: HostPolicy,
                           pace: bool = False):
     """Create (or reuse) the named limiter actor from a policy's

@@ -2,9 +2,9 @@
 
 Reimplements the reference ProxyPool semantics
 (/root/reference/icrawler/utils/proxy_pool.py:12-150) as plain state that
-can live either as a singleton named Ray actor (shared weights) or as a
-per-fetch-actor copy (weight updates are commutative multiplicative, so
-per-actor copies converge — the documented trade-off):
+each fetch actor's live session holds a copy of
+(``LiveSession(proxy_state=...)``; weight updates are commutative
+multiplicative, so per-actor copies converge — the documented trade-off):
 
 - get_next(protocol): weighted random choice with weight-rejection
   resampling (proxy_pool.py:140-141)
@@ -23,8 +23,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-
-import ray
 
 WEIGHT_DECAY = 0.9
 MIN_WEIGHT = 0.2
@@ -255,32 +253,3 @@ register_scanner("ip84", scan_ip84)
 register_scanner("mimiip", scan_mimiip)
 register_scanner("cnproxy", scan_cnproxy)
 register_scanner("free_proxy_list", scan_free_proxy_list)
-
-
-@ray.remote(num_cpus=0)
-class ProxyPoolActor:
-    """Singleton shared pool (named actor). Fetch stages call
-    ``get_next``/``report`` per request when configured with one."""
-
-    def __init__(self, seed: int = 0):
-        self.state = ProxyPoolState(rng=random.Random(seed))
-
-    def add(self, addr: str, protocol: str = "http", weight: float = 1.0) -> None:
-        self.state.add(Proxy(addr=addr, protocol=protocol, weight=weight))
-
-    def get_next(self, protocol: str = "http"):
-        p = self.state.get_next(protocol)
-        return None if p is None else (p.addr, p.protocol, p.weight)
-
-    def report(self, addr: str, protocol: str, success: bool) -> None:
-        pool = self.state.proxies.get(protocol) or []
-        for p in pool:
-            if p.addr == addr:
-                (self.state.increase_weight if success else self.state.decrease_weight)(p)
-                return
-
-    def snapshot(self) -> list[tuple]:
-        return [
-            (p.addr, p.protocol, round(p.weight, 4))
-            for pool in self.state.proxies.values() for p in pool
-        ]

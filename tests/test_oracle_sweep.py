@@ -126,3 +126,48 @@ def test_brunner_munzel_matches_rank_oracle(ray_session):
     assert (got["n_weekend"], got["n_weekday"]) == (weekend.sum(), (~weekend).sum())
     assert got["bm_w"] == pytest.approx(w, abs=1e-6)
     assert got["relative_effect"] == pytest.approx(p_hat, abs=1e-6)
+
+
+def _wau_trend_both(tmp_path, weekly_users) -> tuple[pd.Series, pd.Series]:
+    """q_wau_trend and SQL_WAU_TREND over an ``events`` table whose ISO
+    weeks 2024-W01.. have ``weekly_users[k]`` distinct users (each user
+    twice in the week, so the distinct count matters)."""
+    import warnings
+
+    import numpy as np
+
+    from icrawler_ray.queries import SQL_WAU_TREND, q_wau_trend
+
+    rows = [(pd.Timestamp("2024-01-01") + pd.Timedelta(days=7 * k + r % 5, hours=r), u)
+            for k, m in enumerate(weekly_users) for u in range(m) for r in (0, 3)]
+    ev = pd.DataFrame({"event_id": np.arange(len(rows), dtype=np.int64),
+                       "ts": pd.to_datetime([t for t, _ in rows]).astype("datetime64[us]"),
+                       "user_id": np.array([u for _, u in rows], np.int64),
+                       "event_type": "view", "value": 0.0, "props": "{}"})
+    ev.to_parquet(tmp_path / "events.parquet", index=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _to_pandas(q_wau_trend(str(tmp_path))).iloc[0]
+    want = duckdb.connect().execute(SQL_WAU_TREND.replace(
+        "FROM events", f"FROM read_parquet('{tmp_path}/events.parquet')")).df().iloc[0]
+    return got, want
+
+
+def test_wau_trend_exact_fit_is_nan(tmp_path, ray_session):
+    """Exactly linear weekly counts leave no residual: t is undefined,
+    NaN on the engine (without a warning) and NULL in the oracle."""
+    import math
+
+    got, want = _wau_trend_both(tmp_path, [2, 4, 6, 8])
+    assert got["n_weeks"] == want["n_weeks"] == 4
+    assert got["slope"] == want["slope"] == 2.0
+    assert math.isnan(got["t_stat"]) and math.isnan(want["t_stat"])
+
+
+def test_wau_trend_t_stat_by_hand(tmp_path, ray_session):
+    """Weekly users 1, 3, 2, 4 over x = 0..3: slope Sxy/Sxx = 4/5 = 0.8,
+    residuals -0.3, 0.9, -0.9, 0.3, so SSR = 1.8, s² = 0.9,
+    se = √(0.9/5) and t = 0.8/√0.18 = 4√2/3."""
+    got, want = _wau_trend_both(tmp_path, [1, 3, 2, 4])
+    assert got["slope"] == want["slope"] == 0.8
+    assert got["t_stat"] == want["t_stat"] == round(4 * 2 ** 0.5 / 3, 6)

@@ -219,6 +219,62 @@ def test_inflight_uncapped_host_passes_through(ray_session):
     ray.kill(a)
 
 
+class _RecordingGuard:
+    """Stands in for InflightGuard: logs each acquire/release."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def acquire(self, host):
+        self.log.append(("acquire", host))
+
+    def release(self, host):
+        self.log.append(("release", host))
+
+
+WALK_URLS = ["http://a.com/1", "http://b.com/1", "http://a.com/2",
+             "http://c.com/1", "http://b.com/2"]
+
+
+def test_walk_host_runs_one_slot_per_host_run():
+    from icrawler_ray.stages.politeness import walk_host_runs
+
+    log = []
+    walk_host_runs(WALK_URLS, _RecordingGuard(log), lambda i: log.append(i))
+    assert log == [("acquire", "a.com"), 0, 2, ("release", "a.com"),
+                   ("acquire", "b.com"), 1, 4, ("release", "b.com"),
+                   ("acquire", "c.com"), 3, ("release", "c.com")]
+
+
+def test_walk_host_runs_releases_held_slot_when_visit_raises():
+    from icrawler_ray.stages.politeness import walk_host_runs
+
+    log = []
+
+    def visit(i):
+        log.append(i)
+        if i == 4:
+            raise RuntimeError("fetch failed")
+
+    with pytest.raises(RuntimeError, match="fetch failed"):
+        walk_host_runs(WALK_URLS, _RecordingGuard(log), visit)
+    assert log == [("acquire", "a.com"), 0, 2, ("release", "a.com"),
+                   ("acquire", "b.com"), 1, 4, ("release", "b.com")]
+
+
+def test_walk_host_runs_without_guard_keeps_input_order(monkeypatch):
+    import icrawler_ray.functions.urlnorm as urlnorm
+    from icrawler_ray.stages.politeness import walk_host_runs
+
+    def no_hosts(url):
+        raise AssertionError("host computed without a guard")
+
+    monkeypatch.setattr(urlnorm, "host_of_one", no_hosts)
+    seen = []
+    walk_host_runs(WALK_URLS, None, seen.append)
+    assert seen == [0, 1, 2, 3, 4]
+
+
 def test_crawl_parity_with_inflight_enforcement(ray_session):
     """enforce_inflight=True must not change crawl outputs (the cap only
     re-times fetches; ordering is defined by sort keys, not arrival)."""

@@ -3,9 +3,10 @@
 - The FIRST 50 ``QUERIES`` entries are the correctness window checked
   against their oracles, so their names and order are pinned.
 - Every ``ORACLE_SQL`` entry belongs to a query.
-- Every top-level function and constant of the module is used, so a cut
-  of queries cannot leave dead helpers or SQL constants behind (no lint
-  tool runs in CI; this is the stdlib ``ast`` check).
+- Every top-level function, class and constant of every package module
+  is used, so a cut of queries cannot leave dead helpers or SQL
+  constants behind, nor any other change dead code (no lint tool runs
+  in CI; this is the stdlib ``ast`` check).
 - The README's query tally is the registry's size.
 """
 
@@ -17,7 +18,6 @@ import os.path as osp
 import re
 
 ROOT = osp.dirname(osp.dirname(osp.abspath(__file__)))
-QUERIES_PY = osp.join(ROOT, "icrawler_ray", "queries.py")
 
 #: the correctness window, in order
 WINDOW = [
@@ -51,39 +51,100 @@ def test_every_oracle_has_a_query():
     assert sorted(set(ORACLE_SQL) - set(QUERIES)) == []
 
 
-def _imported_by_tests() -> set[str]:
-    """Names the test modules import from icrawler_ray.queries."""
-    names = set()
-    tests = osp.join(ROOT, "tests")
-    for fn in os.listdir(tests):
-        if fn.endswith(".py"):
-            with open(osp.join(tests, fn)) as f:
-                tree = ast.parse(f.read())
-            names.update(a.name for node in ast.walk(tree)
-                         if isinstance(node, ast.ImportFrom)
-                         and node.module == "icrawler_ray.queries"
-                         for a in node.names)
-    return names
+#: where a use of a package name may come from, besides its own module
+USER_DIRS = ("icrawler_ray", "scripts", "perfbench", "tests")
+USER_FILES = ("bench.py", "__ray_entry__.py")
 
 
-def test_every_toplevel_name_is_used():
-    with open(QUERIES_PY) as f:
-        tree = ast.parse(f.read())
-    defined = {}  # name -> its defining top-level statement
+def _py_files(*dirs: str) -> list[str]:
+    out = []
+    for d in dirs:
+        for dp, dns, fns in os.walk(osp.join(ROOT, d)):
+            dns[:] = [n for n in dns if n != "__pycache__"]
+            out += [osp.join(dp, f) for f in sorted(fns) if f.endswith(".py")]
+    return out
+
+
+def _module_of(path: str) -> str:
+    mod = osp.relpath(path, ROOT)[:-3].replace(os.sep, ".")
+    return mod.removesuffix(".__init__")
+
+
+def _dotted(node) -> str | None:
+    """``a.b.c`` for a Name/Attribute chain, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def _external_uses(trees) -> set[tuple[str, str]]:
+    """(module, name) pairs some file imports from a package module or
+    reads as an attribute of an imported package module."""
+    uses = set()
+    for tree in trees:
+        aliases = {}  # local name -> the package module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("icrawler_ray"):
+                for a in node.names:
+                    uses.add((node.module, a.name))
+                    aliases[a.asname or a.name] = f"{node.module}.{a.name}"
+            elif isinstance(node, ast.Import):
+                for a in node.names:  # `import a.b as x` binds x to a.b; `import a.b` binds a
+                    if a.name.startswith("icrawler_ray"):
+                        local = a.asname or a.name.split(".")[0]
+                        aliases[local] = a.name if a.asname else local
+        for node in ast.walk(tree):
+            base = isinstance(node, ast.Attribute) and _dotted(node.value)
+            if base:
+                head, _, rest = base.partition(".")
+                if head in aliases:
+                    uses.add((".".join(filter(None, [aliases[head], rest])), node.attr))
+    return uses
+
+
+def _toplevel_defs(tree) -> set[str]:
+    defined = set()
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            defined[node.name] = node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for t in targets:  # tuple targets: `_CHUNK_W, _CHUNK_S = 64, 48`
-                defined.update((n.id, node) for n in ast.walk(t) if isinstance(n, ast.Name))
-    used = _imported_by_tests()
+                defined.update(n.id for n in ast.walk(t) if isinstance(n, ast.Name))
+    return defined
+
+
+def _own_loads(tree) -> set[str]:
+    used = set()
     for node in tree.body:
-        own = {node.name} if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else set()
+        own = {node.name} if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else set()
         used.update(n.id for n in ast.walk(node)
                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
                     and n.id not in own)  # recursion is not a use
-    assert sorted(set(defined) - used) == []
+    return used
+
+
+def test_every_toplevel_name_is_used():
+    """Every top-level function, class and constant of every package
+    module is loaded in its own module, or imported or read off the
+    module by another package module, scripts/, perfbench/, tests/,
+    bench.py or __ray_entry__.py. Dunder names are exempt."""
+    trees = {}
+    for path in _py_files(*USER_DIRS) + [osp.join(ROOT, f) for f in USER_FILES]:
+        with open(path) as f:
+            trees[path] = ast.parse(f.read())
+    uses = _external_uses(trees.values())
+    unused = []
+    for path in _py_files("icrawler_ray"):
+        mod, tree = _module_of(path), trees[path]
+        used = _own_loads(tree) | {n for m, n in uses if m == mod}
+        unused += [f"{mod}.{n}" for n in sorted(_toplevel_defs(tree) - used)
+                   if not (n.startswith("__") and n.endswith("__"))]
+    assert unused == []
 
 
 def test_readme_tally_matches_registry():
