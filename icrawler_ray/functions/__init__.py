@@ -3,5 +3,4 @@ from icrawler_ray.functions.urlnorm import (  # noqa: F401
     classify_greedy,
     hash_urls,
     hosts_of,
-    normalize_hrefs,
 )

@@ -4,18 +4,23 @@ Reimplements (from semantics, not code) the URL handling scattered through
 the reference:
 
 - base-url derivation ``{scheme}://{netloc}`` (/root/reference/icrawler/parser.py:85)
-- href normalization: ``//``->``http:`` + rstrip("/"); leading ``/`` ->
-  urljoin(base, href.strip("/")); ``#`` and len<2 skipped; everything else
-  urljoin(base, href.rstrip("/"))  (/root/reference/icrawler/builtin/greedy.py:43-53)
 - image-URL predicate ``re.match(r"(http|//)(.*)\\.(jpg|jpeg|png|bmp|gif|tiff)")``
   (/root/reference/icrawler/builtin/greedy.py:20,31-38,55-57)
 - discard taxonomy: non-HTML file extension, ``javascript:`` prefix,
   non-{http,https,ftp} scheme (/root/reference/icrawler/builtin/greedy.py:58-67)
 - path-extension extraction for filenames (/root/reference/icrawler/downloader.py:74-75)
 
-All functions are **vectorized** over pandas Series of strings (pandas str
-kernels are C-backed); the per-row fallback paths are only hit for rare
-malformed URLs. Hashing uses ``pandas.util.hash_array`` (stable 64-bit
+(href normalization lives in the greedy parser, ``GreedyRules._norm_href``.)
+
+Dedup keys come from one scalar kernel, :func:`canonical_urls`, run over
+plain Python lists. Most crawl URLs are already canonical (``http(s)://``,
+lowercase host without a port, no fragment, no trailing slash); the kernel
+returns those unchanged after a few string tests and sends only the rest
+through the regex :func:`canonicalize_one`. :func:`host_of_one` has the
+same kind of fast path. :func:`canonicalize` and :func:`hosts_of` are thin
+pandas Series wrappers over them, for callers that hold a Series.
+:func:`classify_greedy` and :func:`path_ext` stay vectorized over pandas
+str kernels. Hashing uses ``pandas.util.hash_array`` (stable 64-bit
 SipHash with a fixed key -> deterministic across processes and runs; chosen
 because xxhash is not installed in this environment).
 """
@@ -23,7 +28,7 @@ because xxhash is not installed in this environment).
 from __future__ import annotations
 
 import re
-from urllib.parse import urljoin, urlsplit
+from urllib.parse import urlsplit
 
 import numpy as np
 import pandas as pd
@@ -43,64 +48,6 @@ def base_url_of(url: str) -> str:
     return f"{p.scheme}://{p.netloc}"
 
 
-def normalize_hrefs(hrefs: pd.Series, base_url: str) -> pd.Series:
-    """Vectorized href normalization with the reference's exact rules
-    (greedy.py:43-53). Returns normalized URLs; rows that the reference
-    skips (len<2, fragment-leading) become NaN.
-    """
-    s = hrefs.astype("string")
-    out = pd.Series(pd.NA, index=s.index, dtype="string")
-
-    too_short = s.str.len() < 2
-    frag = s.str.startswith("#") & ~too_short
-    proto_rel = s.str.startswith("//") & ~too_short
-    root_rel = s.str.startswith("/") & ~proto_rel & ~too_short
-    rest = ~(too_short | frag | proto_rel | root_rel)
-
-    out[proto_rel] = "http:" + s[proto_rel].str.rstrip("/")
-    # urljoin(base, href.strip("/")) where base has no path => base + "/" + x
-    # — ONLY for plain path strings. Everything urljoin treats specially
-    # (leading '?'/'#'/';'/'.', a colon in the first segment, dot-segments)
-    # takes the per-row urljoin fallback. Property-fuzzed against the
-    # scalar twin (tests/test_urlnorm.py).
-    root_vals = s[root_rel].str.strip("/")
-    root_simple = (
-        root_vals.str.match(r"^(?![.;?#\s])(?![^/]*:).", na=False)
-        # urljoin splits off ';params', '?query' and '#frag' before dot
-        # removal, so '.;x' or '..?y' are dot-segments too
-        & ~root_vals.str.contains(r"(?:^|/)\.\.?(?:[/;?#]|$)", regex=True, na=False)
-        & ~root_vals.str.contains("//", regex=False, na=False)
-        & ~root_vals.str.contains(r";[?#]", regex=True, na=False)
-        & ~root_vals.str.contains(r"\?#", regex=True, na=False)
-        & ~root_vals.str.contains(r"[\t\r\n]", regex=True, na=False)
-        & ~root_vals.str.match(r".*[;?#\s]$", na=False)
-    )
-    out[root_vals[root_simple].index] = base_url.rstrip("/") + "/" + root_vals[root_simple]
-    for i in root_vals[~root_simple].index:
-        out[i] = urljoin(base_url, root_vals[i])
-    # the else-branch: urljoin(base, href.rstrip("/")). Fast passthrough for
-    # (a) well-formed absolute http(s) URLs — same conditions as the scalar
-    # fast path (non-empty netloc, no bare trailing ?/#) — and (b) hrefs
-    # with a NON-http(s) scheme, which urljoin returns unchanged when the
-    # scheme differs from the base's. 'http:x'-style same-scheme-no-netloc
-    # hrefs get relative resolution and must take the fallback.
-    rest_vals = s[rest].str.rstrip("/")
-    abs_http = (rest_vals.str.match(r"^https?://[^/]", na=False)
-                & ~rest_vals.str.match(r".*[?#\s]$", na=False)
-                & ~rest_vals.str.contains(r"\?#", regex=True, na=False)
-                & ~rest_vals.str.contains(r"[;\t\r\n]", regex=True, na=False))
-    other_scheme = (rest_vals.str.match(r"^[A-Za-z][A-Za-z0-9+.\-]*:", na=False)
-                    & ~rest_vals.str.match(r"^https?:", na=False)
-                    & ~rest_vals.str.match(r".*\s$", na=False)
-                    & ~rest_vals.str.contains(r"[\t\r\n]", regex=True, na=False))
-    abs_mask = abs_http | other_scheme
-    out[rest_vals[abs_mask].index] = rest_vals[abs_mask]
-    rel_idx = rest_vals[~abs_mask].index
-    if len(rel_idx):
-        out[rel_idx] = [urljoin(base_url, h) for h in rest_vals[~abs_mask]]
-    return out
-
-
 def classify_greedy(urls: pd.Series, domains: list[str]) -> pd.Series:
     """Vectorized greedy-parser URL classification (greedy.py:55-67).
 
@@ -108,7 +55,8 @@ def classify_greedy(urls: pd.Series, domains: list[str]) -> pd.Series:
       file    -> matches the image pattern (emitted as a download task)
       page    -> same-domain HTML-ish link (fed back into the frontier)
       discard -> everything else
-    Input URLs are assumed already normalized by :func:`normalize_hrefs`.
+    Input URLs are assumed already normalized the way the greedy parser
+    normalizes hrefs (``GreedyRules._norm_href``).
     """
     s = urls.astype("string")
     kind = pd.Series("discard", index=s.index, dtype="string")
@@ -137,60 +85,102 @@ def classify_greedy(urls: pd.Series, domains: list[str]) -> pd.Series:
     return kind
 
 
-def canonicalize(urls: pd.Series) -> pd.Series:
-    """Canonical form used for dedup keys: lowercase scheme+host, default
-    port stripped, fragment stripped, trailing slash stripped. Vectorized
-    via regex capture; rows that don't look like absolute URLs pass through
-    rstrip("/") unchanged (the reference deduplicates raw strings,
-    cached_queue.py:39-51 — our canonical form is strictly stronger).
-    """
-    s = urls.astype("string")
-    s = s.str.split("#").str[0]
-    m = s.str.extract(r"^([A-Za-z][A-Za-z0-9+.-]*)://([^/]*)(.*)$")
-    scheme = m[0].str.lower()
-    host = m[1].str.lower()
-    rest = m[2].fillna("")
-    host = host.mask(scheme == "http", host.str.replace(r":80$", "", regex=True))
-    host = host.mask(scheme == "https", host.str.replace(r":443$", "", regex=True))
-    out = (scheme + "://" + host + rest).str.rstrip("/")
-    out = out.fillna(s.str.rstrip("/"))
-    return out
-
-
-def hosts_of(urls: pd.Series) -> pd.Series:
-    """Vectorized host (netloc lowercased, port stripped) extraction —
-    politeness/robots group key, port-agnostic."""
-    h = urls.astype("string").str.extract(r"^[A-Za-z][A-Za-z0-9+.-]*://([^/]*)", expand=False).str.lower()
-    return h.str.replace(r":\d+$", "", regex=True).fillna("")
-
-
 _CANON_RE = re.compile(r"^([A-Za-z][A-Za-z0-9+.-]*)://([^/]*)(.*)$")
 _HOST_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*://([^/]*)")
+_DEFAULT_PORT_RE = {"http": re.compile(r":80$"), "https": re.compile(r":443$")}
+_PORT_RE = re.compile(r":\d+$")
 
 
 def canonicalize_one(url: str) -> str:
-    """Scalar twin of :func:`canonicalize` (same output, no pandas) — used
-    by the sequential oracle where per-row Series construction would
-    dominate; equality with the vectorized version is unit-tested."""
+    """Canonical form used for dedup keys: lowercase scheme+host, default
+    port stripped, fragment stripped, trailing slash stripped. A string
+    that does not look like an absolute URL only loses its fragment and
+    trailing slashes (the reference deduplicates raw strings,
+    cached_queue.py:39-51 — our canonical form is strictly stronger).
+
+    This is the regex definition; :func:`canonical_urls` calls it for every
+    URL its fast path cannot prove canonical. ``$`` also matches before a
+    final newline, so ``"http://h.com:80\n/x"`` loses its port too."""
     u = url.split("#")[0]
     m = _CANON_RE.match(u)
     if not m:
         return u.rstrip("/")
     scheme = m.group(1).lower()
     host = m.group(2).lower()
-    if scheme == "http" and host.endswith(":80"):
-        host = host[:-3]
-    elif scheme == "https" and host.endswith(":443"):
-        host = host[:-4]
+    port = _DEFAULT_PORT_RE.get(scheme)
+    if port is not None:
+        host = port.sub("", host)
     return (scheme + "://" + host + m.group(3)).rstrip("/")
 
 
+def canonical_urls(urls: list) -> list:
+    """:func:`canonicalize_one` over a list of strings. A URL comes back
+    unchanged, without a regex, when it starts with ``http://`` or
+    ``https://``, its netloc (up to the next ``/``) is non-empty, lowercase
+    and has no ``:``, it has no ``#`` and no newline, and it does not end
+    in ``/`` — the canonical form of such a URL is the URL itself."""
+    out = []
+    append = out.append
+    for u in urls:
+        if u.startswith("http://"):
+            start = 7
+        elif u.startswith("https://"):
+            start = 8
+        else:
+            append(canonicalize_one(u))
+            continue
+        end = u.find("/", start)
+        host = u[start:end] if end >= 0 else u[start:]
+        if (host and ":" not in host and host == host.lower() and "#" not in u
+                and "\n" not in u and u[-1] != "/"):
+            append(u)
+        else:
+            append(canonicalize_one(u))
+    return out
+
+
 def host_of_one(url: str) -> str:
-    """Scalar twin of :func:`hosts_of`."""
-    m = _HOST_RE.match(url)
-    if not m:
-        return ""
-    return re.sub(r":\d+$", "", m.group(1).lower())
+    """Host of a URL: netloc lowercased, any ``:<digits>`` port stripped,
+    "" without a ``scheme://`` — the politeness/robots group key,
+    port-agnostic."""
+    if url.startswith("http://") or url.startswith("https://"):
+        start = url.index("://") + 3
+        end = url.find("/", start)
+        host = (url[start:end] if end >= 0 else url[start:]).lower()
+    else:
+        m = _HOST_RE.match(url)
+        if not m:
+            return ""
+        host = m.group(1).lower()
+    head, colon, port = host.rpartition(":")
+    if colon and port.isdecimal():  # isdecimal() is the regex's \d
+        return head
+    return _PORT_RE.sub("", host) if "\n" in host else host
+
+
+def _map_series(kernel, urls: pd.Series) -> pd.Series:
+    """``kernel`` (a list -> list function) over a Series of URLs, keeping
+    its index; the result has ``string`` dtype and NA where the input is
+    NA."""
+    s = urls.astype("string")
+    vals = np.asarray(s.array, dtype=object)
+    na = s.isna().to_numpy()
+    if na.any():
+        vals = vals.copy()
+        vals[na] = ""
+    out = np.asarray(kernel(vals.tolist()), dtype=object)
+    out[na] = pd.NA
+    return pd.Series(pd.arrays.StringArray(out), index=s.index)
+
+
+def canonicalize(urls: pd.Series) -> pd.Series:
+    """:func:`canonical_urls` over a Series (NA stays NA)."""
+    return _map_series(canonical_urls, urls)
+
+
+def hosts_of(urls: pd.Series) -> pd.Series:
+    """:func:`host_of_one` over a Series (NA stays NA)."""
+    return _map_series(lambda vals: [host_of_one(u) for u in vals], urls)
 
 
 def path_ext_one(url: str) -> str:

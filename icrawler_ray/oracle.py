@@ -16,8 +16,6 @@ reference's when the reference runs 1 thread per stage and the intended
 
 from __future__ import annotations
 
-import pandas as pd
-
 from icrawler_ray.defaults import DEFAULT_EXT, IMAGE_EXT_WHITELIST
 from icrawler_ray.functions.urlnorm import canonicalize_one, host_of_one, path_ext_one
 from icrawler_ray.pipelines.greedy import normalize_domains

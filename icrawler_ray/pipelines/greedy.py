@@ -52,14 +52,13 @@ import time
 import uuid
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data
 
 from icrawler_ray.defaults import DEFAULT_EXT
 from icrawler_ray.functions.seq import cluster_cpus, from_table_blocks
-from icrawler_ray.functions.urlnorm import canonicalize, hash_urls, hosts_of
+from icrawler_ray.functions.urlnorm import canonical_urls, hash_urls, host_of_one
 from icrawler_ray.schemas import FRONTIER
 from icrawler_ray.stages.download import make_fetcher_fn, name_files
 from icrawler_ray.stages.fetch_parse import DOC_COLUMNS, make_fetch_parse_fn
@@ -100,15 +99,14 @@ def normalize_domains(domains) -> list[str]:
 def _frontier_table(urls: list, depths, seqs, parents=None) -> pa.Table:
     """FRONTIER rows for seed or newly admitted URLs: canonical form, key
     hash and host are derived here; priority starts flat at 1.0."""
-    s = pd.Series(urls, dtype="string")
-    canon = canonicalize(s).fillna("")
-    n = len(s)
+    canon = canonical_urls(urls)
+    n = len(urls)
     return pa.table(
         {
-            "url": pa.array(s.astype(object), type=pa.string()),
-            "url_canon": pa.array(canon.astype(object), type=pa.string()),
+            "url": pa.array(urls, type=pa.string()),
+            "url_canon": pa.array(canon, type=pa.string()),
             "url_hash": pa.array(hash_urls(canon), type=pa.uint64()),
-            "host": pa.array(hosts_of(s).astype(object), type=pa.string()),
+            "host": pa.array([host_of_one(u) for u in urls], type=pa.string()),
             "depth": pa.array(np.asarray(depths, dtype=np.int32)),
             "priority": pa.array(np.ones(n, dtype=np.float64)),
             "discovered_seq": pa.array(np.asarray(seqs, dtype=np.int64)),
@@ -236,10 +234,12 @@ class GreedyCrawl:
         n = len(self.seed_urls)
         t = _frontier_table(self.seed_urls, [0] * n, range(n))
         # seed dedup + seen-mark (enqueue-time semantics, cached_queue.py:53-59)
-        df = t.to_pandas().drop_duplicates("url_canon", keep="first")
-        novel = self.seen_pages.filter_and_insert_array(df["url_hash"].to_numpy())
-        df = df[novel]
-        self._set_frontier(pa.Table.from_pandas(df, preserve_index=False).cast(FRONTIER))
+        first: dict = {}
+        for i, c in enumerate(t["url_canon"].to_pylist()):
+            first.setdefault(c, i)
+        t = t.take(np.fromiter(first.values(), dtype=np.int64, count=len(first)))
+        novel = self.seen_pages.filter_and_insert_array(t["url_hash"].to_numpy())
+        self._set_frontier(t.filter(pa.array(novel)))
         self.next_seq = n
 
     def _resume(self, manifest: dict) -> None:

@@ -17,21 +17,20 @@ import pyarrow as pa
 import ray
 
 from icrawler_ray.defaults import DEFAULT_EXT, FETCH_BATCH_SIZE
-from icrawler_ray.functions.urlnorm import canonicalize, hash_urls
+from icrawler_ray.functions.urlnorm import canonical_urls, hash_urls
 from icrawler_ray.sources.seeds import seed_dataset
 from icrawler_ray.stages.download import Fetcher, assign_filenames
 
 
 def to_tasks(batch: pa.Table) -> pa.Table:
     """PseudoParser projection: url -> {file_url} (urllist.py:31) plus the
-    dedup keys, vectorized."""
-    urls = pd.Series(batch["url"].to_pylist(), dtype="string")
-    canon = canonicalize(urls)
+    dedup keys."""
+    canon = canonical_urls(batch["url"].to_pylist())
     return pa.table(
         {
             "file_url": batch["url"],
-            "url_canon": pa.array(canon.astype(object), type=pa.string()),
-            "url_hash": pa.array(hash_urls(canon.fillna("")), type=pa.uint64()),
+            "url_canon": pa.array(canon, type=pa.string()),
+            "url_hash": pa.array(hash_urls(canon), type=pa.uint64()),
         }
     )
 

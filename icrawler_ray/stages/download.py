@@ -25,7 +25,6 @@ import json
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray
 
 from icrawler_ray.defaults import DEFAULT_EXT, IMAGE_EXT_WHITELIST
 from icrawler_ray.functions.seq import assign_global_seq

@@ -22,17 +22,15 @@ from __future__ import annotations
 import os
 import os.path as osp
 
+import numpy as np
 import pyarrow as pa
-import ray
 
 from icrawler_ray import schemas
-from icrawler_ray.functions.urlnorm import canonicalize, hash_urls
+from icrawler_ray.functions.urlnorm import canonical_urls, hash_urls
 from icrawler_ray.stages.parsers import RULES_REGISTRY
 from icrawler_ray.stages.politeness import InflightGuard, walk_host_runs
 from icrawler_ray.state.seen import packed_order, route_claims, send_report
 from icrawler_ray.synthweb.fetchstub import make_session, session_spec_key
-
-import pandas as pd
 
 FETCH_PARSE_SCHEMA = pa.schema(
     [
@@ -97,8 +95,6 @@ class FetchParse:
         inline (no per-row closure), spans as one flat StructArray +
         offsets (no per-span dicts) — ~2-3x over the naive row-dict build
         at bench scale."""
-        import numpy as np  # noqa: F401 (used throughout)
-
         urls = batch["url"].to_pylist()
         n = len(urls)
         depths = batch["depth"].to_pylist() if "depth" in batch.column_names else [0] * n
@@ -120,21 +116,20 @@ class FetchParse:
         sp_kind: list = []
         sp_text: list = []
         sp_ref: list = []
-        sp_off: list = []
         span_row_idx: list = []  # row index of each doc row (for ListArray assembly)
 
         def visit(i: int) -> None:
             self._one(urls[i], depths[i], seqs[i], row_kind, page_url, status,
                       depth_c, parent_seq, emit_ord, file_url, link_url,
                       meta_json, doc_id, error, span_offsets, sp_kind, sp_text,
-                      sp_ref, sp_off, span_row_idx)
+                      sp_ref, span_row_idx)
 
         walk_host_runs(urls, self.guard, visit)
 
         out = self._assemble(row_kind, page_url, status, depth_c,
                              parent_seq, emit_ord, file_url, link_url,
                              meta_json, doc_id, error, span_offsets, sp_kind,
-                             sp_text, sp_ref, sp_off, span_row_idx)
+                             sp_text, sp_ref, span_row_idx)
         if self.docs_dir is not None and n:
             out = self._write_docs(out, min(seqs))
         if self.claim is not None:
@@ -164,7 +159,7 @@ class FetchParse:
 
     def _one(self, url, depth, seq, row_kind, page_url, status, depth_c,
              parent_seq, emit_ord, file_url, link_url, meta_json, doc_id,
-             error, span_offsets, sp_kind, sp_text, sp_ref, sp_off,
+             error, span_offsets, sp_kind, sp_text, sp_ref,
              span_row_idx) -> None:
         try:
             resp = self.session.get(url)
@@ -187,10 +182,11 @@ class FetchParse:
             file_url.append(""); link_url.append(""); meta_json.append("")
             doc_id.append(url); error.append("")
             span_row_idx.append(len(row_kind) - 1)
-            for i, (k, t, r) in enumerate(spans):
-                sp_kind.append(k); sp_text.append(t); sp_ref.append(r); sp_off.append(i)
+            if spans:
+                kinds, texts, refs = zip(*spans)
+                sp_kind.extend(kinds); sp_text.extend(texts); sp_ref.extend(refs)
             span_offsets.append(len(sp_kind))
-        for ord_, em in enumerate(emissions):
+        for em in emissions:
             if em[0] == "task":
                 row_kind.append("task"); file_url.append(em[1]); link_url.append("")
                 meta_json.append(em[2])
@@ -202,16 +198,15 @@ class FetchParse:
             else:
                 row_kind.append("link"); file_url.append(""); link_url.append(em[1])
                 meta_json.append("")
-            page_url.append(url); status.append(resp.status_code)
-            depth_c.append(depth); parent_seq.append(seq); emit_ord.append(ord_)
-            doc_id.append(""); error.append("")
+        m = len(emissions)
+        page_url.extend([url] * m); status.extend([resp.status_code] * m)
+        depth_c.extend([depth] * m); parent_seq.extend([seq] * m); emit_ord.extend(range(m))
+        doc_id.extend([""] * m); error.extend([""] * m)
 
     def _assemble(self, row_kind, page_url, status, depth_c, parent_seq,
                   emit_ord, file_url, link_url, meta_json, doc_id, error,
-                  span_offsets, sp_kind, sp_text, sp_ref, sp_off,
+                  span_offsets, sp_kind, sp_text, sp_ref,
                   span_row_idx) -> pa.Table:
-        import numpy as np
-
         total = len(row_kind)
         if self.slim:
             # slim schema for throughput mode: ints + the two URL columns
@@ -228,28 +223,23 @@ class FetchParse:
                 }
             )
             return self._finish(out, file_url, link_url)
-        # spans column: null for non-doc rows; doc rows take consecutive
-        # slices of the flat struct array.
+        # spans column: doc rows take consecutive slices of the flat struct
+        # array (a span's offset is its position in its doc's slice); other
+        # rows get empty slices and a null mask.
+        span_lens = np.diff(span_offsets)
+        sp_off = np.arange(len(sp_kind), dtype=np.int32) - np.repeat(
+            np.asarray(span_offsets[:-1], dtype=np.int32), span_lens)
         struct = pa.StructArray.from_arrays(
             [pa.array(sp_kind, type=pa.string()), pa.array(sp_text, type=pa.string()),
              pa.array(sp_ref, type=pa.string()), pa.array(sp_off, type=pa.int32())],
             fields=list(schemas.SPAN_STRUCT),
         )
-        # doc rows take consecutive slices of the flat struct array; other
-        # rows get empty slices and a null mask.
+        lengths = np.zeros(total, dtype=np.int32)
+        lengths[span_row_idx] = span_lens
         offsets = np.zeros(total + 1, dtype=np.int32)
+        np.cumsum(lengths, out=offsets[1:])
         mask = np.ones(total, dtype=bool)  # True = null (pyarrow mask convention)
-        if span_row_idx:
-            mask[np.asarray(span_row_idx)] = False
-        pos = 0
-        doc_iter = iter(zip(span_row_idx, span_offsets[1:]))
-        nxt = next(doc_iter, None)
-        for i in range(total):
-            offsets[i] = pos
-            if nxt is not None and i == nxt[0]:
-                pos = nxt[1]
-                nxt = next(doc_iter, None)
-        offsets[total] = pos
+        mask[span_row_idx] = False
         spans_arr = pa.ListArray.from_arrays(
             pa.array(offsets, type=pa.int32()), struct,
             mask=pa.array(mask) if total else None,
@@ -276,15 +266,11 @@ class FetchParse:
 
     def _finish(self, out: pa.Table, file_url, link_url) -> pa.Table:
         if self.with_keys:
-            # one vectorized pass: tasks use file_url, links use link_url.
-            # Only the 64-bit hash ships (dedup/seen key); the canonical
-            # string is recomputed downstream for the few admitted rows —
-            # shipping it for every emission would double the table bytes.
-            merged = pd.Series(file_url, dtype="string")
-            lnk = pd.Series(link_url, dtype="string")
-            merged = merged.mask(merged == "", lnk)
-            canon = canonicalize(merged)
-            uh = hash_urls(canon.fillna(""))
+            # one pass: tasks use file_url, links use link_url. Only the
+            # 64-bit hash ships (dedup/seen key); the canonical string is
+            # recomputed downstream for the few admitted rows — shipping it
+            # for every emission would double the table bytes.
+            uh = hash_urls(canonical_urls([f or l for f, l in zip(file_url, link_url)]))
             out = out.append_column("url_hash", pa.array(uh, type=pa.uint64()))
             # packed order key: min over a hash group == min (parent_seq,
             # emit_ord), the first emission
@@ -339,13 +325,12 @@ def make_fetch_parse_fn(url_map_ref, rules: str, rules_kwargs: dict | None = Non
 
 def task_rows(ds):
     """Task rows of a FetchParse output dataset, with canonical URL + hash
-    columns appended vectorized (dedup keys, SURVEY.md F5/Q1)."""
+    columns appended per batch (dedup keys, SURVEY.md F5/Q1)."""
 
     def with_keys(t: pa.Table) -> pa.Table:
-        canon = canonicalize(pd.Series(t["file_url"].to_pylist(), dtype="string"))
-        t = t.append_column("url_canon", pa.array(canon.astype(object), type=pa.string()))
-        return t.append_column("url_hash", pa.array(hash_urls(canon.fillna("")),
-                                                     type=pa.uint64()))
+        canon = canonical_urls(t["file_url"].to_pylist())
+        t = t.append_column("url_canon", pa.array(canon, type=pa.string()))
+        return t.append_column("url_hash", pa.array(hash_urls(canon), type=pa.uint64()))
 
     return (ds.filter(expr="row_kind == 'task'")
             .select_columns(["file_url", "page_url", "meta_json", "depth", "parent_seq",

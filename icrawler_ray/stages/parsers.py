@@ -49,7 +49,7 @@ class GreedyRules:
             return None
         h = href.rstrip("/")
         # fast path: urljoin(base, h) == h for well-formed absolute
-        # http(s) URLs (property-fuzzed vs the vectorized twin; the
+        # http(s) URLs (property-fuzzed vs the reference formula; the
         # exceptions — empty netloc, bare trailing '?'/'#', edge
         # whitespace, embedded tab/CR/LF which urllib strips, case-folded
         # scheme — fall through). urljoin dominates parse CPU (60%

@@ -106,30 +106,22 @@ class BloomFilter:
     @classmethod
     def deserialize(cls, payload: bytes) -> "BloomFilter":
         f = cls.__new__(cls)
-        head = np.frombuffer(payload[:8], dtype=np.int64)
-        if head[0] == -2:  # v2
-            hdr = np.frombuffer(payload[:40], dtype=np.int64)
-            _, n_gens, f.k, f.bits_per_key, f.num_items = (int(x) for x in hdr)
-            off = 40
-            f.gens = []
-            for _ in range(n_gens):
-                cap, items = (int(x) for x in
-                              np.frombuffer(payload[off:off + 16],
-                                            dtype=np.int64))
-                off += 16
-                g = _BGen(cap, f.bits_per_key, items=items)
-                size = len(g.bits) * 8
-                g.bits = np.frombuffer(payload[off:off + size],
-                                       dtype=np.uint64).copy()
-                off += size
-                f.gens.append(g)
-            f.capacity = f.gens[0].capacity
-        else:  # v1 single-array payload: [capacity, k, nbits, num_items]
-            hdr = np.frombuffer(payload[:32], dtype=np.int64)
-            f.capacity, f.k, nbits, f.num_items = (int(x) for x in hdr)
-            f.bits_per_key = max(1, nbits // max(1, f.capacity))
-            g = _BGen(f.capacity, f.bits_per_key, items=f.num_items)
-            g.nbits = nbits
-            g.bits = np.frombuffer(payload[32:], dtype=np.uint64).copy()
-            f.gens = [g]
+        head = int(np.frombuffer(payload[:8], dtype=np.int64)[0])
+        if head != -2:  # v1 began with the capacity: [capacity, k, nbits, num_items]
+            raise ValueError(f"BloomFilter payload is not version 2 (first word {head}, "
+                             "not -2): version 1 payloads are no longer read")
+        hdr = np.frombuffer(payload[:40], dtype=np.int64)
+        _, n_gens, f.k, f.bits_per_key, f.num_items = (int(x) for x in hdr)
+        off = 40
+        f.gens = []
+        for _ in range(n_gens):
+            cap, items = (int(x) for x in
+                          np.frombuffer(payload[off:off + 16], dtype=np.int64))
+            off += 16
+            g = _BGen(cap, f.bits_per_key, items=items)
+            size = len(g.bits) * 8
+            g.bits = np.frombuffer(payload[off:off + size], dtype=np.uint64).copy()
+            off += size
+            f.gens.append(g)
+        f.capacity = f.gens[0].capacity
         return f

@@ -243,27 +243,23 @@ class CuckooFilter:
     @classmethod
     def deserialize(cls, payload: bytes) -> "CuckooFilter":
         f = cls.__new__(cls)
-        head = np.frombuffer(payload[:8], dtype=np.int64)
-        if head[0] == -2:  # v2: [-2, n_gens, num_items, seed] + gens
-            hdr = np.frombuffer(payload[:32], dtype=np.int64)
-            _, n_gens, f.num_items, f.seed = (int(x) for x in hdr)
-            off = 32
-            f.gens = []
-            for _ in range(n_gens):
-                nb, items = (int(x) for x in
-                             np.frombuffer(payload[off:off + 16],
-                                           dtype=np.int64))
-                off += 16
-                size = nb * SLOTS * 2
-                table = np.frombuffer(payload[off:off + size],
-                                      dtype=np.uint16).reshape(nb, SLOTS).copy()
-                off += size
-                f.gens.append(_Gen(nb, table, items))
-        else:  # v1 single-table payload: [n_buckets, num_items, seed] + table
-            hdr = np.frombuffer(payload[:24], dtype=np.int64)
-            nb, f.num_items, f.seed = (int(x) for x in hdr)
-            table = np.frombuffer(payload[24:], dtype=np.uint16
-                                  ).reshape(nb, SLOTS).copy()
-            f.gens = [_Gen(nb, table, f.num_items)]
+        head = int(np.frombuffer(payload[:8], dtype=np.int64)[0])
+        if head != -2:  # v1 began with the bucket count: [n_buckets, num_items, seed]
+            raise ValueError(f"CuckooFilter payload is not version 2 (first word {head}, "
+                             "not -2): version 1 payloads are no longer read")
+        # v2: [-2, n_gens, num_items, seed] + gens
+        hdr = np.frombuffer(payload[:32], dtype=np.int64)
+        _, n_gens, f.num_items, f.seed = (int(x) for x in hdr)
+        off = 32
+        f.gens = []
+        for _ in range(n_gens):
+            nb, items = (int(x) for x in
+                         np.frombuffer(payload[off:off + 16], dtype=np.int64))
+            off += 16
+            size = nb * SLOTS * 2
+            table = np.frombuffer(payload[off:off + size],
+                                  dtype=np.uint16).reshape(nb, SLOTS).copy()
+            off += size
+            f.gens.append(_Gen(nb, table, items))
         f._rng = np.random.default_rng(f.seed)
         return f

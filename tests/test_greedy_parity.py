@@ -331,6 +331,41 @@ def test_retry_path_does_not_change_results(small_web, small_map):
     assert (df[df.page_url == pages[0]].row_kind == "error").all()
 
 
+def test_spans_column_of_mixed_batch():
+    """A batch mixing a transport error, an http error, a page with no spans
+    and pages with spans: each doc row holds its page's spans in document
+    order, every other row is null over an empty slice of the span values."""
+    import pyarrow as pa
+
+    from icrawler_ray.functions.html import render_page, scan_page
+    from icrawler_ray.stages.fetch_parse import FetchParse
+
+    pages = {
+        "http://a.com/p1": [("text", "one", ""), ("media", "", "http://i.com/1.jpg"),
+                            ("link", "", "http://a.com/p2.html")],
+        "http://a.com/empty": [],
+        "http://a.com/p3": [("link", "", "/x.html"), ("text", "three", "")],
+    }
+    url_map = {u: (200, render_page(s).encode()) for u, s in pages.items()}
+    url_map["http://a.com/gone"] = (404, b"")
+    url_map["http://a.com/down"] = (200, b"")
+    batch = ["http://a.com/p1", "http://a.com/down", "http://a.com/gone",
+             "http://a.com/empty", "http://a.com/p3"]
+    out = FetchParse(url_map, "greedy", {"domains": ["http://a.com"]},
+                     flaky={"http://a.com/down": 99})(pa.table({"url": batch}))
+
+    kinds = out["row_kind"].to_pylist()
+    assert kinds.count("error") == 2 and kinds.count("doc") == 3
+    want = [[{"kind": k, "text": t, "media_ref": r, "offset": i}
+             for i, (k, t, r) in enumerate(scan_page(url_map[u][1].decode()))]
+            if k == "doc" else None for u, k in zip(out["page_url"].to_pylist(), kinds)]
+    assert [len(w) for w in want if w is not None] == [3, 0, 2]
+    spans = out["spans"].combine_chunks()
+    assert spans.to_pylist() == want
+    assert spans.is_null().to_pylist() == [k != "doc" for k in kinds]
+    assert np.diff(spans.offsets.to_numpy()).tolist() == [len(w or []) for w in want]
+
+
 # ---------------------------------------------------------------------------
 # Depth-boundary claim race (ADVICE r1): within a round, the min-order
 # emission of a URL claims its canon BEFORE the depth check (oracle.py

@@ -7,6 +7,8 @@
   is used, so a cut of queries cannot leave dead helpers or SQL
   constants behind, nor any other change dead code (no lint tool runs
   in CI; this is the stdlib ``ast`` check).
+- Every module-level import of every package module (``__init__``
+  re-exports aside) is loaded in its module.
 - The README's query tally is the registry's size.
 """
 
@@ -144,6 +146,28 @@ def test_every_toplevel_name_is_used():
         used = _own_loads(tree) | {n for m, n in uses if m == mod}
         unused += [f"{mod}.{n}" for n in sorted(_toplevel_defs(tree) - used)
                    if not (n.startswith("__") and n.endswith("__"))]
+    assert unused == []
+
+
+def test_every_module_import_is_used():
+    """A module-level import binds a name its module loads somewhere: no
+    unused import survives a change. ``__init__`` modules are exempt (their
+    imports are re-exports), and so is ``from __future__``."""
+    unused = []
+    for path in _py_files("icrawler_ray"):
+        if osp.basename(path) == "__init__.py":
+            continue
+        with open(path) as f:
+            tree = ast.parse(f.read())
+        bound = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):  # `import a.b` binds a
+                bound += [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound += [a.asname or a.name for a in node.names]
+        loads = {n.id for n in ast.walk(tree)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused += [f"{_module_of(path)}: {n}" for n in bound if n not in loads]
     assert unused == []
 
 

@@ -50,6 +50,17 @@ def test_cuckoo_serialize_roundtrip():
     assert c2.contains(k).all() and c2.num_items == c.num_items
 
 
+def test_v1_filter_payloads_raise():
+    """Only version 2 payloads (what serialize() writes) are read; a
+    version 1 single-array payload raises instead of loading."""
+    bloom_v1 = np.array([2000, 7, 20032, 0], dtype=np.int64).tobytes() + bytes(2504)
+    with pytest.raises(ValueError, match="BloomFilter payload is not version 2"):
+        BloomFilter.deserialize(bloom_v1)
+    cuckoo_v1 = np.array([16, 0, 7], dtype=np.int64).tobytes() + bytes(16 * 4 * 2)
+    with pytest.raises(ValueError, match="CuckooFilter payload is not version 2"):
+        CuckooFilter.deserialize(cuckoo_v1)
+
+
 def test_cuckoo_overfill_grows_generations():
     # a frontier that outruns the sized capacity opens new generations
     # (scalable-filter pattern) instead of raising; every key stays a hit
