@@ -229,116 +229,90 @@ def bench_queries() -> dict:
              "shuffle_positions", "quality_ntiles", "approx_quantiles_sketch",
              "training_tape", "triangle_count", "join_salted", "dsir_weights",
              "cdc_chunk_dedup", "hits_scores", "percent_rank_by_lang",
-             "incremental_dedup", "charlm_quality", "event_transitions",
-             "json_props_stats", "knn_pq", "bpe_merges", "bpe_encode",
-             "zipf_slope", "intra_doc_dedup", "pii_redact", "snm_pairs",
-             "substring_dedup", "nb_quality", "corpus_refinery",
-             "precedence_dedup", "countmin_freq", "multimodal_pack",
-             "left_outer_orders", "skew_audit", "late_events",
-             "lpa_communities", "edit_verify_pairs", "quantile_blend",
-             "cumulative_users", "gopher_rules", "word_entropy",
-             "corr_len_ttr", "winsorize_lengths", "adamic_adar",
-             "local_clustering", "host_budget", "containment_join",
-             "bfs_depth", "bm25_topk", "range_search", "harmonic_centrality",
-             "random_walks", "coreset_kcenter", "chunk_overlap", "ppr_seeds",
-             "source_overlap", "token_budget", "redirect_resolve",
-             "recrawl_schedule", "url_templates", "trap_audit",
-             "column_profile", "hard_negatives", "neighbor_jaccard",
-             "host_latency_slo", "host_reputation", "value_histogram",
-             "weighted_median", "source_drift", "stopword_coverage",
-             "trending_types", "rrf_fusion", "hapax_ratio",
-             "dup_ratio_by_source", "edge_reciprocity", "benford_audit",
-             "mad_outliers", "vocab_coverage", "interarrival_quantiles",
-             "mutual_knn", "weighted_pagerank", "type_cooccurrence_lift",
-             "user_path_prefix", "ngram_novelty", "quantization_error",
-             "gini_concentration", "hour_profile", "degree_powerlaw",
-             "transition_latency", "knn_label_accuracy", "brand_price_profile",
+             "incremental_dedup", "charlm_quality", "json_props_stats",
+             "knn_pq", "bpe_merges", "bpe_encode", "zipf_slope",
+             "intra_doc_dedup", "pii_redact", "snm_pairs", "substring_dedup",
+             "nb_quality", "corpus_refinery", "precedence_dedup",
+             "countmin_freq", "multimodal_pack", "left_outer_orders",
+             "late_events", "lpa_communities", "edit_verify_pairs",
+             "quantile_blend", "cumulative_users", "gopher_rules",
+             "word_entropy", "corr_len_ttr", "winsorize_lengths",
+             "adamic_adar", "local_clustering", "host_budget",
+             "containment_join", "bfs_depth", "bm25_topk", "range_search",
+             "harmonic_centrality", "random_walks", "coreset_kcenter",
+             "chunk_overlap", "ppr_seeds", "source_overlap", "token_budget",
+             "redirect_resolve", "recrawl_schedule", "url_templates",
+             "trap_audit", "column_profile", "hard_negatives",
+             "neighbor_jaccard", "host_latency_slo", "host_reputation",
+             "value_histogram", "weighted_median", "source_drift",
+             "stopword_coverage", "trending_types", "rrf_fusion",
+             "hapax_ratio", "dup_ratio_by_source", "edge_reciprocity",
+             "benford_audit", "mad_outliers", "vocab_coverage", "mutual_knn",
+             "weighted_pagerank", "type_cooccurrence_lift", "user_path_prefix",
+             "ngram_novelty", "quantization_error", "gini_concentration",
+             "hour_profile", "degree_powerlaw", "transition_latency",
+             "knn_label_accuracy", "brand_price_profile",
              "priority_mix_monthly", "kmv_distinct", "lognormal_fit",
              "negsample_weights", "type_hour_mi", "rare_category_merge",
-             "vocab_churn", "dau_mau_stickiness", "lines_per_order_dist",
-             "discount_revenue_curve", "supplier_region_acctbal",
-             "label_centroid_affinity", "status_priority_chi2",
-             "lang_embedding_norm", "dup_cluster_sizes", "head_mass_terms",
-             "hourly_autocorr", "tokens_per_char", "weekend_effect",
-             "embedding_outlier_dims", "ship_delay_quantiles",
-             "user_value_deciles", "rich_club", "label_cohesion",
+             "vocab_churn", "lines_per_order_dist", "discount_revenue_curve",
+             "supplier_region_acctbal", "label_centroid_affinity",
+             "status_priority_chi2", "lang_embedding_norm",
+             "dup_cluster_sizes", "head_mass_terms", "tokens_per_char",
+             "weekend_effect", "embedding_outlier_dims",
+             "ship_delay_quantiles", "rich_club", "label_cohesion",
              "price_size_regression", "revenue_mom_growth",
              "part_affinity_topk", "user_type_breadth", "avg_neighbor_degree",
              "dup_rate_by_length_decile", "q6_revenue", "segment_priority_mix",
-             "daily_ohlc", "small_quantity_revenue", "big_orders_having",
+             "small_quantity_revenue", "big_orders_having",
              "part_spend_concentration", "brand_supplier_variety",
-             "session_covisit_pairs", "daily_gap_fill", "grouping_sets_events",
-             "markov_stationary", "brand_top_parts_dense", "systematic_sample",
-             "theilsen_trend", "cusum_changepoint", "conversion_lag_quantiles",
-             "skyline_parts", "psi_value_drift", "modal_hour",
-             "copresence_daily", "rle_compression_audit", "weighted_balance",
+             "daily_gap_fill", "grouping_sets_events", "brand_top_parts_dense",
+             "systematic_sample", "theilsen_trend", "cusum_changepoint",
+             "skyline_parts", "modal_hour", "copresence_daily",
+             "rle_compression_audit", "weighted_balance",
              "centered_moving_avg", "fully_shipped_share",
              "all_quarters_customers", "trimmed_mean_orders",
-             "priority_value_kappa", "geo_rollup_shares",
-             "range_window_revenue", "bounce_rate", "wow_change",
+             "priority_value_kappa", "range_window_revenue", "wow_change",
              "dup_orders_audit", "seasonality_strength", "linenumber_gaps",
-             "nation_top_names", "gini_mean_difference", "dod_user_jaccard",
-             "session_duration_median", "type_traffic_cosine",
-             "conversion_cdf", "weekend_value_qte", "acctbal_ks_two_table",
-             "busiest_days_by_users", "value_moments_by_type", "updown_runs",
+             "nation_top_names", "gini_mean_difference", "type_traffic_cosine",
+             "acctbal_ks_two_table", "busiest_days_by_users",
              "source_lang_cramers_v", "participation_ratio",
              "vocab_jaccard_langs", "props_k_value_curve",
              "discount_by_basket_size", "qty_discount_heat",
              "top_supplier_q15", "q19_disjunctive_revenue",
              "dominant_suppliers", "month_end_loading",
-             "price_dispersion_cells", "type_xcorr_lag", "active_day_streaks",
-             "brand_name_token_mode", "name_key_consistency",
-             "hour_boundary_share", "peak_hour_stability",
-             "centroid_confusion", "next_day_return_rate",
-             "discount_by_linenumber", "round_price_share", "revenue_masd",
-             "above_avg_discount_share", "same_day_reorders",
-             "mannwhitney_weekend", "qty_uniformity_gof", "heaps_law_fit",
-             "theil_decomposition", "linear_attribution",
-             "value_by_session_position", "part_keyword_revenue",
-             "error_then_purchase_rate", "reactivated_customers",
-             "lexical_sophistication", "wau_trend", "activity_halflife",
-             "user_value_autocorr", "top_token_burstiness",
+             "price_dispersion_cells", "brand_name_token_mode",
+             "name_key_consistency", "hour_boundary_share",
+             "centroid_confusion", "discount_by_linenumber",
+             "round_price_share", "revenue_masd", "above_avg_discount_share",
+             "same_day_reorders", "qty_uniformity_gof", "heaps_law_fit",
+             "part_keyword_revenue", "reactivated_customers",
+             "lexical_sophistication", "wau_trend", "top_token_burstiness",
              "dom_ordering_profile", "dominant_type_users",
-             "order_priority_transition", "first_dow_ltv",
-             "weekend_audience_overlap", "monthly_arpu", "name_component_mi",
-             "vocab_gini", "repeat_rate_by_first_type", "markov_entropy_rate",
-             "user_hour_entropy", "brand_discount_elasticity",
+             "order_priority_transition", "first_dow_ltv", "monthly_arpu",
+             "name_component_mi", "vocab_gini", "brand_discount_elasticity",
              "exit_type_share", "order_value_cv_by_nation",
              "char_class_profile", "acf_daily_revenue", "ewma_daily_value",
              "prefix_dup_rate", "pair_cosine_hist", "orders_per_customer_hist",
              "brand_price_size_slopes", "sentence_stats_by_lang",
-             "session_size_hist", "odds_ratio_weekend_purchase",
              "name_verbosity_premium", "supplier_nation_tax",
-             "interarrival_cv_by_type", "effective_price_quantiles",
-             "rounding_drift_audit", "bh_fdr_weekend_nation", "burrows_delta",
-             "log_odds_terms", "lsh_recall_at_k", "cuped_adjusted_lift",
-             "zip_fit_daily_counts", "chapman_population", "jarque_bera_value",
-             "fd_sturges_bins", "logrank_segments", "mcnemar_weekend",
-             "cramer_von_mises", "cronbach_alpha", "sprt_crossing",
-             "good_turing_mass", "fano_factor_windows", "record_days",
-             "wasserstein_weekend", "hill_tail_index", "clustering_agreement",
-             "ece_hour_model", "taylor_law_exponent", "brown_forsythe_types",
-             "granger_daily_types", "juilland_dispersion", "jsd_source_langs",
-             "process_capability", "cochran_q_weeks", "cliffs_delta",
-             "hypergeom_point_logp", "rarefaction_vocab",
-             "dean_overdispersion", "u_chart_errors", "bhattacharyya_weekend",
+             "effective_price_quantiles", "rounding_drift_audit",
+             "bh_fdr_weekend_nation", "burrows_delta", "log_odds_terms",
+             "lsh_recall_at_k", "fd_sturges_bins", "good_turing_mass",
+             "record_days", "hill_tail_index", "clustering_agreement",
+             "juilland_dispersion", "jsd_source_langs", "process_capability",
+             "cochran_q_weeks", "rarefaction_vocab", "u_chart_errors",
              "german_tank_estimate", "honore_r_sources", "kish_neff",
-             "mase_naive7", "brier_decomposition", "diebold_mariano",
-             "simhash_pr_eval", "silhouette_kmeans", "atkinson_index",
-             "duncan_dissimilarity", "energy_distance_weekend", "yule_k",
-             "bigram_perplexity", "cohens_h", "gunning_fog", "sign_test_weeks",
+             "mase_naive7", "diebold_mariano", "simhash_pr_eval",
+             "silhouette_kmeans", "atkinson_index", "duncan_dissimilarity",
+             "yule_k", "bigram_perplexity", "cohens_h", "gunning_fog",
              "kpss_lite_daily", "cms_overcount_audit", "holm_rejections",
              "ovl_weekend", "mean_log_deviation", "bucket_occupancy_audit",
-             "dunning_g2_terms", "cucconi_test", "hill_numbers_vocab",
-             "chao_shen_entropy", "brunet_sichel", "pietra_index",
-             "expected_shortfall_daily", "omega_ratio_daily",
-             "ulcer_index_daily", "rayleigh_hour_test", "kuiper_hour_test",
-             "circular_linear_corr", "watson_u2_hours", "storey_pi0",
-             "max_spacing_stat", "anderson_darling_2sample",
-             "nation_activity_coverage", "zipf_abbreviation", "menzerath_law",
-             "effective_brands", "isolation_index_hours", "brier_skill_score",
-             "eggers_test", "brunner_munzel", "cv_delta_ci",
-             "pythagorean_means", "rate_ratio_ci"]
+             "dunning_g2_terms", "hill_numbers_vocab", "chao_shen_entropy",
+             "brunet_sichel", "pietra_index", "expected_shortfall_daily",
+             "omega_ratio_daily", "ulcer_index_daily", "rayleigh_hour_test",
+             "storey_pi0", "zipf_abbreviation", "menzerath_law",
+             "effective_brands", "isolation_index_hours", "eggers_test",
+             "brunner_munzel", "cv_delta_ci", "pythagorean_means"]
     # csv_roundtrip and jsonl_roundtrip are deliberately excluded: they
     # benchmark tmp-dir disk I/O (write+read of a scratch file), not engine
     # compute, and their timing is dominated by the sandbox filesystem

@@ -3643,69 +3643,6 @@ GROUP BY vec_id ORDER BY vec_id
 """
 
 
-#: ordered funnel steps for q_event_funnel
-FUNNEL_STEPS = ("view", "click", "purchase")
-
-
-def q_event_funnel(sf_dir: str):
-    """Ordered funnel: per step k, how many users reached steps
-    1..k in strict first-occurrence order (view -> click -> purchase).
-    Combiner shape: each batch emits per-user min-ts partials for the
-    step types it saw (3 rows/user/batch max); the reduce and the
-    strictly-increasing-prefix walk run over the user-sized table.
-    At 1e9 users that table is the one exchange — hash-partitioned by
-    user via the same bucketed-groupby pattern as sessionize; here the
-    driver finish mirrors the suite's other user-bounded reduces."""
-    ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
-    steps = list(FUNNEL_STEPS)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        d = df[df["event_type"].isin(steps)]
-        g = d.groupby(["user_id", "event_type"])["ts"].min()
-        gi = g.index.to_frame(index=False)
-        return pd.DataFrame({"user_id": gi["user_id"].to_numpy(),
-                             "event_type": gi["event_type"].to_numpy(),
-                             "ts": g.to_numpy()})
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    m = parts.groupby(["user_id", "event_type"])["ts"].min().unstack()
-    counts = []
-    reached = pd.Series(True, index=m.index)
-    prev = None
-    for st in steps:
-        col = m[st] if st in m.columns else pd.Series(pd.NaT, index=m.index)
-        ok = reached & col.notna()
-        if prev is not None:
-            ok = ok & (col > prev)
-        reached = ok
-        counts.append(int(reached.sum()))
-        prev = col.where(reached)
-    return pd.DataFrame({"step": list(range(1, len(steps) + 1)),
-                         "event_type": steps,
-                         "n_users": np.array(counts, dtype=np.int64)})
-
-
-SQL_EVENT_FUNNEL = """
-WITH m AS (
-  SELECT user_id,
-         MIN(CASE WHEN event_type = 'view' THEN ts END) AS t1,
-         MIN(CASE WHEN event_type = 'click' THEN ts END) AS t2,
-         MIN(CASE WHEN event_type = 'purchase' THEN ts END) AS t3
-  FROM events GROUP BY user_id)
-SELECT * FROM (
-  SELECT 1 AS step, 'view' AS event_type,
-         CAST(COUNT(*) FILTER (t1 IS NOT NULL) AS BIGINT) AS n_users FROM m
-  UNION ALL
-  SELECT 2, 'click',
-         CAST(COUNT(*) FILTER (t1 IS NOT NULL AND t2 > t1) AS BIGINT) FROM m
-  UNION ALL
-  SELECT 3, 'purchase',
-         CAST(COUNT(*) FILTER (t1 IS NOT NULL AND t2 > t1 AND t3 > t2)
-              AS BIGINT) FROM m)
-ORDER BY step
-"""
-
-
 def q_cohort_retention(sf_dir: str):
     """Cohort retention: users grouped by first-seen day (cohort), and
     for each (cohort, day-offset) the count of cohort users active that
@@ -4154,74 +4091,6 @@ sc AS (SELECT bg.doc_id,
 SELECT d.doc_id, ROUND(COALESCE(sc.s, 0.0), 6) AS nll
 FROM documents d LEFT JOIN sc USING (doc_id)
 ORDER BY d.doc_id
-"""
-
-
-def q_event_transitions(sf_dir: str):
-    """Per-user event-type transition counts — the LAG()/LEAD() window
-    primitive (Markov transition matrix over user journeys), the model
-    behind next-event prediction and funnel-drop diagnostics.
-
-    Scale shape: users hash into a BOUNDED number of fat partitions
-    (the sessionize pattern — one pandas group per user is the
-    many-tiny-groups pitfall); each partition sorts once and counts
-    transitions vectorized (shift + mask); the final reduce is over
-    (type x type)-bounded partials."""
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-    P = 32
-
-    # pass 0: the global type dictionary (type-cardinality-bounded) so the
-    # exchange ships int8 codes + int64 ts, not strings/timestamps —
-    # measured 1.8x at 5M events vs shuffling the raw columns
-    tset = _read(sf_dir, "events", ["event_type"]).map_batches(
-        lambda df: df.drop_duplicates(), batch_format="pandas").to_pandas()
-    types = sorted(tset["event_type"].unique().tolist())
-    K = len(types)
-    tmap = {t: i for i, t in enumerate(types)}
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "part": (df["user_id"].to_numpy() % P).astype(np.int32),
-            "user_id": df["user_id"],
-            "ts": df["ts"].astype("int64"),
-            "event_id": df["event_id"],
-            "tcode": df["event_type"].map(tmap).astype(np.int16),
-        })
-
-    def trans_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        u = g["user_id"].to_numpy()
-        t = g["tcode"].to_numpy()
-        same = u[1:] == u[:-1]
-        pair = t[:-1][same].astype(np.int64) * K + t[1:][same]
-        bc = np.bincount(pair, minlength=K * K)
-        nz = np.flatnonzero(bc)
-        return pd.DataFrame({"pair": nz.astype(np.int64),
-                             "n": bc[nz].astype(np.int64)})
-
-    parts = (ds.map_batches(add_part, batch_format="pandas")
-             .groupby("part").map_groups(trans_part, batch_format="pandas")
-             ).to_pandas()  # (types^2 x partitions)-bounded
-    agg = parts.groupby("pair", as_index=False)["n"].sum()
-    tarr = np.asarray(types)
-    out = pd.DataFrame({
-        "prev_type": tarr[(agg["pair"] // K).to_numpy()],
-        "next_type": tarr[(agg["pair"] % K).to_numpy()],
-        "n": agg["n"].astype("int64"),
-    })
-    return out.sort_values(["prev_type", "next_type"]).reset_index(drop=True)
-
-
-SQL_EVENT_TRANSITIONS = """
-WITH o AS (
-  SELECT event_type,
-         lag(event_type) OVER (PARTITION BY user_id
-                               ORDER BY ts, event_id) AS prev_type
-  FROM events)
-SELECT prev_type, event_type AS next_type, COUNT(*) AS n
-FROM o WHERE prev_type IS NOT NULL
-GROUP BY prev_type, next_type
-ORDER BY prev_type, next_type
 """
 
 
@@ -5649,74 +5518,6 @@ SELECT c_custkey, ROUND(c_acctbal, 2) AS acctbal,
        ROUND(COALESCE(SUM(o_totalprice), 0.0), 2) AS revenue
 FROM customer LEFT JOIN orders ON o_custkey = c_custkey
 GROUP BY c_custkey, c_acctbal
-"""
-
-
-def q_skew_audit(sf_dir: str):
-    """Shuffle-planning skew diagnostics over a join/groupby key (the
-    audit a planner runs before choosing salting factors): exact per-key
-    frequencies via combiner partials + a key-partitioned exchange, then
-    the Gini coefficient over the frequency distribution via the
-    distributed rank primitive (functions/seq.py::assign_global_seq over
-    the frequency sort — the ranked table is key-cardinality-sized, never
-    input-sized) plus top-1/top-10 share.  Output is ONE row; per-block
-    moment partials are the only thing the driver reduces."""
-    from icrawler_ray.functions.seq import assign_global_seq
-
-    P = 32
-    ds = _read(sf_dir, "events", ["user_id"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("user_id", as_index=False).size().rename(columns={"size": "n"})
-        g["part"] = (g["user_id"].to_numpy() % P).astype(np.int32)
-        return g
-
-    def exact(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby("user_id", as_index=False).agg(n=("n", "sum"))
-        out["n"] = out["n"].astype("int64")
-        return out
-
-    counts = (ds.map_batches(partial, batch_format="pandas")
-              .groupby("part").map_groups(exact, batch_format="pandas"))
-    ranked = assign_global_seq(counts, ["n", "user_id"], col="rank")  # ascending
-
-    def moments(t: pd.DataFrame) -> pd.DataFrame:
-        n = t["n"].to_numpy(dtype=np.float64)
-        r = t["rank"].to_numpy(dtype=np.float64) + 1.0
-        top = np.sort(n)[-10:]  # per-block top-10 partial (output-sized)
-        return pd.DataFrame({
-            "k": [float(len(n))], "tot": [n.sum()], "srn": [(r * n).sum()],
-            "top_partial": [",".join(str(int(x)) for x in top)],
-        })
-
-    parts = ranked.map_batches(moments, batch_format="pandas").to_pandas()
-    k, tot, srn = parts["k"].sum(), parts["tot"].sum(), parts["srn"].sum()
-    if k == 0 or tot == 0:  # empty input: well-defined zero row (ADVICE r4)
-        return pd.DataFrame({"n_keys": [0], "gini": [0.0],
-                             "top1_share": [0.0], "top10_share": [0.0]})
-    tops = np.sort(np.concatenate([
-        np.array([int(x) for x in s.split(",")], dtype=np.int64) if s else np.empty(0, np.int64)
-        for s in parts["top_partial"]]))[-10:]
-    gini = 2.0 * srn / (k * tot) - (k + 1.0) / k
-    return pd.DataFrame({
-        "n_keys": [int(k)],
-        "gini": [round(gini, 6)],
-        "top1_share": [round(float(tops[-1]) / tot, 6)],
-        "top10_share": [round(float(tops.sum()) / tot, 6)],
-    })
-
-
-SQL_SKEW_AUDIT = """
-WITH f AS (SELECT user_id, COUNT(*) AS n FROM events GROUP BY user_id),
-r AS (SELECT n, ROW_NUMBER() OVER (ORDER BY n, user_id) AS rnk FROM f),
-s AS (SELECT COUNT(*) AS k, SUM(n) AS tot, SUM(rnk * n) AS srn FROM r),
-t AS (SELECT SUM(n) AS top10 FROM (SELECT n FROM f ORDER BY n DESC LIMIT 10)),
-m AS (SELECT MAX(n) AS mx FROM f)
-SELECT CAST(k AS BIGINT) AS n_keys,
-       ROUND(2.0 * srn / (k * tot) - (k + 1.0) / k, 6) AS gini,
-       ROUND(mx * 1.0 / tot, 6) AS top1_share,
-       ROUND(top10 * 1.0 / tot, 6) AS top10_share
-FROM s, t, m
 """
 
 
@@ -7922,64 +7723,6 @@ FROM r WHERE rank <= 40 ORDER BY rank
 """
 
 
-def q_interarrival_quantiles(sf_dir: str):
-    """Inter-arrival time distribution per event type: whole-second
-    deltas between a user's consecutive events (ordered by ts with
-    event_id tie-break), quantile_disc p50/p90/p99 per the LATER
-    event's type — the arrival-process profile a rate-limiter or
-    recrawl scheduler is tuned against.  Same bounded-fat-partition
-    walk as events_sessionize (hash users into 32 partitions, sort +
-    shift inside each — never one pandas group per user), then the
-    (event_type, delta_s) histogram combiner for exact distributed
-    quantiles."""
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
-    P = 32
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df["part"] = (df["user_id"].to_numpy() % P).astype(np.int32)
-        return df
-
-    def deltas_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        same_user = g["user_id"].eq(g["user_id"].shift()).to_numpy()
-        delta_us = g["ts"].diff().dt.total_seconds().to_numpy() * 1e6
-        delta_s = np.floor(delta_us[same_user] / 1e6).astype(np.int64)
-        et = g["event_type"].to_numpy()[same_user]
-        out = pd.DataFrame({"event_type": et, "delta_s": delta_s})
-        return out.groupby(["event_type", "delta_s"]).size().rename("c").reset_index()
-
-    parts = (ds.map_batches(add_part, batch_format="pandas")
-             .groupby("part").map_groups(deltas_part, batch_format="pandas")
-             .to_pandas())
-    hist = parts.groupby(["event_type", "delta_s"], as_index=False)["c"].sum()
-    rows = []
-    for et, g in hist.groupby("event_type"):
-        g = g.sort_values("delta_s")
-        cum = g["c"].cumsum().to_numpy()
-        vals = g["delta_s"].to_numpy(dtype=np.int64)
-        for q in (0.5, 0.9, 0.99):
-            rows.append({"event_type": et, "q": float(q),
-                         "delta_s_q": np.int64(
-                             vals[np.searchsorted(cum, int(np.ceil(q * cum[-1])))])})
-    return pd.DataFrame(rows).sort_values(["event_type", "q"]).reset_index(drop=True)
-
-
-SQL_INTERARRIVAL_QUANTILES = """
-WITH o AS (
-  SELECT event_type, ts,
-         LAG(ts) OVER (PARTITION BY user_id ORDER BY ts, event_id) AS prev
-  FROM events),
-d AS (SELECT event_type,
-             CAST(FLOOR((epoch_us(ts) - epoch_us(prev)) / 1000000.0) AS BIGINT)
-               AS delta_s
-      FROM o WHERE prev IS NOT NULL)
-""" + "\nUNION ALL\n".join(
-    f"SELECT event_type, CAST({q} AS DOUBLE) AS q, "
-    f"quantile_disc(delta_s, {q}) AS delta_s_q FROM d GROUP BY event_type"
-    for q in (0.5, 0.9, 0.99)
-)
-
-
 def q_mutual_knn(sf_dir: str):
     """Mutual nearest-neighbor pairs over the embedding table (a's top-1
     is b AND b's top-1 is a) — the high-precision alignment/duplicate
@@ -8388,8 +8131,8 @@ FROM t
 
 def q_transition_latency(sf_dir: str):
     """Per (prev_type -> type) transition: count and mean inter-event gap
-    in seconds — the timing layer over event_transitions that a session
-    model or recrawl scheduler consumes.  One groupby(user) shuffle;
+    in seconds — the timing layer over per-user type transitions that a
+    session model or recrawl scheduler consumes.  One groupby(user) shuffle;
     each group emits per-transition (n, sum-gap) partials (microsecond
     integers -> double once), the T^2 grid reduces via combiner."""
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts", "event_id"])
@@ -8843,79 +8586,6 @@ FROM r WHERE rank <= 20 ORDER BY half, rank
 """
 
 
-def q_dau_mau_stickiness(sf_dir: str):
-    """Monthly engagement rollup: MAU (distinct users per month), mean
-    DAU over the month's active days, and stickiness = avg DAU / MAU —
-    the activity-concentration audit of the event stream.  Per-block
-    (day, user) dedup feeds ONE global distinct exchange; DAU and MAU
-    then reduce from that identity frame with day- and month-bounded
-    combiners, so nothing user-sized reaches the driver."""
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
-
-    # Arrow output before each Ray groupby: pandas blocks make the
-    # sort-shuffle ~8x slower (measured 22.9 s vs 4.1 s at sf0.1)
-    def day_user(t):
-        d = pd.DataFrame({
-            "day": t["ts"].to_numpy(zero_copy_only=False)
-            .astype("datetime64[D]").astype(str),
-            "user_id": t["user_id"].to_numpy(zero_copy_only=False)}) \
-            .drop_duplicates()
-        return pa.table({"day": pa.array(d["day"].to_numpy()),
-                         "user_id": pa.array(d["user_id"].to_numpy())})
-
-    # materialize ONCE: the distinct (day, user) identity frame feeds
-    # both the DAU and MAU branches, which would otherwise each re-run
-    # the exchange; blocks stay in the object store (spillable)
-    du = ds.map_batches(day_user, batch_format="pyarrow") \
-        .groupby(["day", "user_id"]).count().materialize()
-    dau = du.map_batches(
-        lambda df: df.groupby("day").size().rename("dau").reset_index(),
-        batch_format="pandas").to_pandas()
-    dau = dau.groupby("day", as_index=False)["dau"].sum()
-
-    def month_user(t):
-        d = pd.DataFrame({
-            "month": pd.Series(t["day"].to_pylist()).str.slice(0, 7),
-            "user_id": t["user_id"].to_numpy(zero_copy_only=False)}) \
-            .drop_duplicates()
-        return pa.table({"month": pa.array(d["month"].to_numpy()),
-                         "user_id": pa.array(d["user_id"].to_numpy())})
-
-    mu = du.map_batches(month_user, batch_format="pyarrow") \
-        .groupby(["month", "user_id"]).count()
-    mau = mu.map_batches(
-        lambda df: df.groupby("month").size().rename("mau").reset_index(),
-        batch_format="pandas").to_pandas()
-    mau = mau.groupby("month", as_index=False)["mau"].sum()
-    dau["month"] = dau["day"].str.slice(0, 7)
-    md = dau.groupby("month", as_index=False).agg(n_days=("day", "size"),
-                                                  avg_dau=("dau", "mean"))
-    out = md.merge(mau, on="month")
-    out["stickiness"] = (out["avg_dau"] / out["mau"]).round(6)
-    out["avg_dau"] = out["avg_dau"].round(6)
-    out["n_days"] = out["n_days"].astype(np.int64)
-    out["mau"] = out["mau"].astype(np.int64)
-    return (out[["month", "n_days", "mau", "avg_dau", "stickiness"]]
-            .sort_values("month").reset_index(drop=True))
-
-
-SQL_DAU_MAU = """
-WITH du AS (SELECT DISTINCT strftime(ts, '%Y-%m-%d') AS day, user_id
-            FROM events),
-dau AS (SELECT day, COUNT(*) AS dau FROM du GROUP BY day),
-mau AS (SELECT month, COUNT(*) AS mau FROM
-          (SELECT DISTINCT substr(day, 1, 7) AS month, user_id FROM du)
-        GROUP BY month),
-md AS (SELECT substr(day, 1, 7) AS month, COUNT(*) AS n_days,
-              AVG(CAST(dau AS DOUBLE)) AS avg_dau
-       FROM dau GROUP BY month)
-SELECT md.month, CAST(md.n_days AS BIGINT) AS n_days,
-       CAST(mau.mau AS BIGINT) AS mau, ROUND(md.avg_dau, 6) AS avg_dau,
-       ROUND(md.avg_dau / mau.mau, 6) AS stickiness
-FROM md JOIN mau ON mau.month = md.month ORDER BY md.month
-"""
-
-
 def q_lines_per_order_dist(sf_dir: str):
     """Distribution of lineitem counts per order: (n_lines -> n_orders,
     share) — the fan-out histogram that sizes a join's skew budget.  One
@@ -9265,59 +8935,6 @@ FROM r
 """
 
 
-def q_hourly_autocorr(sf_dir: str):
-    """Lag-1 autocorrelation of the per-type hourly event-count series
-    (dense over the global hour span, missing hours = 0) — the
-    burstiness audit that separates steady feeds from flash crowds.
-    One (type, epoch-hour) combiner pass; the dense series and Pearson
-    reduce on the driver, bounded by types x span-hours."""
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        hr = (df["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-              // (3_600_000_000))
-        g = pd.DataFrame({"event_type": df["event_type"], "hr": hr})
-        return g.groupby(["event_type", "hr"]).size().rename("n").reset_index()
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    grid = parts.groupby(["event_type", "hr"], as_index=False)["n"].sum()
-    lo, hi = int(grid["hr"].min()), int(grid["hr"].max())
-    span = np.arange(lo, hi + 1)
-    rows = []
-    for et, g in grid.groupby("event_type"):
-        s = pd.Series(0.0, index=span)
-        s.loc[g["hr"].to_numpy()] = g["n"].to_numpy(np.float64)
-        x, y = s.to_numpy()[1:], s.to_numpy()[:-1]
-        r = float(np.corrcoef(x, y)[0, 1])
-        rows.append({"event_type": et, "n_hours": np.int64(len(span)),
-                     "autocorr_lag1": round(r, 6)})
-    return pd.DataFrame(rows).sort_values("event_type").reset_index(drop=True)
-
-
-SQL_HOURLY_AUTOCORR = """
-WITH b AS (SELECT event_type,
-                  date_diff('hour', TIMESTAMP '1970-01-01', date_trunc('hour', ts))
-                    AS hr,
-                  COUNT(*) AS n
-           FROM events GROUP BY event_type, hr),
-span AS (SELECT MIN(hr) AS lo, MAX(hr) AS hi FROM b),
-grid AS (SELECT t.event_type, s.hr
-         FROM (SELECT DISTINCT event_type FROM b) t
-         CROSS JOIN (SELECT unnest(generate_series(span.lo, span.hi)) AS hr
-                     FROM span) s),
-d AS (SELECT g.event_type, g.hr, COALESCE(b.n, 0) AS n
-      FROM grid g LEFT JOIN b ON b.event_type = g.event_type AND b.hr = g.hr),
-l AS (SELECT event_type, n,
-             LAG(n) OVER (PARTITION BY event_type ORDER BY hr) AS pn
-      FROM d)
-SELECT event_type,
-       CAST(COUNT(*) + 1 AS BIGINT) AS n_hours,
-       ROUND(corr(CAST(n AS DOUBLE), CAST(pn AS DOUBLE)), 6) AS autocorr_lag1
-FROM l WHERE pn IS NOT NULL
-GROUP BY event_type ORDER BY event_type
-"""
-
-
 def q_tokens_per_char(sf_dir: str):
     """Tokenization-density profile per language: total tokens / total
     chars and mean tokens per doc — the byte-budget planning numbers.
@@ -9487,66 +9104,6 @@ SELECT o_orderpriority, CAST(COUNT(*) AS BIGINT) AS n,
        CAST(quantile_disc(gap, 0.9) AS BIGINT) AS p90,
        CAST(MAX(gap) AS BIGINT) AS max_gap
 FROM j GROUP BY o_orderpriority ORDER BY o_orderpriority
-"""
-
-
-def q_user_value_deciles(sf_dir: str):
-    """Whale curve: users ranked by lifetime value (integer cents, rank
-    = (total asc, user asc)) split into 10 rank-deciles; per decile the
-    user count, total value and share — the mixture-weighting view of
-    revenue concentration.  Per-user totals come from one distributed
-    groupby; the rank is functions/seq.py::assign_global_seq (ONE sort +
-    metadata prefix-sum, driver sees one int per block); deciles then
-    reduce via combiner."""
-    from icrawler_ray.functions.seq import assign_global_seq
-
-    ds = _read(sf_dir, "events", ["user_id", "value"])
-
-    # Arrow output before the Ray groupby (see q_dau_mau_stickiness note)
-    def cents(t):
-        g = pd.DataFrame({
-            "user_id": t["user_id"].to_numpy(zero_copy_only=False),
-            "cents": np.round(t["value"].to_numpy(zero_copy_only=False)
-                              * 100).astype(np.int64)}) \
-            .groupby("user_id", as_index=False)["cents"].sum()
-        return pa.table({"user_id": pa.array(g["user_id"].to_numpy()),
-                         "cents": pa.array(g["cents"].to_numpy())})
-
-    per = ds.map_batches(cents, batch_format="pyarrow") \
-        .groupby("user_id").sum("cents").materialize()
-    n = per.count()
-    ranked = assign_global_seq(per, ["sum(cents)", "user_id"], col="rk")
-
-    def dec_partial(df: pd.DataFrame) -> pd.DataFrame:
-        d = (df["rk"].to_numpy(np.int64) * 10) // n + 1
-        g = pd.DataFrame({"decile": d, "cents": df["sum(cents)"],
-                          "n": np.ones(len(df), np.int64)})
-        return g.groupby("decile", as_index=False)[["cents", "n"]].sum()
-
-    parts = ranked.map_batches(dec_partial, batch_format="pandas").to_pandas()
-    agg = parts.groupby("decile", as_index=False)[["cents", "n"]].sum()
-    tot = float(agg["cents"].sum())
-    return pd.DataFrame({
-        "decile": agg["decile"].astype(np.int64),
-        "n_users": agg["n"].astype(np.int64),
-        "total_value": (agg["cents"] / 100.0).round(2),
-        "share": (agg["cents"] / tot).round(6)}).sort_values("decile") \
-        .reset_index(drop=True)
-
-
-SQL_USER_VALUE_DECILES = """
-WITH u AS (SELECT user_id, SUM(CAST(ROUND(value * 100) AS BIGINT)) AS cents
-           FROM events GROUP BY user_id),
-r AS (SELECT cents,
-             ROW_NUMBER() OVER (ORDER BY cents, user_id) - 1 AS rk,
-             COUNT(*) OVER () AS n
-      FROM u),
-d AS (SELECT (rk * 10) // n + 1 AS decile, cents FROM r)
-SELECT CAST(decile AS BIGINT) AS decile, CAST(COUNT(*) AS BIGINT) AS n_users,
-       ROUND(SUM(cents) / 100.0, 2) AS total_value,
-       ROUND(SUM(cents) / CAST((SELECT SUM(cents) FROM u) AS DOUBLE), 6)
-         AS share
-FROM d GROUP BY decile ORDER BY decile
 """
 
 
@@ -9958,9 +9515,8 @@ def q_dup_rate_by_length_decile(sf_dir: str):
     in short docs or long ones?  The dup flag comes from the md5 prefix-
     fingerprint identity exchange (count >= 2, the source_overlap
     convention — the corpus has no exact full-text dups by construction,
-    pinned by the oracle); the decile from the same rank rule
-    as user_value_deciles ((rank*10)//n + 1 over (n_chars, doc_id)); the
-    cross table reduces via combiner."""
+    pinned by the oracle); the decile is (rank*10)//n + 1 over the
+    global (n_chars, doc_id) rank; the cross table reduces via combiner."""
     import hashlib
 
     from icrawler_ray.functions.seq import assign_global_seq
@@ -10105,70 +9661,6 @@ SELECT c.c_mktsegment, o.o_orderpriority, CAST(COUNT(*) AS BIGINT) AS n,
 FROM orders o JOIN customer c ON c.c_custkey = o.o_custkey
 GROUP BY c.c_mktsegment, o.o_orderpriority
 ORDER BY c.c_mktsegment, o.o_orderpriority
-"""
-
-
-def q_daily_ohlc(sf_dir: str):
-    """OHLC rollup per (event_type, day): open = value of the first
-    event by (ts, event_id), high/low = max/min, close = last — the
-    time-series compaction every metrics store runs.  Truly mergeable
-    partials: each block carries (argmin-ts value, argmax-ts value, min,
-    max, n) per cell and the driver merge keeps the (ts, event_id)-
-    earliest / latest winners."""
-    ds = _read(sf_dir, "events", ["event_type", "ts", "event_id", "value"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.assign(day=df["ts"].dt.strftime("%Y-%m-%d"))
-        df = df.sort_values(["ts", "event_id"], kind="mergesort")
-        g = df.groupby(["event_type", "day"])
-        first = g.head(1).rename(columns={"value": "open", "ts": "ots",
-                                          "event_id": "oid"})
-        last = g.tail(1).rename(columns={"value": "close", "ts": "cts",
-                                         "event_id": "cid"})
-        stats = g["value"].agg(["min", "max", "size"]).reset_index() \
-            .rename(columns={"min": "low", "max": "high", "size": "n"})
-        out = stats.merge(first[["event_type", "day", "open", "ots", "oid"]],
-                          on=["event_type", "day"])
-        return out.merge(last[["event_type", "day", "close", "cts", "cid"]],
-                         on=["event_type", "day"])
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    parts = parts.sort_values(["ots", "oid"], kind="mergesort")
-    first = parts.groupby(["event_type", "day"], as_index=False).head(1)
-    parts2 = parts.sort_values(["cts", "cid"], kind="mergesort")
-    last = parts2.groupby(["event_type", "day"], as_index=False).tail(1)
-    stats = parts.groupby(["event_type", "day"], as_index=False).agg(
-        low=("low", "min"), high=("high", "max"), n=("n", "sum"))
-    out = stats.merge(first[["event_type", "day", "open"]],
-                      on=["event_type", "day"])
-    out = out.merge(last[["event_type", "day", "close"]],
-                    on=["event_type", "day"])
-    out["n"] = out["n"].astype(np.int64)
-    for c in ("open", "high", "low", "close"):
-        out[c] = out[c].round(6)
-    return (out[["event_type", "day", "open", "high", "low", "close", "n"]]
-            .sort_values(["event_type", "day"]).reset_index(drop=True))
-
-
-SQL_DAILY_OHLC = """
-WITH e AS (SELECT event_type, strftime(ts, '%Y-%m-%d') AS day, ts, event_id,
-                  value
-           FROM events),
-o AS (SELECT event_type, day, value AS open FROM e
-      QUALIFY ROW_NUMBER() OVER (PARTITION BY event_type, day
-                                 ORDER BY ts, event_id) = 1),
-c AS (SELECT event_type, day, value AS close FROM e
-      QUALIFY ROW_NUMBER() OVER (PARTITION BY event_type, day
-                                 ORDER BY ts DESC, event_id DESC) = 1),
-s AS (SELECT event_type, day, MIN(value) AS low, MAX(value) AS high,
-             COUNT(*) AS n
-      FROM e GROUP BY event_type, day)
-SELECT s.event_type, s.day, ROUND(o.open, 6) AS open, ROUND(s.high, 6) AS high,
-       ROUND(s.low, 6) AS low, ROUND(c.close, 6) AS close,
-       CAST(s.n AS BIGINT) AS n
-FROM s JOIN o ON o.event_type = s.event_type AND o.day = s.day
-JOIN c ON c.event_type = s.event_type AND c.day = s.day
-ORDER BY s.event_type, s.day
 """
 
 
@@ -10352,64 +9844,6 @@ ORDER BY supplier_cnt DESC, p_brand, p_type
 """
 
 
-def q_session_covisit_pairs(sf_dir: str):
-    """Sessionized co-visitation mining — the item-to-item signal behind
-    'users who did A in a session also did B': for every 30-min-gap
-    session, the distinct event-type pairs (a < b), counted over all
-    sessions.  Same hash-partition-by-user + in-partition vectorized
-    session walk as q_events_sessionize; pair expansion is a per-
-    partition self-merge of the (session, type) dedup, and only
-    (|types| x |types|)-bounded count partials leave each partition."""
-    P = 32
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
-
-    def add_part(t: pa.Table) -> pa.Table:
-        part = pa.array((t["user_id"].to_numpy(zero_copy_only=False) % P)
-                        .astype(np.int32))
-        return t.append_column("part", part)
-
-    def covisit_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts"], kind="mergesort")
-        same = g["user_id"].eq(g["user_id"].shift())
-        gap = ((g["ts"].diff() > pd.Timedelta(minutes=30)) & same) | ~same
-        sid = gap.cumsum().to_numpy()  # partition-local session id
-        d = pd.DataFrame({"sid": sid,
-                          "event_type": g["event_type"].to_numpy()}) \
-            .drop_duplicates()
-        pairs = d.merge(d, on="sid", suffixes=("_a", "_b"))
-        pairs = pairs.loc[pairs["event_type_a"] < pairs["event_type_b"]]
-        return pairs.groupby(["event_type_a", "event_type_b"],
-                             as_index=False).size() \
-            .rename(columns={"size": "n", "event_type_a": "type_a",
-                             "event_type_b": "type_b"})
-
-    parts = (ds.map_batches(add_part, batch_format="pyarrow")
-             .groupby("part").map_groups(covisit_part, batch_format="pandas")
-             .to_pandas())
-    out = parts.groupby(["type_a", "type_b"], as_index=False)["n"].sum()
-    out["n_sessions"] = out.pop("n").astype(np.int64)
-    return out.sort_values(["type_a", "type_b"]).reset_index(drop=True)
-
-
-SQL_SESSION_COVISIT_PAIRS = """
-WITH f AS (
-  SELECT user_id, ts, event_type,
-         CASE WHEN ts - lag(ts) OVER (PARTITION BY user_id ORDER BY ts)
-                   > INTERVAL 30 MINUTE THEN 1 ELSE 0 END AS ns
-  FROM events),
-s AS (SELECT user_id, event_type,
-             SUM(ns) OVER (PARTITION BY user_id ORDER BY ts
-                           ROWS UNBOUNDED PRECEDING) AS sid
-      FROM f),
-d AS (SELECT DISTINCT user_id, sid, event_type FROM s)
-SELECT a.event_type AS type_a, b.event_type AS type_b,
-       CAST(COUNT(*) AS BIGINT) AS n_sessions
-FROM d a JOIN d b ON a.user_id = b.user_id AND a.sid = b.sid
-                 AND a.event_type < b.event_type
-GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-
 def q_daily_gap_fill(sf_dir: str):
     """Time-series densification: the per-(type, day) count series with
     MISSING CALENDAR DAYS zero-filled over the global [min, max] day
@@ -10497,79 +9931,6 @@ FROM (SELECT event_type, EXTRACT(hour FROM ts) AS hour,
       FROM events)
 GROUP BY GROUPING SETS ((event_type, hour), (event_type), (hour), ())
 ORDER BY 1, 2
-"""
-
-
-def q_markov_stationary(sf_dir: str):
-    """Stationary distribution of the user-journey Markov chain by THREE
-    power iterations from uniform — the PageRank-style fixpoint over the
-    event-type transition matrix.  The matrix itself is the
-    q_event_transitions combiner output ((types x types)-bounded
-    partials); the iterations are K x K dense numpy on the driver —
-    output-sized algebra, exactly where a 5x5 fixpoint belongs even at
-    100 TB of events."""
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-    P = 32
-
-    tset = _read(sf_dir, "events", ["event_type"]).map_batches(
-        lambda df: df.drop_duplicates(), batch_format="pandas").to_pandas()
-    types = sorted(tset["event_type"].unique().tolist())
-    K = len(types)
-    tmap = {t: i for i, t in enumerate(types)}
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "part": (df["user_id"].to_numpy() % P).astype(np.int32),
-            "user_id": df["user_id"],
-            "ts": df["ts"].astype("int64"),
-            "event_id": df["event_id"],
-            "tcode": df["event_type"].map(tmap).astype(np.int16)})
-
-    def trans_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        u = g["user_id"].to_numpy()
-        t = g["tcode"].to_numpy()
-        same = u[1:] == u[:-1]
-        pair = t[:-1][same].astype(np.int64) * K + t[1:][same]
-        bc = np.bincount(pair, minlength=K * K)
-        nz = np.flatnonzero(bc)
-        return pd.DataFrame({"pair": nz.astype(np.int64),
-                             "n": bc[nz].astype(np.int64)})
-
-    parts = (ds.map_batches(add_part, batch_format="pandas")
-             .groupby("part").map_groups(trans_part, batch_format="pandas")
-             .to_pandas())
-    counts = parts.groupby("pair")["n"].sum()
-    M = np.zeros((K, K), dtype=np.float64)
-    M[counts.index.to_numpy() // K, counts.index.to_numpy() % K] = \
-        counts.to_numpy()
-    row = M.sum(axis=1, keepdims=True)
-    Pm = np.divide(M, row, out=np.zeros_like(M), where=row > 0)
-    v = np.full(K, 1.0 / K)
-    for _ in range(3):
-        v = v @ Pm
-    return pd.DataFrame({"event_type": types, "prob": np.round(v, 6)})
-
-
-SQL_MARKOV_STATIONARY = """
-WITH pairs AS (
-  SELECT event_type AS src,
-         LEAD(event_type) OVER (PARTITION BY user_id
-                                ORDER BY ts, event_id) AS dst
-  FROM events),
-c AS (SELECT src, dst, COUNT(*) AS n FROM pairs
-      WHERE dst IS NOT NULL GROUP BY 1, 2),
-p AS (SELECT src, dst, n * 1.0 / SUM(n) OVER (PARTITION BY src) AS p FROM c),
-k AS (SELECT COUNT(DISTINCT event_type) AS k FROM events),
-v0 AS (SELECT DISTINCT event_type AS s, 1.0 / (SELECT k FROM k) AS v
-       FROM events),
-v1 AS (SELECT p.dst AS s, SUM(v0.v * p.p) AS v FROM v0
-       JOIN p ON p.src = v0.s GROUP BY 1),
-v2 AS (SELECT p.dst AS s, SUM(v1.v * p.p) AS v FROM v1
-       JOIN p ON p.src = v1.s GROUP BY 1),
-v3 AS (SELECT p.dst AS s, SUM(v2.v * p.p) AS v FROM v2
-       JOIN p ON p.src = v2.s GROUP BY 1)
-SELECT s AS event_type, ROUND(v, 6) AS prob FROM v3 ORDER BY s
 """
 
 
@@ -10729,71 +10090,6 @@ ORDER BY event_type
 """
 
 
-def q_conversion_lag_quantiles(sf_dir: str):
-    """Funnel latency: quantiles of the signup→purchase lag (first signup
-    to first subsequent purchase, per user).  Users hash-partition into
-    bounded fat groups (the sessionize shape); each partition computes
-    first-signup/first-purchase-after vectorized; lags ride as integer
-    microseconds (exact) to a user-cardinality-bounded driver fold using the
-    quantile_disc convention."""
-    P = 32
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.loc[df["event_type"].isin(["signup", "purchase"])].copy()
-        df["part"] = (df["user_id"].to_numpy() % P).astype(np.int32)
-        return df
-
-    def lags_part(g: pd.DataFrame) -> pd.DataFrame:
-        s = g.loc[g["event_type"] == "signup"] \
-            .groupby("user_id")["ts"].min().rename("s0")
-        p = g.loc[g["event_type"] == "purchase", ["user_id", "ts"]]
-        j = p.merge(s, left_on="user_id", right_index=True)
-        j = j.loc[j["ts"] >= j["s0"]]
-        first = j.groupby("user_id")["ts"].min()
-        lag_us = (first - s[first.index]).to_numpy() \
-            .astype("timedelta64[us]").astype(np.int64)
-        return pd.DataFrame({"lag_us": lag_us})
-
-    lags = (ds.map_batches(add_part, batch_format="pandas")
-            .groupby("part").map_groups(lags_part, batch_format="pandas")
-            .to_pandas())
-    v = np.sort(lags["lag_us"].to_numpy(np.int64))
-    n = len(v)
-    qs = [0.25, 0.5, 0.75, 0.9]
-    if n == 0:  # no converting users in this slice: well-defined zeros
-        return pd.DataFrame({"q": qs, "lag_hours": [0.0] * 4,
-                             "n_users": np.zeros(4, np.int64)})
-    picks = [int(v[int(np.ceil(q * n)) - 1]) for q in qs]
-    return pd.DataFrame({
-        "q": qs,
-        "lag_hours": [round(p / 3.6e9, 6) for p in picks],
-        "n_users": np.full(4, n, np.int64)})
-
-
-SQL_CONVERSION_LAG_QUANTILES = """
-WITH s AS (SELECT user_id, MIN(ts) AS s0 FROM events
-           WHERE event_type = 'signup' GROUP BY user_id),
-p AS (SELECT e.user_id, MIN(e.ts) AS p0
-      FROM events e JOIN s ON s.user_id = e.user_id
-      WHERE e.event_type = 'purchase' AND e.ts >= s.s0
-      GROUP BY e.user_id),
-l AS (SELECT CAST(date_diff('microsecond', s.s0, p.p0) AS BIGINT) AS lag_us
-      FROM s JOIN p ON p.user_id = s.user_id),
-a AS (SELECT quantile_disc(lag_us, 0.25) AS q25,
-             quantile_disc(lag_us, 0.5)  AS q50,
-             quantile_disc(lag_us, 0.75) AS q75,
-             quantile_disc(lag_us, 0.9)  AS q90,
-             CAST(COUNT(*) AS BIGINT)    AS n
-      FROM l)
-SELECT 0.25 AS q, ROUND(q25 / 3.6e9, 6) AS lag_hours, n AS n_users FROM a
-UNION ALL SELECT 0.5,  ROUND(q50 / 3.6e9, 6), n FROM a
-UNION ALL SELECT 0.75, ROUND(q75 / 3.6e9, 6), n FROM a
-UNION ALL SELECT 0.9,  ROUND(q90 / 3.6e9, 6), n FROM a
-ORDER BY q
-"""
-
-
 def _skyline_sweep(df: pd.DataFrame) -> pd.DataFrame:
     """Vectorized 2-D skyline (minimize price then size): sort by price,
     per-price-level minimum size must beat the strict prefix minimum."""
@@ -10832,81 +10128,6 @@ WHERE NOT EXISTS (
   WHERE q.p_retailprice <= p.p_retailprice AND q.p_size <= p.p_size
     AND (q.p_retailprice < p.p_retailprice OR q.p_size < p.p_size))
 ORDER BY p_retailprice, p_size, p_partkey
-"""
-
-
-def q_psi_value_drift(sf_dir: str):
-    """Population Stability Index between the first and second half of
-    the event stream (split at the midpoint of the global time range,
-    values binned into 10 equal-width buckets over the global [min,
-    max]) — the standard drift gate for feature monitoring, next to the
-    KS audit (q_source_drift) and KL (q_source_kl).  Two combiner
-    passes: one for the four global extremes, one for the 2 x 10 bin
-    counts; the PSI fold is 10 terms on the driver.  Bin shares clamp at
-    1e-6 so empty bins stay finite, identically on both engines."""
-    ds = _read(sf_dir, "events", ["ts", "value"])
-
-    def extremes(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "tmin": [df["ts"].min()], "tmax": [df["ts"].max()],
-            "vmin": [df["value"].min()], "vmax": [df["value"].max()]})
-
-    ex = ds.map_batches(extremes, batch_format="pandas").to_pandas()
-    tmin, tmax = ex["tmin"].min(), ex["tmax"].max()
-    vmin, vmax = float(ex["vmin"].min()), float(ex["vmax"].max())
-    # integer-microsecond midpoint test: interval/2 is NOT portable
-    # (DuckDB divides interval components separately and drops the
-    # odd half-day), so both engines compare 2*(ts-tmin) >= (tmax-tmin)
-    span_us = int((tmax - tmin).to_numpy().astype("timedelta64[us]")
-                  .astype(np.int64))
-
-    def bins(df: pd.DataFrame) -> pd.DataFrame:
-        off = (df["ts"] - tmin).to_numpy().astype("timedelta64[us]") \
-            .astype(np.int64)
-        half = (2 * off >= span_us).astype(np.int64)
-        b = np.minimum(((df["value"].to_numpy() - vmin)
-                        / (vmax - vmin) * 10).astype(np.int64), 9)
-        g = pd.DataFrame({"half": half, "bin": b}) \
-            .groupby(["half", "bin"], as_index=False).size() \
-            .rename(columns={"size": "n"})
-        return g
-
-    parts = ds.map_batches(bins, batch_format="pandas").to_pandas()
-    cnt = parts.groupby(["half", "bin"])["n"].sum()
-    full = np.zeros((2, 10), dtype=np.float64)
-    for (h, b), n in cnt.items():
-        full[h, b] = n
-    tot = full.sum(axis=1, keepdims=True)
-    p = np.maximum(full / tot, 1e-6)
-    psi = float(np.sum((p[1] - p[0]) * np.log(p[1] / p[0])))
-    return pd.DataFrame({"psi": [round(psi, 6)],
-                         "n_first": np.array([int(tot[0, 0])], np.int64),
-                         "n_second": np.array([int(tot[1, 0])], np.int64)})
-
-
-SQL_PSI_VALUE_DRIFT = """
-WITH x AS (SELECT MIN(ts) AS tmin, MAX(ts) AS tmax,
-                  MIN(value) AS vmin, MAX(value) AS vmax FROM events),
-e AS (SELECT CASE WHEN 2 * date_diff('microsecond', tmin, ts)
-                       >= date_diff('microsecond', tmin, tmax)
-                  THEN 1 ELSE 0 END AS half,
-             LEAST(CAST(FLOOR((value - vmin) / (vmax - vmin) * 10)
-                        AS BIGINT), 9) AS bin
-      FROM events, x),
-c AS (SELECT half, bin, COUNT(*) AS n FROM e GROUP BY 1, 2),
-grid AS (SELECT h.half, b.bin
-         FROM (SELECT UNNEST([0, 1]) AS half) h
-         CROSS JOIN (SELECT UNNEST(range(10)) AS bin) b),
-f AS (SELECT grid.half, grid.bin, COALESCE(c.n, 0) AS n
-      FROM grid LEFT JOIN c ON c.half = grid.half AND c.bin = grid.bin),
-s AS (SELECT half, bin,
-             GREATEST(n * 1.0 / SUM(n) OVER (PARTITION BY half), 1e-6) AS p,
-             SUM(n) OVER (PARTITION BY half) AS tot
-      FROM f)
-SELECT ROUND(SUM((b.p - a.p) * LN(b.p / a.p)), 6) AS psi,
-       CAST(MIN(a.tot) AS BIGINT) AS n_first,
-       CAST(MIN(b.tot) AS BIGINT) AS n_second
-FROM s a JOIN s b ON a.bin = b.bin AND a.half = 0 AND b.half = 1
 """
 
 
@@ -11327,59 +10548,6 @@ FROM c
 """
 
 
-def q_geo_rollup_shares(sf_dir: str):
-    """Hierarchical percent-of-parent rollup: revenue by region > nation
-    with each nation's share WITHIN its region and each region's share
-    of the grand total — the drill-down tree every BI layer renders.
-    customer→nation→region is the broadcast dim (one ray.put); orders
-    reduce to per-(region, nation) cent partials in the map stage, and
-    both share levels fold over the 25-row grid."""
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]).to_pandas()
-    nation = _read(sf_dir, "nation",
-                   ["n_nationkey", "n_name", "n_regionkey"]).to_pandas()
-    region = _read(sf_dir, "region", ["r_regionkey", "r_name"]).to_pandas()
-    dim = cust.merge(nation, left_on="c_nationkey", right_on="n_nationkey") \
-        .merge(region, left_on="n_regionkey", right_on="r_regionkey")
-    dim_ref = ray.put(dim[["c_custkey", "n_name", "r_name"]])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        d = ray.get(dim_ref)
-        j = df.merge(d, left_on="o_custkey", right_on="c_custkey")
-        j["cents"] = np.round(j["o_totalprice"].to_numpy() * 100) \
-            .astype(np.int64)
-        return j.groupby(["r_name", "n_name"], as_index=False)["cents"].sum()
-
-    parts = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]) \
-        .map_batches(partial, batch_format="pandas").to_pandas()
-    g = parts.groupby(["r_name", "n_name"], as_index=False)["cents"].sum()
-    rtot = g.groupby("r_name")["cents"].transform("sum")
-    tot = int(g["cents"].sum())
-    return pd.DataFrame({
-        "r_name": g["r_name"], "n_name": g["n_name"],
-        "revenue": (g["cents"] / 100.0).round(2),
-        "share_in_region": (g["cents"] / rtot).round(6),
-        "region_share_of_total": (rtot / tot).round(6),
-    }).sort_values(["r_name", "n_name"]).reset_index(drop=True)
-
-
-SQL_GEO_ROLLUP_SHARES = """
-WITH g AS (
-  SELECT r.r_name, n.n_name,
-         SUM(CAST(ROUND(o.o_totalprice * 100) AS BIGINT)) AS cents
-  FROM orders o
-  JOIN customer c ON c.c_custkey = o.o_custkey
-  JOIN nation n ON n.n_nationkey = c.c_nationkey
-  JOIN region r ON r.r_regionkey = n.n_regionkey
-  GROUP BY r.r_name, n.n_name)
-SELECT r_name, n_name, ROUND(cents / 100.0, 2) AS revenue,
-       ROUND(cents * 1.0 / SUM(cents) OVER (PARTITION BY r_name), 6)
-         AS share_in_region,
-       ROUND(SUM(cents) OVER (PARTITION BY r_name) * 1.0
-             / SUM(cents) OVER (), 6) AS region_share_of_total
-FROM g ORDER BY r_name, n_name
-"""
-
-
 def q_range_window_revenue(sf_dir: str):
     """RANGE-frame rolling sum: per order DAY, the revenue of the
     trailing 7 CALENDAR days — a date-range frame, not a row frame, so
@@ -11419,73 +10587,6 @@ SELECT strftime(day, '%Y-%m-%d') AS day,
                                         AND CURRENT ROW) / 100.0, 2)
          AS trailing_7d
 FROM d ORDER BY day
-"""
-
-
-def q_bounce_rate(sf_dir: str):
-    """Sessionized bounce rate: share of 30-min-gap sessions containing
-    exactly ONE event, broken out by the session's ENTRY event type —
-    the landing-page diagnostic.  Same bounded user-hash partition +
-    vectorized session walk as q_events_sessionize; per-partition
-    (entry_type, bounced, n) partials are all that move."""
-    P = 32
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-
-    def add_part(t: pa.Table) -> pa.Table:
-        part = pa.array((t["user_id"].to_numpy(zero_copy_only=False) % P)
-                        .astype(np.int32))
-        return t.append_column("part", part)
-
-    def bounce_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        same = g["user_id"].eq(g["user_id"].shift())
-        gap = ((g["ts"].diff() > pd.Timedelta(minutes=30)) & same) | ~same
-        sid = gap.cumsum().to_numpy()
-        d = pd.DataFrame({"sid": sid, "event_type": g["event_type"].to_numpy()})
-        agg = d.groupby("sid").agg(entry=("event_type", "first"),
-                                   n=("event_type", "size"))
-        agg["bounced"] = (agg["n"] == 1).astype(np.int64)
-        return agg.groupby("entry", as_index=False).agg(
-            n_bounced=("bounced", "sum"), n_sessions=("bounced", "size"))
-
-    parts = (ds.map_batches(add_part, batch_format="pyarrow")
-             .groupby("part").map_groups(bounce_part, batch_format="pandas")
-             .to_pandas())
-    out = parts.groupby("entry", as_index=False)[["n_bounced",
-                                                  "n_sessions"]].sum()
-    out["bounce_rate"] = (out["n_bounced"] / out["n_sessions"]).round(6)
-    out["n_bounced"] = out["n_bounced"].astype(np.int64)
-    out["n_sessions"] = out["n_sessions"].astype(np.int64)
-    return out.rename(columns={"entry": "entry_type"}) \
-        .sort_values("entry_type").reset_index(drop=True)
-
-
-SQL_BOUNCE_RATE = """
-WITH f AS (
-  SELECT user_id, ts, event_id, event_type,
-         CASE WHEN ts - lag(ts) OVER (PARTITION BY user_id
-                                      ORDER BY ts, event_id)
-                   > INTERVAL 30 MINUTE THEN 1 ELSE 0 END AS ns
-  FROM events),
-s AS (SELECT user_id, ts, event_id, event_type,
-             SUM(ns) OVER (PARTITION BY user_id ORDER BY ts, event_id
-                           ROWS UNBOUNDED PRECEDING) AS sid
-      FROM f),
-a AS (SELECT user_id, sid, COUNT(*) AS n,
-             MIN(ts) AS t0
-      FROM s GROUP BY user_id, sid),
-e AS (SELECT s.user_id, s.sid, s.event_type
-      FROM s
-      QUALIFY ROW_NUMBER() OVER (PARTITION BY s.user_id, s.sid
-                                 ORDER BY s.ts, s.event_id) = 1)
-SELECT e.event_type AS entry_type,
-       CAST(SUM(CASE WHEN a.n = 1 THEN 1 ELSE 0 END) AS BIGINT)
-         AS n_bounced,
-       CAST(COUNT(*) AS BIGINT) AS n_sessions,
-       ROUND(SUM(CASE WHEN a.n = 1 THEN 1 ELSE 0 END) * 1.0 / COUNT(*), 6)
-         AS bounce_rate
-FROM a JOIN e ON e.user_id = a.user_id AND e.sid = a.sid
-GROUP BY e.event_type ORDER BY e.event_type
 """
 
 
@@ -11753,142 +10854,6 @@ FROM r
 """
 
 
-def q_dod_user_jaccard(sf_dir: str):
-    """Day-over-day audience overlap: Jaccard similarity between each
-    day's active-user set and the previous day's — the stickiness
-    chain.  (day, user) presence dedups per block, then users hash into
-    bounded partitions where each user's sorted day list yields its
-    consecutive-day intersection pairs; per-day distinct counts and
-    per-day-pair intersection counts fold over days-bounded grids."""
-    P = 32
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = pd.DataFrame({
-            "user_id": df["user_id"].to_numpy(),
-            "day": df["ts"].to_numpy("datetime64[D]").astype(np.int64)}) \
-            .drop_duplicates()
-        g["part"] = (g["user_id"].to_numpy(np.int64) % P).astype(np.int32)
-        return g
-
-    def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g[["user_id", "day"]].drop_duplicates() \
-            .sort_values(["user_id", "day"], kind="mergesort")
-        u = g["user_id"].to_numpy()
-        d = g["day"].to_numpy(np.int64)
-        active = g.groupby("day", as_index=False).size() \
-            .rename(columns={"size": "n_active"})
-        consec = (u[1:] == u[:-1]) & (d[1:] == d[:-1] + 1)
-        inter = pd.DataFrame({"day": d[1:][consec]}) \
-            .groupby("day", as_index=False).size() \
-            .rename(columns={"size": "n_inter"})
-        return active.merge(inter, on="day", how="outer").fillna(0)
-
-    parts = (ds.map_batches(partial, batch_format="pandas")
-             .groupby("part").map_groups(per_part, batch_format="pandas")
-             .to_pandas())
-    g = parts.groupby("day", as_index=False)[["n_active", "n_inter"]].sum()
-    g = g.sort_values("day").reset_index(drop=True)
-    prev = g["n_active"].shift(1)
-    contig = g["day"].diff() == 1
-    j = g.loc[contig].copy()
-    pa_ = prev[contig].to_numpy()
-    j["jaccard"] = (j["n_inter"]
-                    / (pa_ + j["n_active"] - j["n_inter"])).round(6)
-    return pd.DataFrame({
-        "day": pd.to_datetime(j["day"], unit="D").dt.strftime("%Y-%m-%d"),
-        "n_active": j["n_active"].astype(np.int64),
-        "n_inter": j["n_inter"].astype(np.int64),
-        "jaccard": j["jaccard"]}).reset_index(drop=True)
-
-
-SQL_DOD_USER_JACCARD = """
-WITH p AS (SELECT DISTINCT user_id, CAST(ts AS DATE) AS day FROM events),
-a AS (SELECT day, COUNT(*) AS n_active FROM p GROUP BY day),
-i AS (SELECT b.day, COUNT(*) AS n_inter
-      FROM p a JOIN p b ON b.user_id = a.user_id
-                       AND b.day = a.day + INTERVAL 1 DAY
-      GROUP BY b.day)
-SELECT strftime(a.day, '%Y-%m-%d') AS day,
-       CAST(a.n_active AS BIGINT) AS n_active,
-       CAST(COALESCE(i.n_inter, 0) AS BIGINT) AS n_inter,
-       ROUND(COALESCE(i.n_inter, 0) * 1.0
-             / (pr.n_active + a.n_active - COALESCE(i.n_inter, 0)), 6)
-         AS jaccard
-FROM a
-JOIN a pr ON pr.day = a.day - INTERVAL 1 DAY
-LEFT JOIN i ON i.day = a.day
-ORDER BY a.day
-"""
-
-
-def q_session_duration_median(sf_dir: str):
-    """Median session duration (first-to-last event, 30-min-gap
-    sessions) per ENTRY event type — the dwell-time readout.  The
-    bounded user-hash partition walk emits one (entry, duration-µs) row
-    per session; the per-entry median folds with the quantile_disc
-    convention over the session-bounded table, in exact integer
-    microseconds."""
-    P = 32
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-
-    def add_part(t: pa.Table) -> pa.Table:
-        part = pa.array((t["user_id"].to_numpy(zero_copy_only=False) % P)
-                        .astype(np.int32))
-        return t.append_column("part", part)
-
-    def durations(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        same = g["user_id"].eq(g["user_id"].shift())
-        gap = ((g["ts"].diff() > pd.Timedelta(minutes=30)) & same) | ~same
-        sid = gap.cumsum().to_numpy()
-        us = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        d = pd.DataFrame({"sid": sid, "us": us,
-                          "event_type": g["event_type"].to_numpy()})
-        agg = d.groupby("sid").agg(entry=("event_type", "first"),
-                                   dur=("us", lambda s: s.iloc[-1] - s.iloc[0]))
-        return agg.reset_index(drop=True)
-
-    sess = (ds.map_batches(add_part, batch_format="pyarrow")
-            .groupby("part").map_groups(durations, batch_format="pandas")
-            .to_pandas())
-    rows = []
-    for entry, grp in sess.groupby("entry"):
-        v = np.sort(grp["dur"].to_numpy(np.int64))
-        med = int(v[int(np.ceil(0.5 * len(v))) - 1])
-        rows.append((entry, round(med / 60e6, 6), len(v)))
-    out = pd.DataFrame(rows, columns=["entry_type", "median_minutes",
-                                      "n_sessions"])
-    out["n_sessions"] = out["n_sessions"].astype(np.int64)
-    return out.sort_values("entry_type").reset_index(drop=True)
-
-
-SQL_SESSION_DURATION_MEDIAN = """
-WITH f AS (
-  SELECT user_id, ts, event_id, event_type,
-         CASE WHEN ts - lag(ts) OVER (PARTITION BY user_id
-                                      ORDER BY ts, event_id)
-                   > INTERVAL 30 MINUTE THEN 1 ELSE 0 END AS ns
-  FROM events),
-s AS (SELECT user_id, ts, event_id, event_type,
-             SUM(ns) OVER (PARTITION BY user_id ORDER BY ts, event_id
-                           ROWS UNBOUNDED PRECEDING) AS sid
-      FROM f),
-a AS (SELECT user_id, sid,
-             CAST(date_diff('microsecond', MIN(ts), MAX(ts)) AS BIGINT)
-               AS dur
-      FROM s GROUP BY user_id, sid),
-e AS (SELECT user_id, sid, event_type FROM s
-      QUALIFY ROW_NUMBER() OVER (PARTITION BY user_id, sid
-                                 ORDER BY ts, event_id) = 1)
-SELECT e.event_type AS entry_type,
-       ROUND(quantile_disc(a.dur, 0.5) / 60e6, 6) AS median_minutes,
-       CAST(COUNT(*) AS BIGINT) AS n_sessions
-FROM a JOIN e ON e.user_id = a.user_id AND e.sid = a.sid
-GROUP BY e.event_type ORDER BY e.event_type
-"""
-
-
 def q_type_traffic_cosine(sf_dir: str):
     """Traffic-fingerprint similarity: cosine between event types'
     168-dimensional hour-of-week count profiles, all pairs — do clicks
@@ -11938,133 +10903,6 @@ JOIN norms na ON na.event_type = a.event_type
 JOIN norms nb ON nb.event_type = b.event_type
 GROUP BY a.event_type, b.event_type
 ORDER BY type_a, type_b
-"""
-
-
-def q_conversion_cdf(sf_dir: str):
-    """Conversion CDF: of users who signed up, the share converted
-    (first purchase at or after first signup) within 1, 7, 14 and 30
-    days — the activation curve product teams track.  Reuses the
-    bounded user-hash lag walk of q_conversion_lag_quantiles; the CDF
-    points fold from exact integer-microsecond lags."""
-    P = 32
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.loc[df["event_type"].isin(["signup", "purchase"])].copy()
-        df["part"] = (df["user_id"].to_numpy() % P).astype(np.int32)
-        return df
-
-    def lags_part(g: pd.DataFrame) -> pd.DataFrame:
-        s = g.loc[g["event_type"] == "signup"] \
-            .groupby("user_id")["ts"].min().rename("s0")
-        p = g.loc[g["event_type"] == "purchase", ["user_id", "ts"]]
-        j = p.merge(s, left_on="user_id", right_index=True)
-        j = j.loc[j["ts"] >= j["s0"]]
-        first = j.groupby("user_id")["ts"].min()
-        lag_us = (first - s[first.index]).to_numpy() \
-            .astype("timedelta64[us]").astype(np.int64)
-        return pd.DataFrame({"n_signup": [int(len(s))],
-                             "lags": [",".join(map(str, sorted(lag_us)))]})
-
-    parts = (ds.map_batches(add_part, batch_format="pandas")
-             .groupby("part").map_groups(lags_part, batch_format="pandas")
-             .to_pandas())
-    n_signup = max(int(parts["n_signup"].sum()), 1)  # guard empty slice
-    lags = np.sort(np.concatenate([
-        np.array([int(x) for x in s.split(",")], np.int64) if s else
-        np.empty(0, np.int64) for s in parts["lags"]]))
-    DAY_US = 86_400_000_000
-    rows = []
-    for k in (1, 7, 14, 30):
-        conv = int(np.searchsorted(lags, k * DAY_US, side="right"))
-        rows.append((k, conv, round(conv / n_signup, 6)))
-    out = pd.DataFrame(rows, columns=["within_days", "n_converted",
-                                      "share"])
-    out["within_days"] = out["within_days"].astype(np.int64)
-    out["n_converted"] = out["n_converted"].astype(np.int64)
-    return out
-
-
-SQL_CONVERSION_CDF = """
-WITH s AS (SELECT user_id, MIN(ts) AS s0 FROM events
-           WHERE event_type = 'signup' GROUP BY user_id),
-p AS (SELECT e.user_id, MIN(e.ts) AS p0
-      FROM events e JOIN s ON s.user_id = e.user_id
-      WHERE e.event_type = 'purchase' AND e.ts >= s.s0
-      GROUP BY e.user_id),
-l AS (SELECT CAST(date_diff('microsecond', s.s0, p.p0) AS BIGINT) AS lag_us
-      FROM s JOIN p ON p.user_id = s.user_id),
-n AS (SELECT COUNT(*) AS n_signup FROM s),
-k AS (SELECT UNNEST([1, 7, 14, 30]) AS within_days)
-SELECT CAST(k.within_days AS BIGINT) AS within_days,
-       CAST((SELECT COUNT(*) FROM l
-             WHERE lag_us <= k.within_days * CAST(86400000000 AS BIGINT))
-            AS BIGINT) AS n_converted,
-       ROUND((SELECT COUNT(*) FROM l
-              WHERE lag_us <= k.within_days * CAST(86400000000 AS BIGINT))
-             * 1.0 / n.n_signup, 6) AS share
-FROM k, n ORDER BY within_days
-"""
-
-
-def q_weekend_value_qte(sf_dir: str):
-    """Quantile treatment effect: weekend-vs-weekday purchase VALUE
-    quantile gaps at q = 0.25/0.5/0.75 — distributional uplift where a
-    mean comparison (q_weekend_effect) hides shape changes.  Values ride
-    as integer cents per (is_weekend, cents) count partials; each
-    group's quantile_disc picks fold from the value-cardinality-bounded
-    count table."""
-    ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.loc[df["event_type"] == "purchase"]
-        return pd.DataFrame({
-            "wk": (df["ts"].dt.dayofweek >= 5).to_numpy().astype(np.int64),
-            "cents": np.round(df["value"].to_numpy() * 100)
-            .astype(np.int64)}).groupby(["wk", "cents"],
-                                        as_index=False).size() \
-            .rename(columns={"size": "n"})
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    cnt = parts.groupby(["wk", "cents"], as_index=False)["n"].sum()
-    rows = []
-    for q in (0.25, 0.5, 0.75):
-        pick = {}
-        for w in (0, 1):
-            sub = cnt.loc[cnt["wk"] == w].sort_values("cents")
-            c = sub["n"].to_numpy(np.int64).cumsum()
-            k = int(np.ceil(q * c[-1]))
-            pick[w] = int(sub["cents"].to_numpy()[np.searchsorted(c, k)])
-        rows.append((q, round(pick[1] / 100.0, 6),
-                     round(pick[0] / 100.0, 6),
-                     round((pick[1] - pick[0]) / 100.0, 6)))
-    return pd.DataFrame(rows, columns=["q", "weekend_q", "weekday_q",
-                                       "qte"])
-
-
-SQL_WEEKEND_VALUE_QTE = """
-WITH v AS (SELECT CASE WHEN isodow(ts) >= 6 THEN 1 ELSE 0 END AS wk,
-                  CAST(ROUND(value * 100) AS BIGINT) AS cents
-           FROM events WHERE event_type = 'purchase'),
-a AS (SELECT quantile_disc(cents, 0.25) AS p25,
-             quantile_disc(cents, 0.5) AS p50,
-             quantile_disc(cents, 0.75) AS p75
-      FROM v WHERE wk = 1),
-b AS (SELECT quantile_disc(cents, 0.25) AS p25,
-             quantile_disc(cents, 0.5) AS p50,
-             quantile_disc(cents, 0.75) AS p75
-      FROM v WHERE wk = 0)
-SELECT 0.25 AS q, ROUND(a.p25 / 100.0, 6) AS weekend_q,
-       ROUND(b.p25 / 100.0, 6) AS weekday_q,
-       ROUND((a.p25 - b.p25) / 100.0, 6) AS qte FROM a, b
-UNION ALL
-SELECT 0.5, ROUND(a.p50 / 100.0, 6), ROUND(b.p50 / 100.0, 6),
-       ROUND((a.p50 - b.p50) / 100.0, 6) FROM a, b
-UNION ALL
-SELECT 0.75, ROUND(a.p75 / 100.0, 6), ROUND(b.p75 / 100.0, 6),
-       ROUND((a.p75 - b.p75) / 100.0, 6) FROM a, b
-ORDER BY q
 """
 
 
@@ -12154,128 +10992,6 @@ SELECT strftime(CAST(ts AS DATE), '%Y-%m-%d') AS day,
        CAST(COUNT(DISTINCT user_id) AS BIGINT) AS n_users
 FROM events GROUP BY 1
 ORDER BY n_users DESC, day LIMIT 10
-"""
-
-
-def q_value_moments_by_type(sf_dir: str):
-    """Higher-moment profile: mean, sd, SKEWNESS and excess KURTOSIS of
-    event values per type, from exact integer power sums — per-block
-    partials carry Σc, Σc², Σc³, Σc⁴ as arbitrary-precision Python ints
-    (c⁴ overflows int64 at scale), so both engines evaluate the moment
-    formulas from literally identical sums."""
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for t, grp in df.groupby("event_type"):
-            c = np.round(grp["value"].to_numpy() * 100).astype(np.int64)
-            ci = [int(x) for x in c]
-            rows.append((t, sum(ci), sum(x * x for x in ci),
-                         sum(x ** 3 for x in ci), sum(x ** 4 for x in ci),
-                         len(ci)))
-        return pd.DataFrame(rows, columns=["event_type", "s1", "s2", "s3",
-                                           "s4", "n"]).astype(
-            {"s1": object, "s2": object, "s3": object, "s4": object})
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    rows = []
-    for t, grp in parts.groupby("event_type"):
-        s1, s2 = int(grp["s1"].sum()), int(grp["s2"].sum())
-        s3, s4 = int(grp["s3"].sum()), int(grp["s4"].sum())
-        n = int(grp["n"].sum())
-        m = s1 / n
-        m2 = s2 / n - m * m
-        m3 = s3 / n - 3 * m * s2 / n + 2 * m ** 3
-        m4 = s4 / n - 4 * m * s3 / n + 6 * m * m * s2 / n - 3 * m ** 4
-        rows.append((t, round(m / 100.0, 6),
-                     round(np.sqrt(m2) / 100.0, 6),
-                     round(m3 / m2 ** 1.5, 6),
-                     round(m4 / (m2 * m2) - 3.0, 6), n))
-    out = pd.DataFrame(rows, columns=["event_type", "mean", "sd",
-                                      "skew", "ex_kurtosis", "n"])
-    out["n"] = out["n"].astype(np.int64)
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-SQL_VALUE_MOMENTS_BY_TYPE = """
-WITH c AS (SELECT event_type,
-                  CAST(CAST(ROUND(value * 100) AS BIGINT) AS HUGEINT)
-                    AS cents
-           FROM events),
-m AS (SELECT event_type, SUM(cents) AS s1, SUM(cents * cents) AS s2,
-             SUM(cents * cents * cents) AS s3,
-             SUM(cents * cents * cents * cents) AS s4, COUNT(*) AS n
-      FROM c GROUP BY event_type),
-k AS (SELECT event_type, n,
-             s1 * 1.0 / n AS mu,
-             s2 * 1.0 / n - (s1 * 1.0 / n) * (s1 * 1.0 / n) AS m2,
-             s3 * 1.0 / n - 3 * (s1 * 1.0 / n) * (s2 * 1.0 / n)
-               + 2 * POWER(s1 * 1.0 / n, 3) AS m3,
-             s4 * 1.0 / n - 4 * (s1 * 1.0 / n) * (s3 * 1.0 / n)
-               + 6 * (s1 * 1.0 / n) * (s1 * 1.0 / n) * (s2 * 1.0 / n)
-               - 3 * POWER(s1 * 1.0 / n, 4) AS m4
-      FROM m)
-SELECT event_type, ROUND(mu / 100.0, 6) AS mean,
-       ROUND(SQRT(m2) / 100.0, 6) AS sd,
-       ROUND(m3 / POWER(m2, 1.5), 6) AS skew,
-       ROUND(m4 / (m2 * m2) - 3.0, 6) AS ex_kurtosis,
-       CAST(n AS BIGINT) AS n
-FROM k ORDER BY event_type
-"""
-
-
-def q_updown_runs(sf_dir: str):
-    """Runs test for trend randomness: per event type, the number of
-    maximal runs of consecutive daily-count INCREASES/DECREASES (flat
-    days break runs), plus the up-step share — white noise scores near
-    2/3 expected run length, trends score long runs.  One (type, day)
-    combiner; the sign walk runs over each type's day-ordered series."""
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(day=df["ts"].dt.strftime("%Y-%m-%d")) \
-            .groupby(["event_type", "day"], as_index=False).size() \
-            .rename(columns={"size": "n"})
-
-    def runs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.groupby(["event_type", "day"], as_index=False)["n"].sum() \
-            .sort_values("day")
-        n = g["n"].to_numpy(np.int64)
-        sign = np.sign(n[1:] - n[:-1])
-        nz = sign[sign != 0]
-        n_runs = int(1 + (nz[1:] != nz[:-1]).sum()) if len(nz) else 0
-        return pd.DataFrame({
-            "event_type": [g["event_type"].iloc[0]],
-            "n_runs": np.array([n_runs], np.int64),
-            "n_steps": np.array([len(sign)], np.int64),
-            "up_share": [round(float((sign > 0).sum() / len(sign)), 6)]})
-
-    return (ds.map_batches(partial, batch_format="pandas")
-            .groupby("event_type").map_groups(runs, batch_format="pandas"))
-
-
-SQL_UPDOWN_RUNS = """
-WITH d AS (SELECT event_type, strftime(ts, '%Y-%m-%d') AS day, COUNT(*) AS n
-           FROM events GROUP BY 1, 2),
-s AS (SELECT event_type, day,
-             SIGN(n - lag(n) OVER (PARTITION BY event_type ORDER BY day))
-               AS sg
-      FROM d),
-nz AS (SELECT event_type, day, sg,
-              lag(sg) OVER (PARTITION BY event_type ORDER BY day) AS prev
-       FROM (SELECT * FROM s WHERE sg IS NOT NULL AND sg != 0)),
-r AS (SELECT event_type,
-             1 + SUM(CASE WHEN prev IS NOT NULL AND sg != prev
-                          THEN 1 ELSE 0 END) AS n_runs
-      FROM nz GROUP BY event_type),
-t AS (SELECT event_type, COUNT(*) AS n_steps,
-             SUM(CASE WHEN sg > 0 THEN 1 ELSE 0 END) AS ups
-      FROM s WHERE sg IS NOT NULL GROUP BY event_type)
-SELECT t.event_type, CAST(r.n_runs AS BIGINT) AS n_runs,
-       CAST(t.n_steps AS BIGINT) AS n_steps,
-       ROUND(t.ups * 1.0 / t.n_steps, 6) AS up_share
-FROM t JOIN r ON r.event_type = t.event_type
-ORDER BY t.event_type
 """
 
 
@@ -12814,135 +11530,6 @@ FROM cv
 """
 
 
-def q_type_xcorr_lag(sf_dir: str):
-    """Cross-correlation scan: Pearson r between the click and purchase
-    daily-count series at lags −3..+3 days, with the best (|r|-max,
-    smallest-lag tiebreak) flagged — does one stream LEAD the other?
-    One (type, day) combiner; each lag's correlation is a keyed
-    day+lag join over the days-bounded grids, from exact integer count
-    sums."""
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.loc[df["event_type"].isin(["click", "purchase"])]
-        return df.assign(day=df["ts"].to_numpy("datetime64[D]")
-                         .astype(np.int64)) \
-            .groupby(["event_type", "day"], as_index=False).size() \
-            .rename(columns={"size": "n"})
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    g = parts.groupby(["event_type", "day"], as_index=False)["n"].sum()
-    a = g.loc[g["event_type"] == "click", ["day", "n"]]
-    b = g.loc[g["event_type"] == "purchase", ["day", "n"]]
-    rows = []
-    for lag in range(-3, 4):
-        j = a.merge(b.assign(day=b["day"] + lag), on="day",
-                    suffixes=("_a", "_b"))
-        x = j["n_a"].to_numpy(np.int64)
-        y = j["n_b"].to_numpy(np.int64)
-        k = len(j)
-        sx, sy = int(x.sum()), int(y.sum())
-        sxx, syy = int((x * x).sum()), int((y * y).sum())
-        sxy = int((x * y).sum())
-        r = (k * sxy - sx * sy) / np.sqrt(
-            (k * sxx - sx * sx) * (k * syy - sy * sy))
-        rows.append((lag, round(float(r), 6), k))
-    out = pd.DataFrame(rows, columns=["lag", "r", "n_days"])
-    best = out.loc[out["r"].abs().round(6).idxmax(), "lag"]
-    out["is_best"] = (out["lag"] == best)
-    out["lag"] = out["lag"].astype(np.int64)
-    out["n_days"] = out["n_days"].astype(np.int64)
-    return out
-
-
-SQL_TYPE_XCORR_LAG = """
-WITH d AS (SELECT event_type, CAST(ts AS DATE) AS day, COUNT(*) AS n
-           FROM events WHERE event_type IN ('click', 'purchase')
-           GROUP BY 1, 2),
-a AS (SELECT day, n FROM d WHERE event_type = 'click'),
-b AS (SELECT day, n FROM d WHERE event_type = 'purchase'),
-lags AS (SELECT UNNEST(range(-3, 4)) AS lag),
-j AS (SELECT l.lag, a.n AS x, b.n AS y
-      FROM lags l
-      JOIN a ON TRUE
-      JOIN b ON b.day + l.lag * INTERVAL 1 DAY = a.day),
-c AS (SELECT lag, COUNT(*) AS k, SUM(x) AS sx, SUM(y) AS sy,
-             SUM(x * x) AS sxx, SUM(y * y) AS syy, SUM(x * y) AS sxy
-      FROM j GROUP BY lag),
-r AS (SELECT lag, k,
-             ROUND((k * sxy - sx * sy)
-                   / SQRT((k * sxx - sx * sx) * 1.0
-                          * (k * syy - sy * sy)), 6) AS r
-      FROM c),
-best AS (SELECT lag AS best_lag FROM r
-         QUALIFY ROW_NUMBER() OVER (ORDER BY ABS(r) DESC, lag) = 1)
-SELECT CAST(r.lag AS BIGINT) AS lag, r.r,
-       CAST(r.k AS BIGINT) AS n_days,
-       r.lag = (SELECT best_lag FROM best) AS is_best
-FROM r ORDER BY r.lag
-"""
-
-
-def q_active_day_streaks(sf_dir: str):
-    """Calendar-contiguity islands: each user's LONGEST run of
-    CONSECUTIVE active days, as a histogram — the engagement-streak
-    metric (value-monotonic order islands are the other variant; this
-    one is date adjacency).  (user, day) presence dedups per block,
-    finishes in user partitions where the day-diff==1 break-cumsum
-    labels islands vectorized."""
-    P = 32
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = pd.DataFrame({
-            "user_id": df["user_id"].to_numpy(),
-            "day": df["ts"].to_numpy("datetime64[D]").astype(np.int64)}) \
-            .drop_duplicates()
-        g["part"] = (g["user_id"].to_numpy(np.int64) % P).astype(np.int32)
-        return g
-
-    def streaks(g: pd.DataFrame) -> pd.DataFrame:
-        g = g[["user_id", "day"]].drop_duplicates() \
-            .sort_values(["user_id", "day"], kind="mergesort")
-        u = g["user_id"].to_numpy()
-        d = g["day"].to_numpy(np.int64)
-        brk = np.r_[True, (u[1:] != u[:-1]) | (d[1:] != d[:-1] + 1)]
-        isle = np.cumsum(brk)
-        runs = pd.DataFrame({"u": u, "isle": isle}) \
-            .groupby(["u", "isle"], as_index=False).size()
-        best = runs.groupby("u")["size"].max()
-        h = best.value_counts().sort_index()
-        return pd.DataFrame({"streak_days": h.index.to_numpy(np.int64),
-                             "n": h.to_numpy(np.int64)})
-
-    parts = (ds.map_batches(partial, batch_format="pandas")
-             .groupby("part").map_groups(streaks, batch_format="pandas")
-             .to_pandas())
-    out = parts.groupby("streak_days", as_index=False)["n"].sum()
-    out["n_users"] = out.pop("n").astype(np.int64)
-    return out.sort_values("streak_days").reset_index(drop=True)
-
-
-SQL_ACTIVE_DAY_STREAKS = """
-WITH p AS (SELECT DISTINCT user_id, CAST(ts AS DATE) AS day FROM events),
-g AS (SELECT user_id, day,
-             CASE WHEN day = lag(day) OVER (PARTITION BY user_id
-                                            ORDER BY day)
-                            + INTERVAL 1 DAY
-                  THEN 0 ELSE 1 END AS brk
-      FROM p),
-i AS (SELECT user_id,
-             SUM(brk) OVER (PARTITION BY user_id ORDER BY day
-                            ROWS UNBOUNDED PRECEDING) AS isle
-      FROM g),
-s AS (SELECT user_id, isle, COUNT(*) AS len FROM i GROUP BY 1, 2),
-m AS (SELECT user_id, MAX(len) AS best FROM s GROUP BY 1)
-SELECT CAST(best AS BIGINT) AS streak_days,
-       CAST(COUNT(*) AS BIGINT) AS n_users
-FROM m GROUP BY 1 ORDER BY 1
-"""
-
-
 def q_brand_name_token_mode(sf_dir: str):
     """Per-brand catalog vocabulary mode: the most frequent part-name
     TOKEN per brand (lexicographic tiebreak) with its share — string
@@ -13066,71 +11653,6 @@ FROM events GROUP BY event_type ORDER BY event_type
 """
 
 
-def q_peak_hour_stability(sf_dir: str):
-    """Peak stability: per event type, how often the WEEKLY peak hour
-    (argmax count per ISO week, tie → smallest hour) lands on the
-    type's overall modal peak — rhythm consistency over time.  One
-    (type, week, hour) combiner; both argmax folds run over the bounded
-    (type x weeks x 24) grid."""
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        iso = df["ts"].dt.isocalendar()
-        return pd.DataFrame({
-            "event_type": df["event_type"].to_numpy(),
-            "week": (iso["year"].to_numpy(np.int64) * 100
-                     + iso["week"].to_numpy(np.int64)),
-            "hour": df["ts"].dt.hour.to_numpy().astype(np.int64)}) \
-            .groupby(["event_type", "week", "hour"], as_index=False) \
-            .size().rename(columns={"size": "n"})
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    g = parts.groupby(["event_type", "week", "hour"],
-                      as_index=False)["n"].sum()
-    g = g.sort_values(["event_type", "week", "n", "hour"],
-                      ascending=[True, True, False, True])
-    wk_peak = g.groupby(["event_type", "week"], as_index=False).head(1)
-    overall = g.groupby(["event_type", "hour"], as_index=False)["n"].sum() \
-        .sort_values(["event_type", "n", "hour"],
-                     ascending=[True, False, True]) \
-        .groupby("event_type", as_index=False).head(1) \
-        .rename(columns={"hour": "modal_hour"})[["event_type", "modal_hour"]]
-    j = wk_peak.merge(overall, on="event_type")
-    j["hit"] = (j["hour"] == j["modal_hour"]).astype(np.int64)
-    out = j.groupby(["event_type", "modal_hour"], as_index=False).agg(
-        n_weeks=("hit", "size"), n_hits=("hit", "sum"))
-    out["stability"] = (out["n_hits"] / out["n_weeks"]).round(6)
-    out["modal_hour"] = out["modal_hour"].astype(np.int64)
-    out["n_weeks"] = out["n_weeks"].astype(np.int64)
-    out["n_hits"] = out["n_hits"].astype(np.int64)
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-SQL_PEAK_HOUR_STABILITY = """
-WITH c AS (SELECT event_type,
-                  EXTRACT(isoyear FROM ts) * 100 + EXTRACT(week FROM ts)
-                    AS week,
-                  EXTRACT(hour FROM ts) AS hour, COUNT(*) AS n
-           FROM events GROUP BY 1, 2, 3),
-wk AS (SELECT event_type, week, hour FROM c
-       QUALIFY ROW_NUMBER() OVER (PARTITION BY event_type, week
-                                  ORDER BY n DESC, hour) = 1),
-ov AS (SELECT event_type, hour AS modal_hour
-       FROM (SELECT event_type, hour, SUM(n) AS n FROM c GROUP BY 1, 2)
-       QUALIFY ROW_NUMBER() OVER (PARTITION BY event_type
-                                  ORDER BY n DESC, hour) = 1)
-SELECT wk.event_type, CAST(ov.modal_hour AS BIGINT) AS modal_hour,
-       CAST(COUNT(*) AS BIGINT) AS n_weeks,
-       CAST(SUM(CASE WHEN wk.hour = ov.modal_hour THEN 1 ELSE 0 END)
-            AS BIGINT) AS n_hits,
-       ROUND(SUM(CASE WHEN wk.hour = ov.modal_hour THEN 1 ELSE 0 END)
-             * 1.0 / COUNT(*), 6) AS stability
-FROM wk JOIN ov ON ov.event_type = wk.event_type
-GROUP BY wk.event_type, ov.modal_hour
-ORDER BY wk.event_type
-"""
-
-
 def q_centroid_confusion(sf_dir: str):
     """Nearest-centroid confusion matrix: assign every embedding to its
     closest LABEL centroid (squared L2, label-id tiebreak) and count
@@ -13194,80 +11716,6 @@ a AS (SELECT vec_id, true_label, clabel AS assigned FROM d
                                  ORDER BY dist, clabel) = 1)
 SELECT true_label, assigned, CAST(COUNT(*) AS BIGINT) AS n
 FROM a GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-
-def q_next_day_return_rate(sf_dir: str):
-    """Action-conditioned retention: given a user did event type T on
-    day D, how often were they active on day D+1 — which actions
-    predict coming back?  (user, day, type-bit) presence partials
-    OR-reduce inside user partitions, where next-day membership is one
-    sorted searchsorted per user set; (type, returned, n) partials
-    fold."""
-    P = 32
-    tset = _read(sf_dir, "events", ["event_type"]).map_batches(
-        lambda df: df.drop_duplicates(), batch_format="pandas").to_pandas()
-    types = sorted(tset["event_type"].unique())
-    tmap = {t: i for i, t in enumerate(types)}
-    tref = ray.put(tmap)
-
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        m = ray.get(tref)
-        g = pd.DataFrame({
-            "user_id": df["user_id"].to_numpy(),
-            "day": df["ts"].to_numpy("datetime64[D]").astype(np.int64),
-            "mask": df["event_type"].map(m).map(lambda i: 1 << i)
-            .astype(np.int64)}) \
-            .groupby(["user_id", "day"], as_index=False)["mask"] \
-            .agg(lambda s: int(np.bitwise_or.reduce(s.to_numpy())))
-        g["part"] = (g["user_id"].to_numpy(np.int64) % P).astype(np.int32)
-        return g
-
-    def rates(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.groupby(["user_id", "day"], as_index=False)["mask"] \
-            .agg(lambda s: int(np.bitwise_or.reduce(s.to_numpy())))
-        m = m.sort_values(["user_id", "day"], kind="mergesort")
-        u = m["user_id"].to_numpy()
-        d = m["day"].to_numpy(np.int64)
-        ret = np.r_[(u[1:] == u[:-1]) & (d[1:] == d[:-1] + 1), False] \
-            .astype(np.int64)
-        masks = m["mask"].to_numpy(np.int64)
-        rows = []
-        K = len(ray.get(tref))
-        for i in range(K):
-            has = (masks >> i) & 1
-            rows.append((i, int((has * ret).sum()), int(has.sum())))
-        return pd.DataFrame(rows, columns=["tcode", "n_ret", "n"])
-
-    parts = (ds.map_batches(partial, batch_format="pandas")
-             .groupby("part").map_groups(rates, batch_format="pandas")
-             .to_pandas())
-    g = parts.groupby("tcode", as_index=False)[["n_ret", "n"]].sum()
-    return pd.DataFrame({
-        "event_type": [types[i] for i in g["tcode"]],
-        "n_user_days": g["n"].astype(np.int64),
-        "n_returned": g["n_ret"].astype(np.int64),
-        "return_rate": (g["n_ret"] / g["n"]).round(6),
-    }).sort_values("event_type").reset_index(drop=True)
-
-
-SQL_NEXT_DAY_RETURN_RATE = """
-WITH p AS (SELECT DISTINCT user_id, CAST(ts AS DATE) AS day, event_type
-           FROM events),
-act AS (SELECT DISTINCT user_id, day FROM p)
-SELECT p.event_type,
-       CAST(COUNT(DISTINCT (p.user_id, p.day)) AS BIGINT) AS n_user_days,
-       CAST(COUNT(DISTINCT CASE WHEN n.user_id IS NOT NULL
-                                THEN (p.user_id, p.day) END) AS BIGINT)
-         AS n_returned,
-       ROUND(COUNT(DISTINCT CASE WHEN n.user_id IS NOT NULL
-                                 THEN (p.user_id, p.day) END) * 1.0
-             / COUNT(DISTINCT (p.user_id, p.day)), 6) AS return_rate
-FROM p LEFT JOIN act n ON n.user_id = p.user_id
-                      AND n.day = p.day + INTERVAL 1 DAY
-GROUP BY p.event_type ORDER BY p.event_type
 """
 
 
@@ -13492,77 +11940,6 @@ FROM d
 """
 
 
-def q_mannwhitney_weekend(sf_dir: str):
-    """Mann–Whitney U (rank-sum) test: weekend vs weekday purchase
-    values — the nonparametric sibling of q_weekend_value_qte.  U folds
-    EXACTLY from the per-value count grids of both groups
-    (2U = 2·Σ n1(v)·cum_n2(<v) + Σ n1(v)·n2(v), integer arithmetic
-    handles ties as midranks), so no row-level rank
-    shuffle ever happens."""
-    ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.loc[df["event_type"] == "purchase"]
-        return pd.DataFrame({
-            "wk": (df["ts"].dt.dayofweek >= 5).to_numpy().astype(np.int64),
-            "cents": np.round(df["value"].to_numpy() * 100)
-            .astype(np.int64)}).groupby(["wk", "cents"],
-                                        as_index=False).size() \
-            .rename(columns={"size": "n"})
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    cnt = parts.groupby(["wk", "cents"], as_index=False)["n"].sum()
-    piv = cnt.pivot_table(index="cents", columns="wk", values="n",
-                          fill_value=0, aggfunc="sum").sort_index()
-    n1 = piv.get(1, pd.Series(0, index=piv.index)).to_numpy(np.int64)
-    n0 = piv.get(0, pd.Series(0, index=piv.index)).to_numpy(np.int64)
-    cum0_below = np.r_[0, np.cumsum(n0)[:-1]]
-    two_u = 2 * int((n1 * cum0_below).sum()) + int((n1 * n0).sum())
-    N1, N0 = int(n1.sum()), int(n0.sum())
-    mu = N1 * N0  # 2*E[U]
-    # normal approx z with tie-corrected variance, exact integer inputs
-    N = N1 + N0
-    t = (n0 + n1).astype(np.int64)
-    tie_term = int((t ** 3 - t).sum())
-    var_u = N1 * N0 / 12.0 * ((N + 1) - tie_term / (N * (N - 1.0)))
-    z = (two_u - mu) / (2.0 * np.sqrt(var_u))
-    return pd.DataFrame({
-        "u_stat": [round(two_u / 2.0, 2)],
-        "z": [round(float(z), 6)],
-        "n_weekend": np.array([N1], np.int64),
-        "n_weekday": np.array([N0], np.int64)})
-
-
-SQL_MANNWHITNEY_WEEKEND = """
-WITH v AS (SELECT CASE WHEN isodow(ts) >= 6 THEN 1 ELSE 0 END AS wk,
-                  CAST(ROUND(value * 100) AS BIGINT) AS cents
-           FROM events WHERE event_type = 'purchase'),
-c AS (SELECT cents,
-             SUM(CASE WHEN wk = 1 THEN 1 ELSE 0 END) AS n1,
-             SUM(CASE WHEN wk = 0 THEN 1 ELSE 0 END) AS n0
-      FROM v GROUP BY cents),
-w AS (SELECT n1, n0,
-             COALESCE(SUM(n0) OVER (ORDER BY cents
-                                    ROWS BETWEEN UNBOUNDED PRECEDING
-                                             AND 1 PRECEDING), 0) AS cum0
-      FROM c),
-t AS (SELECT SUM(2 * n1 * cum0 + n1 * n0) AS two_u,
-             SUM(n1) AS N1, SUM(n0) AS N0,
-             SUM((n1 + n0) * (n1 + n0) * (n1 + n0) - (n1 + n0))
-               AS tie_term
-      FROM w)
-SELECT ROUND(two_u / 2.0, 2) AS u_stat,
-       ROUND((two_u - N1 * N0)
-             / (2.0 * SQRT(N1 * N0 / 12.0
-                           * ((N1 + N0 + 1)
-                              - tie_term * 1.0
-                                / ((N1 + N0) * (N1 + N0 - 1.0))))), 6)
-         AS z,
-       CAST(N1 AS BIGINT) AS n_weekend, CAST(N0 AS BIGINT) AS n_weekday
-FROM t
-"""
-
-
 def q_qty_uniformity_gof(sf_dir: str):
     """Chi-squared goodness-of-fit: are line quantities uniform over
     their observed 1..50 support?  One value-count combiner; the GOF
@@ -13676,199 +12053,6 @@ FROM o
 """
 
 
-def q_theil_decomposition(sf_dir: str):
-    """Theil-T inequality decomposition: total value inequality across
-    events split into BETWEEN-type and WITHIN-type components — which
-    slice of the disparity does the type dimension explain?  Per-type
-    (Σx, Σ x·ln x, n) partials; ln x evaluates per distinct cent value
-    via a value-grid combiner so both engines sum identical terms."""
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "event_type": df["event_type"].to_numpy(),
-            "cents": np.round(df["value"].to_numpy() * 100)
-            .astype(np.int64)}).groupby(["event_type", "cents"],
-                                        as_index=False).size() \
-            .rename(columns={"size": "n"})
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    g = parts.groupby(["event_type", "cents"], as_index=False)["n"].sum()
-    g = g.loc[g["cents"] > 0].sort_values(["event_type", "cents"])
-    x = g["cents"].to_numpy(np.int64).astype(np.float64)
-    n = g["n"].to_numpy(np.int64).astype(np.float64)
-    g = g.assign(sx=n * x, sxl=n * x * np.log(x))
-    per = g.groupby("event_type", as_index=False).agg(
-        sx=("sx", "sum"), sxl=("sxl", "sum"), k=("n", "sum"))
-    SX, K = float(per["sx"].sum()), float(per["k"].sum())
-    mu = SX / K
-    t_total = float((per["sxl"].sum()) / SX - np.log(mu))
-    mu_g = per["sx"].to_numpy() / per["k"].to_numpy()
-    share = per["sx"].to_numpy() / SX
-    t_between = float((share * np.log(mu_g / mu)).sum())
-    return pd.DataFrame({
-        "theil_total": [round(t_total, 6)],
-        "theil_between": [round(t_between, 6)],
-        "within_share": [round((t_total - t_between) / t_total, 6)]})
-
-
-SQL_THEIL_DECOMPOSITION = """
-WITH c AS (SELECT event_type, CAST(ROUND(value * 100) AS BIGINT) AS cents,
-                  COUNT(*) AS n
-           FROM events WHERE ROUND(value * 100) > 0 GROUP BY 1, 2),
-p AS (SELECT event_type, SUM(n * cents * 1.0) AS sx,
-             SUM(n * cents * LN(cents * 1.0)) AS sxl,
-             SUM(n) AS k
-      FROM c GROUP BY event_type),
-t AS (SELECT SUM(sx) AS SX, SUM(k) AS K, SUM(sxl) AS SXL FROM p),
-b AS (SELECT SUM(p.sx / t.SX * LN((p.sx / p.k) / (t.SX / t.K)))
-               AS t_between
-      FROM p, t)
-SELECT ROUND(t.SXL / t.SX - LN(t.SX / t.K), 6) AS theil_total,
-       ROUND(b.t_between, 6) AS theil_between,
-       ROUND((t.SXL / t.SX - LN(t.SX / t.K) - b.t_between)
-             / (t.SXL / t.SX - LN(t.SX / t.K)), 6) AS within_share
-FROM t, b
-"""
-
-
-def q_linear_attribution(sf_dir: str):
-    """Linear multi-touch attribution: every purchase's value splits
-    EQUALLY across all session events up to and including it (30-min
-    sessions), credit totaled per touched event type — the marketing
-    attribution primitive.  Session walks run in bounded user-hash
-    partitions; the within-session credit expansion is a prefix-rank
-    self-merge per partition; only (type, credit-µcents) partials
-    leave."""
-    P = 32
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_id",
-                                  "event_type", "value"])
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = (df["user_id"].to_numpy() % P).astype(np.int32)
-        return df
-
-    def credit(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        same = g["user_id"].eq(g["user_id"].shift())
-        gap = ((g["ts"].diff() > pd.Timedelta(minutes=30)) & same) | ~same
-        sid = gap.cumsum().to_numpy()
-        pos = pd.Series(np.arange(len(g))).groupby(sid).cumcount() \
-            .to_numpy() + 1
-        cents = np.round(g["value"].to_numpy() * 100).astype(np.int64)
-        d = pd.DataFrame({"sid": sid, "pos": pos,
-                          "event_type": g["event_type"].to_numpy(),
-                          "cents": cents,
-                          "is_p": (g["event_type"] == "purchase")
-                          .to_numpy()})
-        purch = d.loc[d["is_p"], ["sid", "pos", "cents"]] \
-            .rename(columns={"pos": "ppos"})
-        j = d[["sid", "pos", "event_type"]].merge(purch, on="sid")
-        j = j.loc[j["pos"] <= j["ppos"]]
-        # exact microcents: value*100*10000 // ppos keeps integers, and
-        # both engines use the same floor division
-        j["credit"] = (j["cents"].to_numpy(np.int64) * 10000
-                       // j["ppos"].to_numpy(np.int64))
-        return j.groupby("event_type", as_index=False)["credit"].sum()
-
-    parts = (ds.map_batches(add_part, batch_format="pandas")
-             .groupby("part").map_groups(credit, batch_format="pandas")
-             .to_pandas())
-    g = parts.groupby("event_type", as_index=False)["credit"].sum()
-    # integer half-away-from-zero to cents: np.round is half-EVEN and
-    # lands on .465-style boundaries differently than SQL ROUND
-    g["credited_value"] = ((g.pop("credit").to_numpy(np.int64) + 5000)
-                           // 10000) / 100.0
-    return g.sort_values("event_type").reset_index(drop=True)
-
-
-SQL_LINEAR_ATTRIBUTION = """
-WITH f AS (
-  SELECT user_id, ts, event_id, event_type,
-         CAST(ROUND(value * 100) AS BIGINT) AS cents,
-         CASE WHEN ts - lag(ts) OVER (PARTITION BY user_id
-                                      ORDER BY ts, event_id)
-                   > INTERVAL 30 MINUTE THEN 1 ELSE 0 END AS ns
-  FROM events),
-s0 AS (SELECT user_id, ts, event_id, event_type, cents,
-              SUM(ns) OVER (PARTITION BY user_id ORDER BY ts, event_id
-                            ROWS UNBOUNDED PRECEDING) AS sid
-       FROM f),
-s AS (SELECT user_id, event_type, cents, sid,
-             ROW_NUMBER() OVER (PARTITION BY user_id, sid
-                                ORDER BY ts, event_id) AS pos
-      FROM s0),
-p AS (SELECT user_id, sid, pos AS ppos, cents FROM s
-      WHERE event_type = 'purchase'),
-j AS (SELECT a.event_type, p.cents * 10000 // p.ppos AS credit
-      FROM s a JOIN p ON p.user_id = a.user_id AND p.sid = a.sid
-                     AND a.pos <= p.ppos)
-SELECT event_type,
-       ((SUM(credit) + 5000) // 10000) / 100.0 AS credited_value
-FROM j GROUP BY event_type ORDER BY event_type
-"""
-
-
-def q_value_by_session_position(sf_dir: str):
-    """Within-session ordinal effect: average event value by position in
-    the session (1st, 2nd, ..., capped at 5+) — do sessions warm up or
-    decay?  The session walk assigns positions vectorized in bounded
-    user partitions; (position, cents, n) partials fold over six rows."""
-    P = 32
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "value"])
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = (df["user_id"].to_numpy() % P).astype(np.int32)
-        return df
-
-    def bypos(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        same = g["user_id"].eq(g["user_id"].shift())
-        gap = ((g["ts"].diff() > pd.Timedelta(minutes=30)) & same) | ~same
-        sid = gap.cumsum().to_numpy()
-        pos = pd.Series(np.arange(len(g))).groupby(sid).cumcount() \
-            .to_numpy() + 1
-        pos = np.minimum(pos, 5)
-        cents = np.round(g["value"].to_numpy() * 100).astype(np.int64)
-        return pd.DataFrame({"pos": pos, "cents": cents}) \
-            .groupby("pos", as_index=False).agg(s=("cents", "sum"),
-                                                n=("cents", "size"))
-
-    parts = (ds.map_batches(add_part, batch_format="pandas")
-             .groupby("part").map_groups(bypos, batch_format="pandas")
-             .to_pandas())
-    g = parts.groupby("pos", as_index=False)[["s", "n"]].sum()
-    g["avg_value"] = (g["s"] / g["n"] / 100.0).round(6)
-    g["n_events"] = g.pop("n").astype(np.int64)
-    g["pos"] = g["pos"].astype(np.int64)
-    return g.drop(columns="s").sort_values("pos").reset_index(drop=True)
-
-
-SQL_VALUE_BY_SESSION_POSITION = """
-WITH f AS (
-  SELECT user_id, ts, event_id,
-         CAST(ROUND(value * 100) AS BIGINT) AS cents,
-         CASE WHEN ts - lag(ts) OVER (PARTITION BY user_id
-                                      ORDER BY ts, event_id)
-                   > INTERVAL 30 MINUTE THEN 1 ELSE 0 END AS ns
-  FROM events),
-s0 AS (SELECT user_id, ts, event_id, cents,
-              SUM(ns) OVER (PARTITION BY user_id ORDER BY ts, event_id
-                            ROWS UNBOUNDED PRECEDING) AS sid
-       FROM f),
-s AS (SELECT cents,
-             LEAST(ROW_NUMBER() OVER (PARTITION BY user_id, sid
-                                      ORDER BY ts, event_id), 5) AS pos
-      FROM s0)
-SELECT CAST(pos AS BIGINT) AS pos,
-       ROUND(SUM(cents) * 1.0 / COUNT(*) / 100.0, 6) AS avg_value,
-       CAST(COUNT(*) AS BIGINT) AS n_events
-FROM s GROUP BY pos ORDER BY pos
-"""
-
-
 def q_part_keyword_revenue(sf_dir: str):
     """LIKE-predicate pushdown through a join: lineitem revenue for
     parts whose NAME contains 'bolt', per brand — the string-predicate
@@ -13909,76 +12093,6 @@ SELECT p.p_brand,
 FROM lineitem l JOIN part p ON p.p_partkey = l.l_partkey
 WHERE p.p_name LIKE '%bolt%'
 GROUP BY p.p_brand ORDER BY p.p_brand
-"""
-
-
-def q_error_then_purchase_rate(sf_dir: str):
-    """Within-session precedence: the share of purchases that happen
-    AFTER at least one error in the same session — does friction kill
-    or precede conversion?  The session walk tracks a running
-    seen-error flag per session (vectorized prefix-OR via cummax);
-    (preceded, n) counters fold."""
-    P = 32
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = (df["user_id"].to_numpy() % P).astype(np.int32)
-        return df
-
-    def walk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        same = g["user_id"].eq(g["user_id"].shift())
-        gap = ((g["ts"].diff() > pd.Timedelta(minutes=30)) & same) | ~same
-        sid = gap.cumsum().to_numpy()
-        # prefix-OR of 'error seen STRICTLY BEFORE this row' per session
-        is_err = (g["event_type"] == "error").to_numpy().astype(np.int64)
-        err_cum = pd.Series(is_err).groupby(sid).cumsum().to_numpy()
-        seen_before = (err_cum - is_err) > 0
-        is_p = (g["event_type"] == "purchase").to_numpy()
-        return pd.DataFrame({
-            "n_preceded": [int((is_p & seen_before).sum())],
-            "n_purchases": [int(is_p.sum())]})
-
-    parts = (ds.map_batches(add_part, batch_format="pandas")
-             .groupby("part").map_groups(walk, batch_format="pandas")
-             .to_pandas())
-    p = int(parts["n_preceded"].sum())
-    n = int(parts["n_purchases"].sum())
-    return pd.DataFrame({
-        "n_preceded": np.array([p], np.int64),
-        "n_purchases": np.array([n], np.int64),
-        "preceded_share": [round(p / n, 6) if n else 0.0]})
-
-
-SQL_ERROR_THEN_PURCHASE_RATE = """
-WITH f AS (
-  SELECT user_id, ts, event_id, event_type,
-         CASE WHEN ts - lag(ts) OVER (PARTITION BY user_id
-                                      ORDER BY ts, event_id)
-                   > INTERVAL 30 MINUTE THEN 1 ELSE 0 END AS ns
-  FROM events),
-s AS (SELECT user_id, ts, event_id, event_type,
-             SUM(ns) OVER (PARTITION BY user_id ORDER BY ts, event_id
-                           ROWS UNBOUNDED PRECEDING) AS sid
-      FROM f),
-w AS (SELECT event_type,
-             COALESCE(SUM(CASE WHEN event_type = 'error' THEN 1 ELSE 0
-                              END)
-                        OVER (PARTITION BY user_id, sid
-                              ORDER BY ts, event_id
-                              ROWS BETWEEN UNBOUNDED PRECEDING
-                                       AND 1 PRECEDING), 0) AS err_before
-      FROM s)
-SELECT CAST(SUM(CASE WHEN event_type = 'purchase' AND err_before > 0
-                     THEN 1 ELSE 0 END) AS BIGINT) AS n_preceded,
-       CAST(SUM(CASE WHEN event_type = 'purchase' THEN 1 ELSE 0 END)
-            AS BIGINT) AS n_purchases,
-       ROUND(SUM(CASE WHEN event_type = 'purchase' AND err_before > 0
-                      THEN 1 ELSE 0 END) * 1.0
-             / SUM(CASE WHEN event_type = 'purchase' THEN 1 ELSE 0 END),
-             6) AS preceded_share
-FROM w
 """
 
 
@@ -14160,120 +12274,6 @@ SELECT ROUND(cxy / vx, 6) AS slope,
             ELSE ROUND(cxy * SQRT((n - 2) / d), 6) END AS t_stat,
        CAST(n AS BIGINT) AS n_weeks
 FROM d
-"""
-
-
-def q_activity_halflife(sf_dir: str):
-    """Activity half-life: for each user with 4+ events, the fraction of
-    their first-to-last lifespan elapsed when their MEDIAN event fires
-    (≈0.5 for steady users, small for front-loaded ones); the median of
-    that fraction across users.  Per-user walks run in bounded
-    partitions with exact integer-µs ratios carried as (num, den)
-    pairs; the cross-user median uses the quantile_disc convention over
-    the user-bounded fraction table."""
-    P = 32
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_id"])
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = (df["user_id"].to_numpy() % P).astype(np.int32)
-        return df
-
-    def halflife(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        u = g["user_id"].to_numpy()
-        us = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        # vectorized group-boundary indexing: no per-user Python loop
-        starts = np.r_[0, np.flatnonzero(u[1:] != u[:-1]) + 1]
-        counts = np.diff(np.r_[starts, len(u)])
-        keep = counts >= 4
-        s, k = starts[keep], counts[keep]
-        med = us[s + np.ceil(k / 2).astype(np.int64) - 1]
-        frac = (med - us[s]) / (us[s + k - 1] - us[s])
-        return pd.DataFrame({"frac": np.round(frac, 9)})
-
-    fr = (ds.map_batches(add_part, batch_format="pandas")
-          .groupby("part").map_groups(halflife, batch_format="pandas")
-          .to_pandas())
-    v = np.sort(fr["frac"].to_numpy())
-    med = v[int(np.ceil(0.5 * len(v))) - 1]
-    return pd.DataFrame({"median_half_fraction": [round(float(med), 6)],
-                         "n_users": np.array([len(v)], np.int64)})
-
-
-SQL_ACTIVITY_HALFLIFE = """
-WITH r AS (SELECT user_id, ts,
-                  ROW_NUMBER() OVER (PARTITION BY user_id
-                                     ORDER BY ts, event_id) AS rk,
-                  COUNT(*) OVER (PARTITION BY user_id) AS n,
-                  MIN(ts) OVER (PARTITION BY user_id) AS t0,
-                  MAX(ts) OVER (PARTITION BY user_id) AS t1
-           FROM events),
-m AS (SELECT ROUND(date_diff('microsecond', t0, ts) * 1.0
-                   / date_diff('microsecond', t0, t1), 9) AS frac
-      FROM r WHERE n >= 4 AND rk = CAST(CEIL(n / 2.0) AS BIGINT))
-SELECT ROUND(quantile_disc(frac, 0.5), 6) AS median_half_fraction,
-       CAST(COUNT(*) AS BIGINT) AS n_users
-FROM m
-"""
-
-
-def q_user_value_autocorr(sf_dir: str):
-    """Within-entity serial dependence: pooled lag-1 Pearson correlation
-    between CONSECUTIVE same-user event values — do users streak high or
-    alternate?  Consecutive (x, y) cent pairs form inside bounded user
-    partitions after one sort; the correlation folds from exact integer
-    product sums."""
-    P = 32
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "value"])
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = (df["user_id"].to_numpy() % P).astype(np.int32)
-        return df
-
-    def moments(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        u = g["user_id"].to_numpy()
-        c = np.round(g["value"].to_numpy() * 100).astype(np.int64)
-        same = u[1:] == u[:-1]
-        x, y = c[:-1][same], c[1:][same]
-        return pd.DataFrame({
-            "k": [len(x)], "sx": [int(x.sum())], "sy": [int(y.sum())],
-            "sxx": [int((x * x).sum())], "syy": [int((y * y).sum())],
-            "sxy": [int((x * y).sum())]})
-
-    p = (ds.map_batches(add_part, batch_format="pandas")
-         .groupby("part").map_groups(moments, batch_format="pandas")
-         .to_pandas())
-    k = int(p["k"].sum())
-    sx, sy = int(p["sx"].sum()), int(p["sy"].sum())
-    sxx, syy, sxy = int(p["sxx"].sum()), int(p["syy"].sum()), \
-        int(p["sxy"].sum())
-    r = (k * sxy - sx * sy) / np.sqrt((k * sxx - sx * sx) * 1.0
-                                      * (k * syy - sy * sy))
-    return pd.DataFrame({"lag1_r": [round(float(r), 6)],
-                         "n_pairs": np.array([k], np.int64)})
-
-
-SQL_USER_VALUE_AUTOCORR = """
-WITH s AS (SELECT user_id,
-                  CAST(ROUND(value * 100) AS BIGINT) AS y,
-                  lag(CAST(ROUND(value * 100) AS BIGINT))
-                    OVER (PARTITION BY user_id ORDER BY ts, event_id)
-                    AS x
-           FROM events),
-p AS (SELECT x, y FROM s WHERE x IS NOT NULL),
-m AS (SELECT COUNT(*) AS k, SUM(x) AS sx, SUM(y) AS sy,
-             SUM(CAST(x AS HUGEINT) * x) AS sxx,
-             SUM(CAST(y AS HUGEINT) * y) AS syy,
-             SUM(CAST(x AS HUGEINT) * y) AS sxy
-      FROM p)
-SELECT ROUND((k * sxy - sx * sy)
-             / SQRT((k * sxx - sx * sx) * 1.0 * (k * syy - sy * sy)), 6)
-         AS lag1_r,
-       CAST(k AS BIGINT) AS n_pairs
-FROM m
 """
 
 
@@ -14525,60 +12525,6 @@ FROM f GROUP BY dow ORDER BY dow
 """
 
 
-def q_weekend_audience_overlap(sf_dir: str):
-    """Audience-overlap bitmask: users active on weekends only, weekdays
-    only, and both — plus the Jaccard of the two audiences.  One
-    per-user 2-bit presence OR across user partitions; three popcounts
-    fold."""
-    P = 32
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        wk = (df["ts"].dt.dayofweek >= 5).to_numpy()
-        g = pd.DataFrame({
-            "user_id": df["user_id"].to_numpy(),
-            "mask": np.where(wk, np.int64(1), np.int64(2))}) \
-            .groupby("user_id", as_index=False)["mask"] \
-            .agg(lambda s: int(np.bitwise_or.reduce(s.to_numpy())))
-        g["part"] = (g["user_id"].to_numpy(np.int64) % P).astype(np.int32)
-        return g
-
-    def popcount(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.groupby("user_id")["mask"] \
-            .agg(lambda s: int(np.bitwise_or.reduce(s.to_numpy())))
-        bc = np.bincount(m.to_numpy(), minlength=4)
-        return pd.DataFrame({"wk_only": [int(bc[1])],
-                             "wd_only": [int(bc[2])],
-                             "both": [int(bc[3])]})
-
-    parts = (ds.map_batches(partial, batch_format="pandas")
-             .groupby("part").map_groups(popcount, batch_format="pandas")
-             .to_pandas())
-    a, b, c = (int(parts["wk_only"].sum()), int(parts["wd_only"].sum()),
-               int(parts["both"].sum()))
-    return pd.DataFrame({
-        "weekend_only": np.array([a], np.int64),
-        "weekday_only": np.array([b], np.int64),
-        "both": np.array([c], np.int64),
-        "jaccard": [round(c / (a + b + c), 6)]})
-
-
-SQL_WEEKEND_AUDIENCE_OVERLAP = """
-WITH m AS (SELECT user_id,
-                  BIT_OR(CASE WHEN isodow(ts) >= 6 THEN 1 ELSE 2 END)
-                    AS mask
-           FROM events GROUP BY user_id)
-SELECT CAST(SUM(CASE WHEN mask = 1 THEN 1 ELSE 0 END) AS BIGINT)
-         AS weekend_only,
-       CAST(SUM(CASE WHEN mask = 2 THEN 1 ELSE 0 END) AS BIGINT)
-         AS weekday_only,
-       CAST(SUM(CASE WHEN mask = 3 THEN 1 ELSE 0 END) AS BIGINT) AS both,
-       ROUND(SUM(CASE WHEN mask = 3 THEN 1 ELSE 0 END) * 1.0 / COUNT(*),
-             6) AS jaccard
-FROM m
-"""
-
-
 def q_monthly_arpu(sf_dir: str):
     """ARPU trend: monthly order revenue divided by that month's
     DISTINCT ordering customers — the unit-economics series.  Revenue
@@ -14721,197 +12667,6 @@ SELECT ROUND(2.0 * SUM(rk * n) / (MIN(k) * SUM(n))
        CAST(MIN(k) AS BIGINT) AS vocab_size,
        CAST(SUM(n) AS BIGINT) AS n_tokens
 FROM r
-"""
-
-
-def q_repeat_rate_by_first_type(sf_dir: str):
-    """Acquisition-action quality: the share of users who come back on
-    a LATER calendar day, split by their very FIRST event's type —
-    which first actions create repeat visitors?  First-event type and
-    distinct-day counts both resolve inside user partitions from
-    per-block argmin/dedup partials; the (type, repeat, n) grid
-    folds."""
-    P = 32
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_id",
-                                  "event_type"])
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = (df["user_id"].to_numpy() % P).astype(np.int32)
-        return df
-
-    def rate(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        first = g.groupby("user_id", as_index=False).head(1)[
-            ["user_id", "event_type"]]
-        days = pd.DataFrame({
-            "user_id": g["user_id"].to_numpy(),
-            "day": g["ts"].to_numpy("datetime64[D]").astype(np.int64)}) \
-            .drop_duplicates().groupby("user_id").size().rename("nd")
-        j = first.merge(days, left_on="user_id", right_index=True)
-        j["repeat"] = (j["nd"] >= 2).astype(np.int64)
-        return j.groupby("event_type", as_index=False).agg(
-            n_repeat=("repeat", "sum"), n=("repeat", "size"))
-
-    parts = (ds.map_batches(add_part, batch_format="pandas")
-             .groupby("part").map_groups(rate, batch_format="pandas")
-             .to_pandas())
-    g = parts.groupby("event_type", as_index=False)[["n_repeat", "n"]].sum()
-    g["repeat_rate"] = (g["n_repeat"] / g["n"]).round(6)
-    g["n_repeat"] = g["n_repeat"].astype(np.int64)
-    g["n_users"] = g.pop("n").astype(np.int64)
-    return g.rename(columns={"event_type": "first_type"}) \
-        .sort_values("first_type").reset_index(drop=True)
-
-
-SQL_REPEAT_RATE_BY_FIRST_TYPE = """
-WITH f AS (SELECT user_id, event_type FROM events
-           QUALIFY ROW_NUMBER() OVER (PARTITION BY user_id
-                                      ORDER BY ts, event_id) = 1),
-d AS (SELECT user_id, COUNT(DISTINCT CAST(ts AS DATE)) AS nd
-      FROM events GROUP BY user_id)
-SELECT f.event_type AS first_type,
-       CAST(SUM(CASE WHEN d.nd >= 2 THEN 1 ELSE 0 END) AS BIGINT)
-         AS n_repeat,
-       CAST(COUNT(*) AS BIGINT) AS n_users,
-       ROUND(SUM(CASE WHEN d.nd >= 2 THEN 1 ELSE 0 END) * 1.0
-             / COUNT(*), 6) AS repeat_rate
-FROM f JOIN d ON d.user_id = f.user_id
-GROUP BY f.event_type ORDER BY first_type
-"""
-
-
-def q_markov_entropy_rate(sf_dir: str):
-    """Entropy rate of the empirical event-type Markov chain — the
-    bits-per-step predictability measure behind journey-model capacity
-    planning: H = -sum_s pi(s) sum_t P(t|s) log2 P(t|s) with pi the
-    empirical source distribution of transitions.
-
-    Scale shape: the event_transitions exchange (users hash into bounded
-    fat partitions, int8 type codes ship instead of strings, per-
-    partition bincount over type^2 cells); the entropy fold runs over
-    the (types^2)-bounded transition matrix on the driver."""
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-    P = 32
-
-    tset = _read(sf_dir, "events", ["event_type"]).map_batches(
-        lambda df: df.drop_duplicates(), batch_format="pandas").to_pandas()
-    types = sorted(tset["event_type"].unique().tolist())
-    K = len(types)
-    tmap = {t: i for i, t in enumerate(types)}
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "part": (df["user_id"].to_numpy() % P).astype(np.int32),
-            "user_id": df["user_id"],
-            "ts": df["ts"].astype("int64"),
-            "event_id": df["event_id"],
-            "tcode": df["event_type"].map(tmap).astype(np.int16),
-        })
-
-    def trans_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        u = g["user_id"].to_numpy()
-        t = g["tcode"].to_numpy()
-        same = u[1:] == u[:-1]
-        pair = t[:-1][same].astype(np.int64) * K + t[1:][same]
-        bc = np.bincount(pair, minlength=K * K)
-        nz = np.flatnonzero(bc)
-        return pd.DataFrame({"pair": nz.astype(np.int64),
-                             "n": bc[nz].astype(np.int64)})
-
-    parts = (ds.map_batches(add_part, batch_format="pandas")
-             .groupby("part").map_groups(trans_part, batch_format="pandas")
-             ).to_pandas()
-    agg = parts.groupby("pair", as_index=False)["n"].sum()
-    if agg.empty:
-        return pd.DataFrame({"n_states": [0], "n_transitions": [0],
-                             "entropy_rate": [0.0]})
-    n = agg["n"].to_numpy(dtype=np.float64)
-    prev = (agg["pair"] // K).to_numpy()
-    row_tot = np.bincount(prev, weights=n, minlength=K)
-    grand = n.sum()
-    h = -np.sum(n * np.log2(n / row_tot[prev])) / grand
-    return pd.DataFrame({
-        "n_states": [int(np.count_nonzero(row_tot))],
-        "n_transitions": [int(grand)],
-        "entropy_rate": [round(float(h), 6)],
-    })
-
-
-SQL_MARKOV_ENTROPY_RATE = """
-WITH o AS (SELECT event_type AS prev,
-                  LEAD(event_type) OVER (PARTITION BY user_id
-                                         ORDER BY ts, event_id) AS nxt
-           FROM events),
-c AS (SELECT prev, nxt, COUNT(*) AS n FROM o WHERE nxt IS NOT NULL
-      GROUP BY 1, 2),
-s AS (SELECT prev, SUM(n) AS tot FROM c GROUP BY 1),
-g AS (SELECT SUM(n) AS grand FROM c)
-SELECT (SELECT COUNT(*) FROM s) AS n_states,
-       CAST(g.grand AS BIGINT) AS n_transitions,
-       ROUND(-SUM(c.n * LOG2(c.n * 1.0 / s.tot)) / g.grand, 6)
-         AS entropy_rate
-FROM c JOIN s USING (prev), g GROUP BY g.grand
-"""
-
-
-def q_user_hour_entropy(sf_dir: str):
-    """Temporal-habit entropy: each user's Shannon entropy over their
-    hour-of-day activity histogram, reduced to the population mean and
-    the share of single-hour (zero-entropy) users — the bot-vs-human
-    rhythm diagnostic.
-
-    Scale shape: users hash into bounded fat partitions; each partition
-    computes per-user entropies vectorized ((user, hour) bincount →
-    per-user p·log2 p fold) and emits a THREE-number partial; the
-    driver adds partials."""
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
-    P = 32
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "part": (df["user_id"].to_numpy() % P).astype(np.int32),
-            "user_id": df["user_id"],
-            "hr": df["ts"].dt.hour.astype(np.int8),
-        })
-
-    def ent_part(g: pd.DataFrame) -> pd.DataFrame:
-        c = g.groupby(["user_id", "hr"]).size().reset_index(name="n")
-        tot = c.groupby("user_id")["n"].transform("sum").to_numpy(np.float64)
-        p = c["n"].to_numpy(np.float64) / tot
-        term = pd.Series(-p * np.log2(p), index=c["user_id"].to_numpy())
-        ent = term.groupby(level=0).sum()
-        return pd.DataFrame({"n_users": [float(len(ent))],
-                             "sum_ent": [float(ent.sum())],
-                             "n_zero": [float((ent <= 0).sum())]})
-
-    parts = (ds.map_batches(add_part, batch_format="pandas")
-             .groupby("part").map_groups(ent_part, batch_format="pandas")
-             ).to_pandas()
-    nu, se, nz = parts["n_users"].sum(), parts["sum_ent"].sum(), \
-        parts["n_zero"].sum()
-    if nu == 0:
-        return pd.DataFrame({"n_users": [0], "avg_entropy": [0.0],
-                             "zero_share": [0.0]})
-    return pd.DataFrame({
-        "n_users": [int(nu)],
-        "avg_entropy": [round(se / nu, 6)],
-        "zero_share": [round(nz / nu, 6)],
-    })
-
-
-SQL_USER_HOUR_ENTROPY = """
-WITH h AS (SELECT user_id, EXTRACT(hour FROM ts) AS hr, COUNT(*) AS n
-           FROM events GROUP BY 1, 2),
-t AS (SELECT user_id, SUM(n) AS tot FROM h GROUP BY 1),
-e AS (SELECT h.user_id,
-             -SUM(h.n * 1.0 / t.tot * LOG2(h.n * 1.0 / t.tot)) AS ent
-      FROM h JOIN t USING (user_id) GROUP BY 1)
-SELECT COUNT(*) AS n_users, ROUND(AVG(ent), 6) AS avg_entropy,
-       ROUND(AVG(CASE WHEN ent <= 0 THEN 1.0 ELSE 0.0 END), 6)
-         AS zero_share
-FROM e
 """
 
 
@@ -15457,113 +13212,6 @@ FROM t GROUP BY lang ORDER BY lang
 """
 
 
-def q_session_size_hist(sf_dir: str):
-    """Distribution of events-per-session (30-min inactivity sessions,
-    size capped at 10+) — the sequence-length histogram that sizes
-    packing buffers for training tapes.  The sessionize exchange (users
-    hash to bounded fat partitions, vectorized gap-cumsum walk) closes
-    into a 10-bucket partial per partition."""
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
-    P = 32
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df["part"] = (df["user_id"].to_numpy() % P).astype(np.int32)
-        return df
-
-    def hist_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts"], kind="mergesort")
-        same = g["user_id"].eq(g["user_id"].shift())
-        new = ((g["ts"].diff() > pd.Timedelta(minutes=30)) & same) | ~same
-        sid = new.cumsum().to_numpy()
-        sizes = np.bincount(sid)[1:]  # session ids start at 1
-        k = np.minimum(sizes[sizes > 0], 10)
-        u, n = np.unique(k, return_counts=True)
-        return pd.DataFrame({"k": u.astype(np.int64),
-                             "n_sessions": n.astype(np.int64)})
-
-    g = (ds.map_batches(add_part, batch_format="pandas")
-         .groupby("part").map_groups(hist_part, batch_format="pandas")
-         ).to_pandas().groupby("k", as_index=False)["n_sessions"].sum()
-    tot = g["n_sessions"].sum()
-    g["n_sessions"] = g["n_sessions"].astype("int64")
-    g["share"] = (g["n_sessions"] / tot).round(6)
-    return g.sort_values("k").reset_index(drop=True)
-
-
-SQL_SESSION_SIZE_HIST = """
-WITH f AS (SELECT user_id, ts,
-                  CASE WHEN ts - LAG(ts) OVER (PARTITION BY user_id
-                                               ORDER BY ts)
-                            > INTERVAL 30 MINUTE
-                       THEN 1 ELSE 0 END AS new_sess
-           FROM events),
-s AS (SELECT user_id,
-             SUM(new_sess) OVER (PARTITION BY user_id ORDER BY ts
-                                 ROWS UNBOUNDED PRECEDING) AS sid
-      FROM f),
-z AS (SELECT user_id, sid, COUNT(*) AS sz FROM s GROUP BY 1, 2),
-h AS (SELECT LEAST(sz, 10) AS k, COUNT(*) AS n_sessions
-      FROM z GROUP BY 1),
-g AS (SELECT SUM(n_sessions) AS tot FROM h)
-SELECT CAST(h.k AS BIGINT) AS k, h.n_sessions,
-       ROUND(h.n_sessions * 1.0 / g.tot, 6) AS share
-FROM h, g ORDER BY h.k
-"""
-
-
-def q_odds_ratio_weekend_purchase(sf_dir: str):
-    """2×2 odds-ratio analysis: odds of an event being a purchase on a
-    weekend vs a weekday, with the log-OR standard error (Woolf) — the
-    case/control framing of the weekend-effect question.  Pure map-side
-    fold: each batch emits the four cell counts; the driver closes the
-    2×2 arithmetic."""
-    ds = _read(sf_dir, "events", ["ts", "event_type"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        we = df["ts"].dt.dayofweek >= 5
-        pur = df["event_type"].eq("purchase")
-        return pd.DataFrame({
-            "a": [int((we & pur).sum())],      # weekend purchase
-            "b": [int((we & ~pur).sum())],     # weekend other
-            "c": [int((~we & pur).sum())],     # weekday purchase
-            "d": [int((~we & ~pur).sum())],    # weekday other
-        })
-
-    t = ds.map_batches(partial, batch_format="pandas").to_pandas().sum()
-    a, b, c, d = (float(t["a"]), float(t["b"]), float(t["c"]), float(t["d"]))
-    if min(a, b, c, d) <= 0:
-        orr, se = float("nan"), float("nan")
-    else:
-        orr = (a * d) / (b * c)
-        se = float(np.sqrt(1 / a + 1 / b + 1 / c + 1 / d))
-    return pd.DataFrame({
-        "weekend_purchase": [int(a)], "weekend_other": [int(b)],
-        "weekday_purchase": [int(c)], "weekday_other": [int(d)],
-        "odds_ratio": [round(orr, 6)], "log_or_se": [round(se, 6)],
-    })
-
-
-SQL_ODDS_RATIO_WEEKEND_PURCHASE = """
-WITH t AS (SELECT
-    SUM(CASE WHEN DAYOFWEEK(ts) IN (0, 6)
-              AND event_type = 'purchase' THEN 1 ELSE 0 END) AS a,
-    SUM(CASE WHEN DAYOFWEEK(ts) IN (0, 6)
-              AND event_type <> 'purchase' THEN 1 ELSE 0 END) AS b,
-    SUM(CASE WHEN DAYOFWEEK(ts) NOT IN (0, 6)
-              AND event_type = 'purchase' THEN 1 ELSE 0 END) AS c,
-    SUM(CASE WHEN DAYOFWEEK(ts) NOT IN (0, 6)
-              AND event_type <> 'purchase' THEN 1 ELSE 0 END) AS d
-  FROM events)
-SELECT CAST(a AS BIGINT) AS weekend_purchase,
-       CAST(b AS BIGINT) AS weekend_other,
-       CAST(c AS BIGINT) AS weekday_purchase,
-       CAST(d AS BIGINT) AS weekday_other,
-       ROUND(a * d * 1.0 / (b * c), 6) AS odds_ratio,
-       ROUND(SQRT(1.0/a + 1.0/b + 1.0/c + 1.0/d), 6) AS log_or_se
-FROM t
-"""
-
-
 def q_name_verbosity_premium(sf_dir: str):
     """Is verbosity priced?  Mean retail price by number of tokens in
     the part name, plus each bucket's share of the catalog — the
@@ -15651,60 +13299,6 @@ FROM lineitem l
 JOIN supplier s ON s.s_suppkey = l.l_suppkey
 JOIN nation n ON n.n_nationkey = s.s_nationkey
 GROUP BY n.n_name ORDER BY n.n_name
-"""
-
-
-def q_interarrival_cv_by_type(sf_dir: str):
-    """Burstiness of each event type's GLOBAL arrival process: the
-    coefficient of variation of inter-arrival times (CV≈1 Poisson,
-    >1 bursty) over type-ordered timestamps.  Types hash to partitions
-    (each type's stream sorts within ONE fat group — type cardinality
-    is bounded); per-type sufficient statistics of the diffs close on
-    the driver."""
-    ds = _read(sf_dir, "events", ["event_type", "ts", "event_id"])
-
-    def cv_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["event_type", "ts", "event_id"],
-                          kind="mergesort")
-        t = g["ts"].astype("int64").to_numpy(dtype=np.float64)
-        et = g["event_type"].to_numpy()
-        same = et[1:] == et[:-1]
-        d = (t[1:] - t[:-1])[same] / 1e6  # seconds
-        key = pd.Series(et[1:][same])
-        sub = pd.DataFrame({"event_type": key, "n": 1.0, "s": d,
-                            "ss": d * d})
-        return sub.groupby("event_type", as_index=False)[
-            ["n", "s", "ss"]].sum()
-
-    g = ds.map_batches(
-        lambda df: df.assign(part=(pd.util.hash_array(
-            df["event_type"].to_numpy(dtype=object)) % 8)
-            .astype(np.int32)), batch_format="pandas") \
-        .groupby("part").map_groups(cv_part, batch_format="pandas") \
-        .to_pandas().groupby("event_type", as_index=False)[
-            ["n", "s", "ss"]].sum()
-    n, s, ss = g["n"].to_numpy(), g["s"].to_numpy(), g["ss"].to_numpy()
-    mean = s / n
-    var = np.maximum(ss / n - mean ** 2, 0.0)
-    return pd.DataFrame({
-        "event_type": g["event_type"],
-        "n_gaps": n.astype(np.int64),
-        "mean_gap_s": np.round(mean, 6),
-        "cv": np.round(np.sqrt(var) / mean, 6),
-    }).sort_values("event_type").reset_index(drop=True)
-
-
-SQL_INTERARRIVAL_CV_BY_TYPE = """
-WITH d AS (SELECT event_type,
-                  EPOCH(ts - LAG(ts) OVER (PARTITION BY event_type
-                                           ORDER BY ts, event_id))
-                    AS gap
-           FROM events)
-SELECT event_type, COUNT(gap) AS n_gaps,
-       ROUND(AVG(gap), 6) AS mean_gap_s,
-       ROUND(STDDEV_POP(gap) / AVG(gap), 6) AS cv
-FROM d WHERE gap IS NOT NULL
-GROUP BY event_type ORDER BY event_type
 """
 
 
@@ -16087,305 +13681,6 @@ ORDER BY q.query_id
 """
 
 
-def q_cuped_adjusted_lift(sf_dir: str):
-    """CUPED variance reduction for a (deterministic, synthetic-harness)
-    A/B readout: users split by user_id parity, pre-period = first half
-    of the event window, post-period value is adjusted by
-    theta = cov(post, pre)/var(pre) — the standard trick that cuts
-    experiment variance by the pre/post correlation squared.  One
-    user-partitioned fold produces per-user (pre, post) cent totals;
-    one moment fold produces every Σ the closed forms need (all exact
-    integers), so theta, both lifts, and the variance-reduction factor
-    are bit-reproducible in the DuckDB oracle."""
-    P = 32
-    ds = _read(sf_dir, "events", ["user_id", "ts", "value"])
-    lo, hi = pd.Timestamp(ds.min("ts")), pd.Timestamp(ds.max("ts"))
-    # epoch-microsecond midpoint, floor-divided: exact integer arithmetic
-    # the DuckDB oracle reproduces with epoch_us()
-    mid_us = (lo.value // 1000 + hi.value // 1000) // 2
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        cents = np.round(df["value"].to_numpy() * 100).astype(np.int64)
-        t_us = df["ts"].to_numpy(dtype="datetime64[us]").astype(np.int64)
-        post = t_us >= mid_us
-        out = pd.DataFrame({"user_id": df["user_id"],
-                            "pre": np.where(post, 0, cents),
-                            "post": np.where(post, cents, 0)}) \
-            .groupby("user_id", as_index=False).sum()
-        out["part"] = (out["user_id"].to_numpy() % P).astype(np.int32)
-        return out
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        u = g.groupby("user_id", as_index=False)[["pre", "post"]].sum()
-        pre = u["pre"].to_numpy(np.float64)
-        post = u["post"].to_numpy(np.float64)
-        t = (u["user_id"].to_numpy() % 2 == 1)
-        return pd.DataFrame({
-            "n": [len(u)], "sp": [pre.sum()], "sq": [post.sum()],
-            "spp": [(pre * pre).sum()], "spq": [(pre * post).sum()],
-            "sqq": [(post * post).sum()],
-            "n1": [int(t.sum())], "sp1": [pre[t].sum()],
-            "sq1": [post[t].sum()]})
-
-    mo = ds.map_batches(partial, batch_format="pandas") \
-        .groupby("part").map_groups(merge, batch_format="pandas") \
-        .to_pandas().sum()
-    n, sp, sq = float(mo["n"]), float(mo["sp"]), float(mo["sq"])
-    spp, spq, sqq = float(mo["spp"]), float(mo["spq"]), float(mo["sqq"])
-    n1, sp1, sq1 = float(mo["n1"]), float(mo["sp1"]), float(mo["sq1"])
-    n0, sp0, sq0 = n - n1, sp - sp1, sq - sq1
-    varp = spp / n - (sp / n) * (sp / n)
-    varq = sqq / n - (sq / n) * (sq / n)
-    cov = spq / n - (sp / n) * (sq / n)
-    theta = cov / varp
-    lift_raw = sq1 / n1 - sq0 / n0
-    lift_cuped = lift_raw - theta * (sp1 / n1 - sp0 / n0)
-    # var(post - theta*pre) = var(post) - cov^2/var(pre): reduction = corr^2
-    return pd.DataFrame({
-        "n_users": np.array([int(n)], np.int64),
-        "theta": [round(theta, 6)],
-        "lift_raw": [round(lift_raw / 100.0, 6)],
-        "lift_cuped": [round(lift_cuped / 100.0, 6)],
-        "var_reduction": [round(cov * cov / (varp * varq), 6)]})
-
-
-SQL_CUPED_ADJUSTED_LIFT = """
-WITH b AS (SELECT (epoch_us(MIN(ts)) + epoch_us(MAX(ts))) // 2 AS mid
-           FROM events),
-u AS (SELECT user_id,
-             SUM(CASE WHEN epoch_us(ts) < b.mid
-                      THEN CAST(ROUND(value * 100) AS BIGINT)
-                      ELSE 0 END) AS pre,
-             SUM(CASE WHEN epoch_us(ts) >= b.mid
-                      THEN CAST(ROUND(value * 100) AS BIGINT)
-                      ELSE 0 END) AS post
-      FROM events, b GROUP BY user_id),
-m AS (SELECT COUNT(*) * 1.0 AS n, SUM(pre) * 1.0 AS sp,
-             SUM(post) * 1.0 AS sq,
-             SUM(CAST(pre AS DOUBLE) * pre) AS spp,
-             SUM(CAST(pre AS DOUBLE) * post) AS spq,
-             SUM(CAST(post AS DOUBLE) * post) AS sqq,
-             SUM(CASE WHEN user_id % 2 = 1 THEN 1 ELSE 0 END) * 1.0 AS n1,
-             SUM(CASE WHEN user_id % 2 = 1 THEN pre ELSE 0 END) * 1.0
-               AS sp1,
-             SUM(CASE WHEN user_id % 2 = 1 THEN post ELSE 0 END) * 1.0
-               AS sq1
-      FROM u)
-SELECT CAST(n AS BIGINT) AS n_users,
-       ROUND((spq / n - (sp / n) * (sq / n))
-             / (spp / n - (sp / n) * (sp / n)), 6) AS theta,
-       ROUND((sq1 / n1 - (sq - sq1) / (n - n1)) / 100.0, 6) AS lift_raw,
-       ROUND(((sq1 / n1 - (sq - sq1) / (n - n1))
-              - (spq / n - (sp / n) * (sq / n))
-                / (spp / n - (sp / n) * (sp / n))
-                * (sp1 / n1 - (sp - sp1) / (n - n1))) / 100.0, 6)
-         AS lift_cuped,
-       ROUND((spq / n - (sp / n) * (sq / n))
-             * (spq / n - (sp / n) * (sq / n))
-             / ((spp / n - (sp / n) * (sp / n))
-                * (sqq / n - (sq / n) * (sq / n))), 6) AS var_reduction
-FROM m
-"""
-
-
-def q_zip_fit_daily_counts(sf_dir: str):
-    """Zero-inflated Poisson fit (method of moments) to per-user daily
-    event counts over the global calendar window: lambda =
-    (v + m^2 - m)/m and pi = 1 - m/lambda from the first two moments —
-    the engagement model separating 'inactive day' mass from activity
-    rate.  Active (user, day) cells fold through a user-partitioned
-    combiner; zero cells never materialize (their moment contribution
-    is implicit in N = n_users x n_days), so the exchange is
-    active-cells-sized and every input is an exact integer."""
-    P = 32
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame({
-            "user_id": df["user_id"],
-            "d": pd.to_datetime(df["ts"]).dt.normalize()}) \
-            .groupby(["user_id", "d"], as_index=False).size() \
-            .rename(columns={"size": "n"})
-        out["part"] = (out["user_id"].to_numpy() % P).astype(np.int32)
-        return out
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        c = g.groupby(["user_id", "d"], as_index=False)["n"].sum()
-        v = c["n"].to_numpy(np.int64)
-        return pd.DataFrame({
-            "cells": [len(c)], "s": [int(v.sum())],
-            "ss": [int((v * v).sum())],
-            "users": [c["user_id"].nunique()],
-            "dmin": [c["d"].min()], "dmax": [c["d"].max()]})
-
-    mo = ds.map_batches(partial, batch_format="pandas") \
-        .groupby("part").map_groups(merge, batch_format="pandas") \
-        .to_pandas()
-    n_users = int(mo["users"].sum())  # user-partitioned: no double count
-    n_days = int((mo["dmax"].max() - mo["dmin"].min()).days) + 1
-    N = float(n_users * n_days)
-    s, ss = float(mo["s"].sum()), float(mo["ss"].sum())
-    m = s / N
-    v = ss / N - m * m
-    lam = (v + m * m - m) / m
-    pi = 1.0 - m / lam
-    return pd.DataFrame({
-        "n_users": np.array([n_users], np.int64),
-        "n_days": np.array([n_days], np.int64),
-        "mean_daily": [round(m, 6)],
-        "lam": [round(lam, 6)],
-        "pi_zero": [round(pi, 6)]})
-
-
-SQL_ZIP_FIT_DAILY_COUNTS = """
-WITH c AS (SELECT user_id, CAST(ts AS DATE) AS d, COUNT(*) AS n
-           FROM events GROUP BY 1, 2),
-span AS (SELECT COUNT(DISTINCT user_id) * 1.0
-                  * (date_diff('day', MIN(CAST(ts AS DATE)),
-                               MAX(CAST(ts AS DATE))) + 1) AS nn,
-                COUNT(DISTINCT user_id) AS n_users,
-                date_diff('day', MIN(CAST(ts AS DATE)),
-                          MAX(CAST(ts AS DATE))) + 1 AS n_days
-         FROM events),
-m AS (SELECT SUM(n) * 1.0 AS s, SUM(n * n) * 1.0 AS ss FROM c)
-SELECT CAST(span.n_users AS BIGINT) AS n_users,
-       CAST(span.n_days AS BIGINT) AS n_days,
-       ROUND(m.s / span.nn, 6) AS mean_daily,
-       ROUND(((m.ss / span.nn - (m.s / span.nn) * (m.s / span.nn))
-              + (m.s / span.nn) * (m.s / span.nn) - m.s / span.nn)
-             / (m.s / span.nn), 6) AS lam,
-       ROUND(1.0 - (m.s / span.nn)
-                   / (((m.ss / span.nn - (m.s / span.nn) * (m.s / span.nn))
-                       + (m.s / span.nn) * (m.s / span.nn) - m.s / span.nn)
-                      / (m.s / span.nn)), 6) AS pi_zero
-FROM span, m
-"""
-
-
-def q_chapman_population(sf_dir: str):
-    """Chapman capture–recapture estimate of the active-user population
-    from two one-week observation windows (days 0-6 and 7-13 of the
-    event range): N-hat = (n1+1)(n2+1)/(m+1) - 1 — the coverage
-    estimator for 'how many users exist that we only partially see'.
-    Per-user week-presence bitmasks fold in user partitions; the
-    driver reduces three integers."""
-    P = 32
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
-    lo = pd.Timestamp(ds.min("ts")).normalize()
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        day = (df["ts"].to_numpy(dtype="datetime64[D]")
-               - np.datetime64(lo, "D")).astype(np.int64)
-        w1 = (day < 7).astype(np.int64)
-        w2 = ((day >= 7) & (day < 14)).astype(np.int64)
-        out = pd.DataFrame({"user_id": df["user_id"],
-                            "w1": w1, "w2": w2}) \
-            .groupby("user_id", as_index=False).max()
-        out["part"] = (out["user_id"].to_numpy() % P).astype(np.int32)
-        return out
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        u = g.groupby("user_id", as_index=False)[["w1", "w2"]].max()
-        return pd.DataFrame({
-            "n1": [int(u["w1"].sum())], "n2": [int(u["w2"].sum())],
-            "m": [int((u["w1"] & u["w2"]).sum())],
-            "total": [len(u)]})
-
-    mo = ds.map_batches(partial, batch_format="pandas") \
-        .groupby("part").map_groups(merge, batch_format="pandas") \
-        .to_pandas().sum()
-    n1, n2, m = int(mo["n1"]), int(mo["n2"]), int(mo["m"])
-    nhat = (n1 + 1.0) * (n2 + 1.0) / (m + 1.0) - 1.0
-    return pd.DataFrame({
-        "n_week1": np.array([n1], np.int64),
-        "n_week2": np.array([n2], np.int64),
-        "overlap": np.array([m], np.int64),
-        "n_hat": [round(nhat, 6)],
-        "n_observed": np.array([int(mo["total"])], np.int64)})
-
-
-SQL_CHAPMAN_POPULATION = """
-WITH lo AS (SELECT CAST(MIN(ts) AS DATE) AS d0 FROM events),
-u AS (SELECT user_id,
-             MAX(CASE WHEN date_diff('day', lo.d0, CAST(ts AS DATE)) < 7
-                      THEN 1 ELSE 0 END) AS w1,
-             MAX(CASE WHEN date_diff('day', lo.d0, CAST(ts AS DATE))
-                           BETWEEN 7 AND 13 THEN 1 ELSE 0 END) AS w2
-      FROM events, lo GROUP BY user_id)
-SELECT CAST(SUM(w1) AS BIGINT) AS n_week1,
-       CAST(SUM(w2) AS BIGINT) AS n_week2,
-       CAST(SUM(w1 * w2) AS BIGINT) AS overlap,
-       ROUND((SUM(w1) + 1.0) * (SUM(w2) + 1.0) / (SUM(w1 * w2) + 1.0)
-             - 1.0, 6) AS n_hat,
-       CAST(COUNT(*) AS BIGINT) AS n_observed
-FROM u
-"""
-
-
-def q_jarque_bera_value(sf_dir: str):
-    """Jarque–Bera normality test on purchase values: skewness and
-    excess kurtosis from the first four raw-moment folds, JB =
-    n/6*(S^2 + (K-3)^2/4) — the distribution-shape gate before any
-    moments-based model.  Σx and Σx² ride as exact integers; Σx³/Σx⁴
-    as float64 partials whose ~1e-13 relative error is far below the
-    output rounding; both engines expand central moments with the same
-    Horner-free formula."""
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        v = np.round(df.loc[df["event_type"] == "purchase", "value"]
-                     .to_numpy() * 100).astype(np.int64)
-        f = v.astype(np.float64)
-        return pd.DataFrame({
-            "n": [len(v)], "s1": [int(v.sum())],
-            "s2": [int((v * v).sum())],
-            "s3": [(f ** 3).sum()], "s4": [(f ** 4).sum()]})
-
-    mo = ds.map_batches(partial, batch_format="pandas").to_pandas().sum()
-    n = float(mo["n"])
-    s1, s2 = float(mo["s1"]), float(mo["s2"])
-    s3, s4 = float(mo["s3"]), float(mo["s4"])
-    mu = s1 / n
-    m2 = s2 / n - mu * mu
-    m3 = s3 / n - 3.0 * mu * s2 / n + 2.0 * mu * mu * mu
-    m4 = (s4 / n - 4.0 * mu * s3 / n + 6.0 * mu * mu * s2 / n
-          - 3.0 * mu * mu * mu * mu)
-    skew = m3 / m2 ** 1.5
-    kurt = m4 / (m2 * m2)
-    jb = n / 6.0 * (skew * skew + (kurt - 3.0) * (kurt - 3.0) / 4.0)
-    return pd.DataFrame({
-        "n_purchases": np.array([int(n)], np.int64),
-        "skew": [round(skew, 6)],
-        "kurtosis": [round(kurt, 6)],
-        "jb_stat": [round(jb, 6)]})
-
-
-SQL_JARQUE_BERA_VALUE = """
-WITH v AS (SELECT CAST(ROUND(value * 100) AS BIGINT) AS x FROM events
-           WHERE event_type = 'purchase'),
-m AS (SELECT COUNT(*) * 1.0 AS n, SUM(x) * 1.0 AS s1,
-             SUM(CAST(x AS DOUBLE) * x) AS s2,
-             SUM(CAST(x AS DOUBLE) * x * x) AS s3,
-             SUM(CAST(x AS DOUBLE) * x * x * x) AS s4
-      FROM v),
-c AS (SELECT n, s1 / n AS mu,
-             s2 / n - (s1 / n) * (s1 / n) AS m2,
-             s3 / n - 3.0 * (s1 / n) * s2 / n
-               + 2.0 * (s1 / n) * (s1 / n) * (s1 / n) AS m3,
-             s4 / n - 4.0 * (s1 / n) * s3 / n
-               + 6.0 * (s1 / n) * (s1 / n) * s2 / n
-               - 3.0 * (s1 / n) * (s1 / n) * (s1 / n) * (s1 / n) AS m4
-      FROM m)
-SELECT CAST(n AS BIGINT) AS n_purchases,
-       ROUND(m3 / POW(m2, 1.5), 6) AS skew,
-       ROUND(m4 / (m2 * m2), 6) AS kurtosis,
-       ROUND(n / 6.0 * ((m3 / POW(m2, 1.5)) * (m3 / POW(m2, 1.5))
-                        + (m4 / (m2 * m2) - 3.0)
-                          * (m4 / (m2 * m2) - 3.0) / 4.0), 6) AS jb_stat
-FROM c
-"""
-
-
 def q_fd_sturges_bins(sf_dir: str):
     """Histogram bin-rule audit over document lengths: the
     Freedman–Diaconis width (2·IQR/n^⅓, IQR from EXACT
@@ -16440,433 +13735,6 @@ SELECT CAST(n.n AS BIGINT) AS n_docs,
             AS BIGINT) AS fd_bins,
        CAST(CEIL(LOG2(n.n)) + 1 AS BIGINT) AS sturges_bins
 FROM n, q
-"""
-
-
-def q_logrank_segments(sf_dir: str):
-    """Two-sample log-rank test: time from first to second order
-    (right-censored at the calendar horizon for one-order customers),
-    BUILDING vs MACHINERY — the survival comparison behind retention
-    experiments.  Per-customer durations fold in custkey partitions;
-    the test statistic reduces over the per-(day, group) event/censor
-    table, which is CALENDAR-BOUNDED (≤ a few thousand distinct
-    durations) regardless of row scale, with at-risk counts as reverse
-    cumulative sums."""
-    P = 32
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderdate"])
-    hi = pd.Timestamp(orders.max("o_orderdate"))
-    hid = int((hi - pd.Timestamp("1990-01-01")).days)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        # per-block two smallest DISTINCT dates per customer: the global
-        # first/second are always among the union of block candidates
-        d = (pd.to_datetime(df["o_orderdate"])
-             - pd.Timestamp("1990-01-01")).dt.days.astype(np.int64)
-        out = pd.DataFrame({"key": df["o_custkey"].to_numpy(), "d": d})
-        m1 = out.groupby("key")["d"].min().rename("m1")
-        m2 = out.join(m1, on="key")
-        m2 = m2[m2["d"] > m2["m1"]].groupby("key")["d"].min().rename("m2")
-        res = pd.concat([m1, m2], axis=1).reset_index()
-        res["part"] = (res["key"].to_numpy() % P).astype(np.int32)
-        res["side"] = 0
-        res["seg"] = ""
-        return res
-
-    def cust_block(df: pd.DataFrame) -> pd.DataFrame:
-        m = df["c_mktsegment"].isin(["BUILDING", "MACHINERY"]).to_numpy()
-        out = pd.DataFrame({
-            "key": df["c_custkey"].to_numpy()[m],
-            "m1": np.zeros(int(m.sum()), np.int64),
-            "m2": np.full(int(m.sum()), np.nan),
-            "seg": df["c_mktsegment"].to_numpy()[m]})
-        out["part"] = (out["key"].to_numpy() % P).astype(np.int32)
-        out["side"] = 1
-        return out[["key", "m1", "m2", "part", "side", "seg"]]
-
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]) \
-        .map_batches(cust_block, batch_format="pandas")
-
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        segm = g.loc[g["side"] == 1].set_index("key")["seg"]
-        o = g.loc[g["side"] == 0]
-        first = o.groupby("key")["m1"].min()
-        cand = pd.concat([o.set_index("key")["m1"],
-                          o.set_index("key")["m2"].dropna()])
-        cand = cand[cand > first.reindex(cand.index).to_numpy()]
-        second = cand.groupby(level=0).min()
-        a = pd.DataFrame({"first": first}).join(second.rename("second"))
-        lab = a.index.map(segm)
-        keep = lab.notna()
-        a, lab = a[keep], lab[keep]
-        if not len(a):
-            return pd.DataFrame({
-                "t": pd.Series([], dtype="int64"),
-                "grp": pd.Series([], dtype="int64"),
-                "ev": pd.Series([], dtype="int64"),
-                "n": pd.Series([], dtype="int64")})
-        event = a["second"].notna().to_numpy()
-        t = np.where(event, a["second"].to_numpy(np.float64)
-                     - a["first"].to_numpy(np.float64),
-                     hid - a["first"].to_numpy(np.float64)) \
-            .astype(np.int64)
-        out = pd.DataFrame({"t": t, "grp": (lab == "BUILDING")
-                            .astype(np.int64),
-                            "ev": event.astype(np.int64), "n": 1})
-        return out.groupby(["t", "grp", "ev"], as_index=False)["n"].sum()
-
-    tab = orders.map_batches(partial, batch_format="pandas") \
-        .union(cust) \
-        .groupby("part").map_groups(fold, batch_format="pandas") \
-        .to_pandas().groupby(["t", "grp", "ev"], as_index=False)["n"].sum()
-    # driver reduce over the calendar-bounded (t, grp, ev) table
-    piv = tab.pivot_table(index="t", columns=["grp", "ev"], values="n",
-                          fill_value=0, aggfunc="sum").sort_index()
-
-    def col(gr, ev):
-        return (piv[(gr, ev)].to_numpy(np.float64)
-                if (gr, ev) in piv.columns else np.zeros(len(piv)))
-
-    d1, d0 = col(1, 1), col(0, 1)
-    c1, c0 = col(1, 0), col(0, 0)
-    # at risk just before t: reverse cumulative of everything at >= t
-    n1 = (d1 + c1)[::-1].cumsum()[::-1]
-    n0 = (d0 + c0)[::-1].cumsum()[::-1]
-    dt, nt = d1 + d0, n1 + n0
-    mask = (dt > 0) & (nt > 1)
-    e1 = dt[mask] * n1[mask] / nt[mask]
-    v = (dt[mask] * (n1[mask] / nt[mask]) * (1.0 - n1[mask] / nt[mask])
-         * (nt[mask] - dt[mask]) / (nt[mask] - 1.0))
-    z = (d1[mask] - e1).sum() / np.sqrt(v.sum())
-    return pd.DataFrame({
-        "n_building": np.array([int((d1 + c1).sum())], np.int64),
-        "n_machinery": np.array([int((d0 + c0).sum())], np.int64),
-        "events": np.array([int(dt.sum())], np.int64),
-        "logrank_z": [round(float(z), 6)]})
-
-
-SQL_LOGRANK_SEGMENTS = """
-WITH horizon AS (SELECT MAX(o_orderdate) AS hi FROM orders),
-f AS (SELECT o.o_custkey AS key, c.c_mktsegment AS seg,
-             MIN(o.o_orderdate) AS first_d, COUNT(*) AS cnt
-      FROM orders o JOIN customer c ON c.c_custkey = o.o_custkey
-      WHERE c.c_mktsegment IN ('BUILDING', 'MACHINERY')
-      GROUP BY 1, 2),
-s AS (SELECT o.o_custkey AS key, MIN(o.o_orderdate) AS second_d
-      FROM orders o JOIN f ON f.key = o.o_custkey
-      WHERE o.o_orderdate > f.first_d GROUP BY 1),
-per AS (SELECT f.key, f.seg,
-               CASE WHEN s.second_d IS NOT NULL THEN 1 ELSE 0 END AS ev,
-               CASE WHEN s.second_d IS NOT NULL
-                    THEN date_diff('day', f.first_d, s.second_d)
-                    ELSE date_diff('day', f.first_d, horizon.hi)
-               END AS t
-        FROM f LEFT JOIN s ON s.key = f.key, horizon),
-tab AS (SELECT t, CASE WHEN seg = 'BUILDING' THEN 1 ELSE 0 END AS grp,
-               ev, COUNT(*) AS n
-        FROM per GROUP BY 1, 2, 3),
-times AS (SELECT DISTINCT t FROM tab),
-g AS (SELECT times.t,
-             COALESCE(SUM(CASE WHEN tab.grp = 1 AND tab.ev = 1
-                               THEN tab.n END), 0) * 1.0 AS d1,
-             COALESCE(SUM(CASE WHEN tab.grp = 0 AND tab.ev = 1
-                               THEN tab.n END), 0) * 1.0 AS d0
-      FROM times LEFT JOIN tab ON tab.t = times.t GROUP BY 1),
-risk AS (SELECT g.t, g.d1, g.d0,
-                (SELECT COALESCE(SUM(tab.n), 0) FROM tab
-                 WHERE tab.grp = 1 AND tab.t >= g.t) * 1.0 AS n1,
-                (SELECT COALESCE(SUM(tab.n), 0) FROM tab
-                 WHERE tab.grp = 0 AND tab.t >= g.t) * 1.0 AS n0
-         FROM g),
-lr AS (SELECT SUM(d1 - (d1 + d0) * n1 / (n1 + n0)) AS num,
-              SUM((d1 + d0) * (n1 / (n1 + n0))
-                  * (1.0 - n1 / (n1 + n0))
-                  * ((n1 + n0) - (d1 + d0)) / ((n1 + n0) - 1.0)) AS var
-       FROM risk WHERE d1 + d0 > 0 AND n1 + n0 > 1)
-SELECT (SELECT CAST(COUNT(*) AS BIGINT) FROM per WHERE seg = 'BUILDING')
-         AS n_building,
-       (SELECT CAST(COUNT(*) AS BIGINT) FROM per
-        WHERE seg = 'MACHINERY') AS n_machinery,
-       (SELECT CAST(SUM(ev) AS BIGINT) FROM per) AS events,
-       ROUND(lr.num / SQRT(lr.var), 6) AS logrank_z
-FROM lr
-"""
-
-
-def q_mcnemar_weekend(sf_dir: str):
-    """McNemar paired-proportions test: does a user who purchases on
-    weekdays also purchase on weekends?  The discordant pair counts
-    (weekday-only b, weekend-only c) fold from per-user presence
-    bitmasks in user partitions; the continuity-corrected statistic
-    (|b-c|-1)²/(b+c) is driver arithmetic on two integers."""
-    P = 32
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.loc[df["event_type"] == "purchase"]
-        wk = (pd.to_datetime(d["ts"]).dt.dayofweek >= 5).to_numpy()
-        out = pd.DataFrame({"user_id": d["user_id"].to_numpy(),
-                            "we": wk.astype(np.int64),
-                            "wd": (~wk).astype(np.int64)}) \
-            .groupby("user_id", as_index=False).max()
-        out["part"] = (out["user_id"].to_numpy() % P).astype(np.int32)
-        return out
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        u = g.groupby("user_id", as_index=False)[["we", "wd"]].max()
-        return pd.DataFrame({
-            "b": [int(((u["wd"] == 1) & (u["we"] == 0)).sum())],
-            "c": [int(((u["wd"] == 0) & (u["we"] == 1)).sum())],
-            "n": [len(u)]})
-
-    mo = ds.map_batches(partial, batch_format="pandas") \
-        .groupby("part").map_groups(merge, batch_format="pandas") \
-        .to_pandas().sum()
-    b, c = int(mo["b"]), int(mo["c"])
-    chi2 = (abs(b - c) - 1.0) ** 2 / (b + c)
-    return pd.DataFrame({
-        "n_purchasers": np.array([int(mo["n"])], np.int64),
-        "weekday_only": np.array([b], np.int64),
-        "weekend_only": np.array([c], np.int64),
-        "mcnemar_chi2": [round(chi2, 6)]})
-
-
-SQL_MCNEMAR_WEEKEND = """
-WITH u AS (SELECT user_id,
-                  MAX(CASE WHEN isodow(ts) >= 6 THEN 1 ELSE 0 END) AS we,
-                  MAX(CASE WHEN isodow(ts) < 6 THEN 1 ELSE 0 END) AS wd
-           FROM events WHERE event_type = 'purchase' GROUP BY 1),
-t AS (SELECT COUNT(*) AS n,
-             SUM(CASE WHEN wd = 1 AND we = 0 THEN 1 ELSE 0 END) AS b,
-             SUM(CASE WHEN wd = 0 AND we = 1 THEN 1 ELSE 0 END) AS c
-      FROM u)
-SELECT CAST(n AS BIGINT) AS n_purchasers,
-       CAST(b AS BIGINT) AS weekday_only,
-       CAST(c AS BIGINT) AS weekend_only,
-       ROUND((ABS(b - c) - 1.0) * (ABS(b - c) - 1.0) / (b + c), 6)
-         AS mcnemar_chi2
-FROM t
-"""
-
-
-def q_cramer_von_mises(sf_dir: str):
-    """Two-sample Cramér–von Mises statistic (weekend vs weekday
-    purchase values): T = N1·N2/N² · Σ over pooled observations of
-    (F1-F2)² — the whole-distribution comparison that, unlike the KS
-    max, weights EVERY quantile.  Like q_mannwhitney_weekend the test
-    folds entirely from the per-value count grid (combiner partials,
-    value-domain-bounded; a wider domain hash-partitions the grid), so
-    the ECDFs are exact integer cumsums."""
-    ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.loc[df["event_type"] == "purchase"]
-        return pd.DataFrame({
-            "wk": (pd.to_datetime(d["ts"]).dt.dayofweek >= 5)
-            .to_numpy().astype(np.int64),
-            "cents": np.round(d["value"].to_numpy() * 100)
-            .astype(np.int64)}).groupby(["wk", "cents"],
-                                        as_index=False).size() \
-            .rename(columns={"size": "n"})
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    cnt = parts.groupby(["wk", "cents"], as_index=False)["n"].sum()
-    piv = cnt.pivot_table(index="cents", columns="wk", values="n",
-                          fill_value=0, aggfunc="sum").sort_index()
-    a = piv.get(1, pd.Series(0, index=piv.index)).to_numpy(np.int64)
-    b = piv.get(0, pd.Series(0, index=piv.index)).to_numpy(np.int64)
-    n1, n2 = float(a.sum()), float(b.sum())
-    f1 = np.cumsum(a) / n1
-    f2 = np.cumsum(b) / n2
-    w = (a + b).astype(np.float64)
-    t_stat = n1 * n2 / (n1 + n2) ** 2 * float((w * (f1 - f2) ** 2).sum())
-    return pd.DataFrame({
-        "n_weekend": np.array([int(n1)], np.int64),
-        "n_weekday": np.array([int(n2)], np.int64),
-        "cvm_t": [round(t_stat, 6)]})
-
-
-SQL_CRAMER_VON_MISES = """
-WITH v AS (SELECT CASE WHEN isodow(ts) >= 6 THEN 1 ELSE 0 END AS wk,
-                  CAST(ROUND(value * 100) AS BIGINT) AS cents
-           FROM events WHERE event_type = 'purchase'),
-c AS (SELECT cents,
-             SUM(CASE WHEN wk = 1 THEN 1 ELSE 0 END) AS a,
-             SUM(CASE WHEN wk = 0 THEN 1 ELSE 0 END) AS b
-      FROM v GROUP BY cents),
-t AS (SELECT SUM(a) * 1.0 AS n1, SUM(b) * 1.0 AS n2 FROM c),
-e AS (SELECT c.a, c.b,
-             SUM(c.a) OVER (ORDER BY c.cents) / t.n1 AS f1,
-             SUM(c.b) OVER (ORDER BY c.cents) / t.n2 AS f2,
-             t.n1, t.n2
-      FROM c, t)
-SELECT CAST(MAX(n1) AS BIGINT) AS n_weekend,
-       CAST(MAX(n2) AS BIGINT) AS n_weekday,
-       ROUND(MAX(n1) * MAX(n2) / ((MAX(n1) + MAX(n2))
-                                  * (MAX(n1) + MAX(n2)))
-             * SUM((a + b) * (f1 - f2) * (f1 - f2)), 6) AS cvm_t
-FROM e
-"""
-
-
-def q_cronbach_alpha(sf_dir: str):
-    """Cronbach's alpha over the five event-type counts treated as
-    'items' of a per-user engagement scale: alpha =
-    k/(k-1)·(1 - Σ var_item / var_total) — the internal-consistency
-    read that says whether the types move together enough to justify a
-    single engagement score.  Per-(user, item) counts fold in user
-    partitions; item variances and the total-score variance all derive
-    from exact integer sums (absent items contribute exact zeros via
-    the per-partition pivot)."""
-    P = 32
-    ds = _read(sf_dir, "events", ["user_id", "event_type"])
-    types = sorted(ds.map_batches(
-        lambda df: df[["event_type"]].drop_duplicates(),
-        batch_format="pandas").to_pandas()["event_type"].unique())
-    k = len(types)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.assign(n=1).groupby(["user_id", "event_type"],
-                                     as_index=False)["n"].sum()
-        out["part"] = (out["user_id"].to_numpy() % P).astype(np.int32)
-        return out
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        piv = g.pivot_table(index="user_id", columns="event_type",
-                            values="n", fill_value=0, aggfunc="sum")
-        for t in types:
-            if t not in piv.columns:
-                piv[t] = 0
-        m = piv[types].to_numpy(np.int64)
-        tot = m.sum(axis=1)
-        return pd.DataFrame({
-            "n": [m.shape[0]],
-            "si": [",".join(str(int(v)) for v in m.sum(axis=0))],
-            "sii": [",".join(str(int(v)) for v in (m * m).sum(axis=0))],
-            "st": [int(tot.sum())], "stt": [int((tot * tot).sum())]})
-
-    mo = ds.map_batches(partial, batch_format="pandas") \
-        .groupby("part").map_groups(merge, batch_format="pandas") \
-        .to_pandas()
-    n = float(mo["n"].sum())
-    si = np.sum([np.fromstring(s, dtype=np.int64, sep=",")
-                 for s in mo["si"]], axis=0).astype(np.float64)
-    sii = np.sum([np.fromstring(s, dtype=np.int64, sep=",")
-                  for s in mo["sii"]], axis=0).astype(np.float64)
-    st, stt = float(mo["st"].sum()), float(mo["stt"].sum())
-    var_items = (sii / n - (si / n) ** 2).sum()
-    var_tot = stt / n - (st / n) * (st / n)
-    alpha = k / (k - 1.0) * (1.0 - var_items / var_tot)
-    return pd.DataFrame({
-        "n_users": np.array([int(n)], np.int64),
-        "k_items": np.array([k], np.int64),
-        "alpha": [round(float(alpha), 6)]})
-
-
-SQL_CRONBACH_ALPHA = """
-WITH u AS (SELECT user_id, event_type, COUNT(*) AS n
-           FROM events GROUP BY 1, 2),
-users AS (SELECT DISTINCT user_id FROM events),
-types AS (SELECT DISTINCT event_type FROM events),
-grid AS (SELECT users.user_id, types.event_type,
-                COALESCE(u.n, 0) AS n
-         FROM users CROSS JOIN types
-         LEFT JOIN u ON u.user_id = users.user_id
-                    AND u.event_type = types.event_type),
-iv AS (SELECT event_type,
-              SUM(CAST(n AS DOUBLE) * n) / COUNT(*)
-                - (SUM(n) * 1.0 / COUNT(*)) * (SUM(n) * 1.0 / COUNT(*))
-                AS var_i
-       FROM grid GROUP BY 1),
-tot AS (SELECT user_id, SUM(n) AS t FROM grid GROUP BY 1),
-tv AS (SELECT COUNT(*) * 1.0 AS n,
-              SUM(CAST(t AS DOUBLE) * t) / COUNT(*)
-                - (SUM(t) * 1.0 / COUNT(*)) * (SUM(t) * 1.0 / COUNT(*))
-                AS var_t
-       FROM tot),
-kk AS (SELECT COUNT(*) * 1.0 AS k FROM types)
-SELECT CAST(tv.n AS BIGINT) AS n_users,
-       CAST(kk.k AS BIGINT) AS k_items,
-       ROUND(kk.k / (kk.k - 1.0)
-             * (1.0 - (SELECT SUM(var_i) FROM iv) / tv.var_t), 6)
-         AS alpha
-FROM tv, kk
-"""
-
-
-def q_sprt_crossing(sf_dir: str):
-    """Wald's SPRT replayed over the daily purchase-conversion stream:
-    cumulative log-likelihood ratio of H1: p=0.22 vs H0: p=0.18
-    (alpha = beta = 0.05 boundaries ±ln 19), reporting the first
-    boundary crossing — the sequential-testing primitive that ends an
-    experiment early.  Per-day (events, purchases) fold as exact
-    integer combiners; the LLR scan runs over the CALENDAR-BOUNDED
-    day table."""
-    ds = _read(sf_dir, "events", ["ts", "event_type"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "d": df["ts"].to_numpy(dtype="datetime64[D]"),
-            "n": 1,
-            "k": (df["event_type"] == "purchase").to_numpy()
-            .astype(np.int64)}).groupby("d", as_index=False).sum()
-
-    daily = ds.map_batches(partial, batch_format="pandas").to_pandas() \
-        .groupby("d", as_index=False).sum().sort_values("d") \
-        .reset_index(drop=True)
-    p0, p1 = 0.18, 0.22
-    la, lb = np.log(19.0), -np.log(19.0)
-    llr = (daily["k"].to_numpy(np.float64) * np.log(p1 / p0)
-           + (daily["n"] - daily["k"]).to_numpy(np.float64)
-           * np.log((1.0 - p1) / (1.0 - p0)))
-    cum = np.cumsum(llr)
-    up = np.nonzero(cum >= la)[0]
-    dn = np.nonzero(cum <= lb)[0]
-    iu = up[0] if len(up) else len(cum)
-    idn = dn[0] if len(dn) else len(cum)
-    if iu == idn:
-        decision, idx = "continue", len(cum) - 1
-    elif iu < idn:
-        decision, idx = "accept_h1", int(iu)
-    else:
-        decision, idx = "accept_h0", int(idn)
-    return pd.DataFrame({
-        "decision": [decision],
-        "crossing_day": [pd.Timestamp(daily["d"].iloc[idx])],
-        "days_observed": np.array([idx + 1], np.int64),
-        "llr_at_stop": [round(float(cum[idx]), 6)]})
-
-
-SQL_SPRT_CROSSING = """
-WITH daily AS (SELECT CAST(ts AS DATE) AS d, COUNT(*) AS n,
-                      SUM(CASE WHEN event_type = 'purchase'
-                               THEN 1 ELSE 0 END) AS k
-               FROM events GROUP BY 1),
-c AS (SELECT d,
-             SUM(k * LN(0.22 / 0.18)
-                 + (n - k) * LN((1.0 - 0.22) / (1.0 - 0.18)))
-               OVER (ORDER BY d) AS cum,
-             ROW_NUMBER() OVER (ORDER BY d) AS rk,
-             COUNT(*) OVER () AS nd
-      FROM daily),
-up AS (SELECT MIN(rk) AS r FROM c WHERE cum >= LN(19.0)),
-dn AS (SELECT MIN(rk) AS r FROM c WHERE cum <= -LN(19.0)),
-pick AS (SELECT CASE
-                  WHEN COALESCE(up.r, 9223372036854775807)
-                       < COALESCE(dn.r, 9223372036854775807)
-                    THEN 'accept_h1'
-                  WHEN COALESCE(dn.r, 9223372036854775807)
-                       < COALESCE(up.r, 9223372036854775807)
-                    THEN 'accept_h0'
-                  ELSE 'continue' END AS decision,
-                LEAST(COALESCE(up.r, 9223372036854775807),
-                      COALESCE(dn.r, 9223372036854775807)) AS r
-         FROM up, dn)
-SELECT pick.decision,
-       CAST(c.d AS TIMESTAMP) AS crossing_day,
-       CAST(c.rk AS BIGINT) AS days_observed,
-       ROUND(c.cum, 6) AS llr_at_stop
-FROM pick JOIN c ON c.rk = CASE WHEN pick.r = 9223372036854775807
-                                THEN c.nd ELSE pick.r END
 """
 
 
@@ -16932,68 +13800,6 @@ FROM t, m
 """
 
 
-def q_fano_factor_windows(sf_dir: str):
-    """Fano factor (index of dispersion, var/mean of per-window event
-    counts) at 1 h / 6 h / 24 h window widths — the time-scale sweep
-    that distinguishes Poisson traffic (F≈1) from bursty arrivals.
-    Per-window counts fold as combiners; EMPTY windows never
-    materialize — their zero mass is implicit in the known window
-    count (same device as q_zip_fit_daily_counts), so each width costs
-    one bounded exchange of exact integers."""
-    ds = _read(sf_dir, "events", ["ts"])
-    lo = pd.Timestamp(ds.min("ts")).value // 1000
-    hi = pd.Timestamp(ds.max("ts")).value // 1000
-    rows = []
-    for name, hours in (("1h", 1), ("6h", 6), ("24h", 24)):
-        width = hours * 3_600_000_000
-
-        def partial(df: pd.DataFrame, w=width) -> pd.DataFrame:
-            t_us = df["ts"].to_numpy(dtype="datetime64[us]") \
-                .astype(np.int64)
-            return pd.DataFrame({"b": t_us // w, "n": 1}) \
-                .groupby("b", as_index=False).sum()
-
-        cnt = ds.map_batches(partial, batch_format="pandas") \
-            .to_pandas().groupby("b")["n"].sum()
-        n_win = int(hi // width - lo // width) + 1
-        s = float(cnt.sum())
-        ss = float((cnt.to_numpy(np.int64) ** 2).sum())
-        mean = s / n_win
-        var = ss / n_win - mean * mean
-        rows.append((name, n_win, round(mean, 6), round(var / mean, 6)))
-    return pd.DataFrame(rows, columns=["window", "n_windows",
-                                       "mean_count", "fano"])
-
-
-SQL_FANO_FACTOR_WINDOWS = """
-WITH spans AS (SELECT w.name, w.us,
-                      (epoch_us(MAX(e.ts)) // w.us
-                       - epoch_us(MIN(e.ts)) // w.us + 1) AS n_win
-               FROM events e
-               CROSS JOIN (VALUES ('1h', 3600000000),
-                                  ('6h', 21600000000),
-                                  ('24h', 86400000000)) AS w(name, us)
-               GROUP BY 1, 2),
-c AS (SELECT w.name, epoch_us(e.ts) // w.us AS b, COUNT(*) AS n
-      FROM events e
-      CROSS JOIN (VALUES ('1h', 3600000000),
-                         ('6h', 21600000000),
-                         ('24h', 86400000000)) AS w(name, us)
-      GROUP BY 1, 2),
-m AS (SELECT name, SUM(n) * 1.0 AS s,
-             SUM(CAST(n AS DOUBLE) * n) AS ss
-      FROM c GROUP BY 1)
-SELECT m.name AS window,
-       CAST(spans.n_win AS BIGINT) AS n_windows,
-       ROUND(m.s / spans.n_win, 6) AS mean_count,
-       ROUND((m.ss / spans.n_win
-              - (m.s / spans.n_win) * (m.s / spans.n_win))
-             / (m.s / spans.n_win), 6) AS fano
-FROM m JOIN spans ON spans.name = m.name
-ORDER BY spans.us
-"""
-
-
 def q_record_days(sf_dir: str):
     """Record-breaking days in the daily revenue series: observed count
     of strict running-maximum days vs the iid expectation H_D =
@@ -17043,66 +13849,6 @@ SELECT CAST(n.nd AS BIGINT) AS n_days,
        ROUND(h.hn, 6) AS expected_iid,
        ROUND(n.rec / h.hn, 6) AS ratio
 FROM n, h
-"""
-
-
-def q_wasserstein_weekend(sf_dir: str):
-    """1-Wasserstein (earth-mover) distance between weekend and weekday
-    purchase-value distributions: W1 = ∫|F1−F2| dv over the exact
-    value-count grid — the optimal-transport cost of reshaping one
-    distribution into the other, in dollars.  Same grid combiner as
-    q_cramer_von_mises; the integral is a first-difference fold over
-    the sorted grid."""
-    ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.loc[df["event_type"] == "purchase"]
-        return pd.DataFrame({
-            "wk": (pd.to_datetime(d["ts"]).dt.dayofweek >= 5)
-            .to_numpy().astype(np.int64),
-            "cents": np.round(d["value"].to_numpy() * 100)
-            .astype(np.int64)}).groupby(["wk", "cents"],
-                                        as_index=False).size() \
-            .rename(columns={"size": "n"})
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    cnt = parts.groupby(["wk", "cents"], as_index=False)["n"].sum()
-    piv = cnt.pivot_table(index="cents", columns="wk", values="n",
-                          fill_value=0, aggfunc="sum").sort_index()
-    a = piv.get(1, pd.Series(0, index=piv.index)).to_numpy(np.int64)
-    b = piv.get(0, pd.Series(0, index=piv.index)).to_numpy(np.int64)
-    v = piv.index.to_numpy(np.int64)
-    n1, n2 = float(a.sum()), float(b.sum())
-    f1 = np.cumsum(a) / n1
-    f2 = np.cumsum(b) / n2
-    gaps = np.diff(v).astype(np.float64)
-    w1 = float((np.abs(f1 - f2)[:-1] * gaps).sum())
-    return pd.DataFrame({
-        "n_weekend": np.array([int(n1)], np.int64),
-        "n_weekday": np.array([int(n2)], np.int64),
-        "w1_dollars": [round(w1 / 100.0, 6)]})
-
-
-SQL_WASSERSTEIN_WEEKEND = """
-WITH v AS (SELECT CASE WHEN isodow(ts) >= 6 THEN 1 ELSE 0 END AS wk,
-                  CAST(ROUND(value * 100) AS BIGINT) AS cents
-           FROM events WHERE event_type = 'purchase'),
-c AS (SELECT cents,
-             SUM(CASE WHEN wk = 1 THEN 1 ELSE 0 END) AS a,
-             SUM(CASE WHEN wk = 0 THEN 1 ELSE 0 END) AS b
-      FROM v GROUP BY cents),
-t AS (SELECT SUM(a) * 1.0 AS n1, SUM(b) * 1.0 AS n2 FROM c),
-e AS (SELECT SUM(c.a) OVER (ORDER BY c.cents) / t.n1 AS f1,
-             SUM(c.b) OVER (ORDER BY c.cents) / t.n2 AS f2,
-             LEAD(c.cents) OVER (ORDER BY c.cents) - c.cents AS gap,
-             t.n1, t.n2
-      FROM c, t)
-SELECT CAST(MAX(n1) AS BIGINT) AS n_weekend,
-       CAST(MAX(n2) AS BIGINT) AS n_weekday,
-       ROUND(SUM(CASE WHEN gap IS NOT NULL
-                      THEN ABS(f1 - f2) * gap ELSE 0 END) / 100.0, 6)
-         AS w1_dollars
-FROM e
 """
 
 
@@ -17214,296 +13960,6 @@ SELECT CAST(s.n AS BIGINT) AS n_docs,
                 - s.sa * s.sb / (s.n * (s.n - 1) / 2.0)), 6) AS ari,
        ROUND(mi.mi / SQRT(h.hx * h.hy), 6) AS nmi
 FROM s, mi, h
-"""
-
-
-def q_ece_hour_model(sf_dir: str):
-    """Expected calibration error of an hour-of-day purchase-rate model:
-    rates trained on EVEN epoch-days predict odd days, ECE =
-    Σ_h (n_h/N)·|observed_h − predicted_h| over the 24 hour bins — the
-    calibration read every probabilistic gate needs.  Both passes are
-    hour-bounded integer combiner folds."""
-    ds = _read(sf_dir, "events", ["ts", "event_type"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        t_us = df["ts"].to_numpy(dtype="datetime64[us]").astype(np.int64)
-        day = t_us // 86_400_000_000
-        hour = (t_us // 3_600_000_000) % 24
-        return pd.DataFrame({
-            "h": hour, "even": (day % 2 == 0).astype(np.int64),
-            "n": 1,
-            "k": (df["event_type"] == "purchase").to_numpy()
-            .astype(np.int64)}).groupby(["h", "even"],
-                                        as_index=False).sum()
-
-    t = ds.map_batches(partial, batch_format="pandas").to_pandas() \
-        .groupby(["h", "even"], as_index=False).sum()
-    piv = t.pivot_table(index="h", columns="even", values=["n", "k"],
-                        fill_value=0, aggfunc="sum").sort_index()
-    pred = piv[("k", 1)].to_numpy(np.float64) \
-        / piv[("n", 1)].to_numpy(np.float64)
-    obs_n = piv[("n", 0)].to_numpy(np.float64)
-    obs = piv[("k", 0)].to_numpy(np.float64) / obs_n
-    ece = float((obs_n / obs_n.sum() * np.abs(obs - pred)).sum())
-    return pd.DataFrame({
-        "n_test": np.array([int(obs_n.sum())], np.int64),
-        "ece": [round(ece, 6)],
-        "max_gap": [round(float(np.abs(obs - pred).max()), 6)]})
-
-
-SQL_ECE_HOUR_MODEL = """
-WITH e AS (SELECT (epoch_us(ts) // 3600000000) % 24 AS h,
-                  (epoch_us(ts) // 86400000000) % 2 = 0 AS even,
-                  CASE WHEN event_type = 'purchase'
-                       THEN 1 ELSE 0 END AS k
-           FROM events),
-g AS (SELECT h,
-             SUM(CASE WHEN even THEN 1 ELSE 0 END) * 1.0 AS n_tr,
-             SUM(CASE WHEN even THEN k ELSE 0 END) * 1.0 AS k_tr,
-             SUM(CASE WHEN NOT even THEN 1 ELSE 0 END) * 1.0 AS n_te,
-             SUM(CASE WHEN NOT even THEN k ELSE 0 END) * 1.0 AS k_te
-      FROM e GROUP BY 1),
-t AS (SELECT SUM(n_te) AS nt FROM g)
-SELECT CAST(t.nt AS BIGINT) AS n_test,
-       ROUND(SUM(g.n_te / t.nt
-                 * ABS(g.k_te / g.n_te - g.k_tr / g.n_tr)), 6) AS ece,
-       ROUND(MAX(ABS(g.k_te / g.n_te - g.k_tr / g.n_tr)), 6) AS max_gap
-FROM g, t GROUP BY t.nt
-"""
-
-
-def q_taylor_law_exponent(sf_dir: str):
-    """Taylor's power law: across users, log(variance of daily event
-    count) vs log(mean daily count) fits a line whose slope (the
-    Taylor exponent, 1 = Poisson, 2 = clumped) diagnoses aggregation
-    in activity — ecology's fluctuation-scaling read applied to
-    traffic.  Per-user daily-count moments fold in user partitions
-    with IMPLICIT zero days (n_days is global); the log-log OLS folds
-    from per-partition moment partials."""
-    P = 32
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
-    lo = pd.Timestamp(ds.min("ts")).value // 86_400_000_000_000
-    hi = pd.Timestamp(ds.max("ts")).value // 86_400_000_000_000
-    n_days = int(hi - lo) + 1
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        t_us = df["ts"].to_numpy(dtype="datetime64[us]").astype(np.int64)
-        out = pd.DataFrame({"user_id": df["user_id"],
-                            "d": t_us // 86_400_000_000, "n": 1}) \
-            .groupby(["user_id", "d"], as_index=False).sum()
-        out["part"] = (out["user_id"].to_numpy() % P).astype(np.int32)
-        return out
-
-    def mom(g: pd.DataFrame) -> pd.DataFrame:
-        c = g.groupby(["user_id", "d"], as_index=False)["n"].sum()
-        u = c.groupby("user_id")["n"].agg(["sum", lambda v:
-                                           (v.astype(np.int64) ** 2)
-                                           .sum()])
-        u.columns = ["s", "ss"]
-        m = u["s"].to_numpy(np.float64) / n_days
-        var = u["ss"].to_numpy(np.float64) / n_days - m * m
-        keep = var > 0
-        lx = np.log(m[keep])
-        ly = np.log(var[keep])
-        return pd.DataFrame({
-            "n": [int(keep.sum())], "sx": [lx.sum()], "sy": [ly.sum()],
-            "sxx": [(lx * lx).sum()], "sxy": [(lx * ly).sum()]})
-
-    mo = ds.map_batches(partial, batch_format="pandas") \
-        .groupby("part").map_groups(mom, batch_format="pandas") \
-        .to_pandas().sum()
-    n = float(mo["n"])
-    sx, sy = float(mo["sx"]), float(mo["sy"])
-    sxx, sxy = float(mo["sxx"]), float(mo["sxy"])
-    slope = (sxy - sx * sy / n) / (sxx - sx * sx / n)
-    inter = (sy - slope * sx) / n
-    return pd.DataFrame({
-        "n_users": np.array([int(n)], np.int64),
-        "n_days": np.array([n_days], np.int64),
-        "taylor_exponent": [round(float(slope), 6)],
-        "log_intercept": [round(float(inter), 6)]})
-
-
-SQL_TAYLOR_LAW_EXPONENT = """
-WITH span AS (SELECT (epoch_us(MAX(ts)) // 86400000000
-                      - epoch_us(MIN(ts)) // 86400000000 + 1) * 1.0
-                AS nd FROM events),
-c AS (SELECT user_id, epoch_us(ts) // 86400000000 AS d, COUNT(*) AS n
-      FROM events GROUP BY 1, 2),
-u AS (SELECT user_id, SUM(n) * 1.0 AS s,
-             SUM(CAST(n AS DOUBLE) * n) AS ss
-      FROM c GROUP BY 1),
-l AS (SELECT LN(u.s / span.nd) AS lx,
-             LN(u.ss / span.nd - (u.s / span.nd) * (u.s / span.nd))
-               AS ly
-      FROM u, span
-      WHERE u.ss / span.nd - (u.s / span.nd) * (u.s / span.nd) > 0),
-m AS (SELECT COUNT(*) * 1.0 AS n, SUM(lx) AS sx, SUM(ly) AS sy,
-             SUM(lx * lx) AS sxx, SUM(lx * ly) AS sxy
-      FROM l),
-sp AS (SELECT MIN(nd) AS nd FROM span)
-SELECT CAST(m.n AS BIGINT) AS n_users,
-       CAST(sp.nd AS BIGINT) AS n_days,
-       ROUND((m.sxy - m.sx * m.sy / m.n)
-             / (m.sxx - m.sx * m.sx / m.n), 6) AS taylor_exponent,
-       ROUND((m.sy - (m.sxy - m.sx * m.sy / m.n)
-                     / (m.sxx - m.sx * m.sx / m.n) * m.sx) / m.n, 6)
-         AS log_intercept
-FROM m, sp
-"""
-
-
-def q_brown_forsythe_types(sf_dir: str):
-    """Brown–Forsythe (median-based Levene) homogeneity-of-variance
-    test of event value across the five event types — the robust
-    scale-comparison that gates pooled-variance models.  Everything
-    folds from the (type, cents) count grid: per-type medians are
-    exact order statistics off the grid cumsums, and the F statistic
-    over |x − med| needs only one more pass over the SAME grid (no
-    second data scan)."""
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "t": df["event_type"],
-            "c": np.round(df["value"].to_numpy() * 100)
-            .astype(np.int64)}).groupby(["t", "c"], as_index=False) \
-            .size().rename(columns={"size": "n"})
-
-    g = ds.map_batches(partial, batch_format="pandas").to_pandas() \
-        .groupby(["t", "c"], as_index=False)["n"].sum() \
-        .sort_values(["t", "c"]).reset_index(drop=True)
-    meds = {}
-    for t, sub in g.groupby("t"):
-        cum = sub["n"].cumsum().to_numpy()
-        k = (int(cum[-1]) + 1) // 2
-        meds[t] = int(sub["c"].to_numpy()[np.searchsorted(cum, k)])
-    g["z"] = np.abs(g["c"].to_numpy(np.int64)
-                    - g["t"].map(meds).to_numpy(np.int64))
-    nt = g.groupby("t")["n"].sum()
-    zbar_t = (g["z"] * g["n"]).groupby(g["t"]).sum() / nt
-    N, k = float(nt.sum()), float(len(nt))
-    zbar = float((g["z"] * g["n"]).sum()) / N
-    between = float((nt * (zbar_t - zbar) ** 2).sum()) / (k - 1.0)
-    gz = g["t"].map(zbar_t).to_numpy(np.float64)
-    within = float((g["n"].to_numpy(np.float64)
-                    * (g["z"].to_numpy(np.float64) - gz) ** 2).sum()) \
-        / (N - k)
-    return pd.DataFrame({
-        "n_events": np.array([int(N)], np.int64),
-        "k_groups": np.array([int(k)], np.int64),
-        "bf_f": [round(between / within, 6)]})
-
-
-SQL_BROWN_FORSYTHE_TYPES = """
-WITH g AS (SELECT event_type AS t,
-                  CAST(ROUND(value * 100) AS BIGINT) AS c, COUNT(*) AS n
-           FROM events GROUP BY 1, 2),
-cum AS (SELECT t, c, n,
-               SUM(n) OVER (PARTITION BY t ORDER BY c) AS cn,
-               SUM(n) OVER (PARTITION BY t) AS nt
-        FROM g),
-med AS (SELECT t, MIN(c) AS med FROM cum
-        WHERE cn >= (nt + 1) // 2 GROUP BY t),
-z AS (SELECT g.t, g.n, ABS(g.c - med.med) * 1.0 AS z
-      FROM g JOIN med ON med.t = g.t),
-zt AS (SELECT t, SUM(n) * 1.0 AS nt, SUM(z * n) / SUM(n) AS zbar_t
-       FROM z GROUP BY 1),
-tot AS (SELECT SUM(nt) AS n, COUNT(*) * 1.0 AS k,
-               SUM(zbar_t * nt) / SUM(nt) AS zbar
-        FROM zt),
-f AS (SELECT (SELECT SUM(zt.nt * (zt.zbar_t - tot.zbar)
-                         * (zt.zbar_t - tot.zbar))
-              FROM zt, tot) / (tot.k - 1.0) AS between_ms,
-             (SELECT SUM(z.n * (z.z - zt.zbar_t) * (z.z - zt.zbar_t))
-              FROM z JOIN zt ON zt.t = z.t) / (tot.n - tot.k)
-               AS within_ms,
-             tot.n, tot.k
-      FROM tot)
-SELECT CAST(f.n AS BIGINT) AS n_events,
-       CAST(f.k AS BIGINT) AS k_groups,
-       ROUND(f.between_ms / f.within_ms, 6) AS bf_f
-FROM f
-"""
-
-
-def q_granger_daily_types(sf_dir: str):
-    """Granger-style incremental predictability: does yesterday's CLICK
-    volume predict today's PURCHASE volume beyond purchases' own lag?
-    Unrestricted OLS p_t ~ [1, p_{t-1}, c_{t-1}] vs restricted
-    p_t ~ [1, p_{t-1}], F = (SSE_r − SSE_u)/(SSE_u/(n−3)) — closed-form
-    two-regressor normal equations over the calendar-bounded day grid;
-    the daily counts fold as integer combiners."""
-    ds = _read(sf_dir, "events", ["ts", "event_type"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "d": df["ts"].to_numpy(dtype="datetime64[D]"),
-            "p": (df["event_type"] == "purchase").to_numpy()
-            .astype(np.int64),
-            "c": (df["event_type"] == "click").to_numpy()
-            .astype(np.int64)}).groupby("d", as_index=False).sum()
-
-    daily = ds.map_batches(partial, batch_format="pandas").to_pandas() \
-        .groupby("d", as_index=False).sum().sort_values("d") \
-        .reset_index(drop=True)
-    y = daily["p"].to_numpy(np.float64)[1:]
-    x1 = daily["p"].to_numpy(np.float64)[:-1]
-    x2 = daily["c"].to_numpy(np.float64)[:-1]
-    n = float(len(y))
-    yc = y - y.sum() / n
-    a1 = x1 - x1.sum() / n
-    a2 = x2 - x2.sum() / n
-    s11, s22, s12 = (a1 * a1).sum(), (a2 * a2).sum(), (a1 * a2).sum()
-    s1y, s2y = (a1 * yc).sum(), (a2 * yc).sum()
-    det = s11 * s22 - s12 * s12
-    b1 = (s22 * s1y - s12 * s2y) / det
-    b2 = (s11 * s2y - s12 * s1y) / det
-    sse_u = (yc * yc).sum() - b1 * s1y - b2 * s2y
-    sse_r = (yc * yc).sum() - s1y * s1y / s11
-    f = (sse_r - sse_u) / (sse_u / (n - 3.0))
-    return pd.DataFrame({
-        "n_days": np.array([int(n)], np.int64),
-        "beta_cross_lag": [round(b2, 6)],
-        "granger_f": [round(f, 6)]})
-
-
-SQL_GRANGER_DAILY_TYPES = """
-WITH daily AS (SELECT CAST(ts AS DATE) AS d,
-                      SUM(CASE WHEN event_type = 'purchase'
-                               THEN 1 ELSE 0 END) AS p,
-                      SUM(CASE WHEN event_type = 'click'
-                               THEN 1 ELSE 0 END) AS c
-               FROM events GROUP BY 1),
-l AS (SELECT p * 1.0 AS y,
-             LAG(p) OVER (ORDER BY d) * 1.0 AS x1,
-             LAG(c) OVER (ORDER BY d) * 1.0 AS x2
-      FROM daily QUALIFY x1 IS NOT NULL),
-m AS (SELECT COUNT(*) * 1.0 AS n, SUM(y) / COUNT(*) AS yb,
-             SUM(x1) / COUNT(*) AS b1m, SUM(x2) / COUNT(*) AS b2m
-      FROM l),
-s AS (SELECT SUM((l.x1 - m.b1m) * (l.x1 - m.b1m)) AS s11,
-             SUM((l.x2 - m.b2m) * (l.x2 - m.b2m)) AS s22,
-             SUM((l.x1 - m.b1m) * (l.x2 - m.b2m)) AS s12,
-             SUM((l.x1 - m.b1m) * (l.y - m.yb)) AS s1y,
-             SUM((l.x2 - m.b2m) * (l.y - m.yb)) AS s2y,
-             SUM((l.y - m.yb) * (l.y - m.yb)) AS syy,
-             m.n
-      FROM l, m GROUP BY m.n)
-SELECT CAST(s.n AS BIGINT) AS n_days,
-       ROUND((s.s11 * s.s2y - s.s12 * s.s1y)
-             / (s.s11 * s.s22 - s.s12 * s.s12), 6) AS beta_cross_lag,
-       ROUND(((s.syy - s.s1y * s.s1y / s.s11)
-              - (s.syy - (s.s22 * s.s1y - s.s12 * s.s2y)
-                         / (s.s11 * s.s22 - s.s12 * s.s12) * s.s1y
-                       - (s.s11 * s.s2y - s.s12 * s.s1y)
-                         / (s.s11 * s.s22 - s.s12 * s.s12) * s.s2y))
-             / ((s.syy - (s.s22 * s.s1y - s.s12 * s.s2y)
-                         / (s.s11 * s.s22 - s.s12 * s.s12) * s.s1y
-                       - (s.s11 * s.s2y - s.s12 * s.s1y)
-                         / (s.s11 * s.s22 - s.s12 * s.s12) * s.s2y)
-                / (s.n - 3.0)), 6) AS granger_f
-FROM s
 """
 
 
@@ -17739,119 +14195,6 @@ FROM t
 """
 
 
-def q_cliffs_delta(sf_dir: str):
-    """Cliff's delta ordinal effect size for weekend vs weekday
-    purchase values: δ = (#(x>y) − #(x<y))/(n₁n₂) — the
-    assumption-free companion to q_mannwhitney_weekend's z, computed
-    EXACTLY from the same value-count grid (pair counts are integer
-    cumsum cross-products, never a pair enumeration)."""
-    ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.loc[df["event_type"] == "purchase"]
-        return pd.DataFrame({
-            "wk": (pd.to_datetime(d["ts"]).dt.dayofweek >= 5)
-            .to_numpy().astype(np.int64),
-            "cents": np.round(d["value"].to_numpy() * 100)
-            .astype(np.int64)}).groupby(["wk", "cents"],
-                                        as_index=False).size() \
-            .rename(columns={"size": "n"})
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    cnt = parts.groupby(["wk", "cents"], as_index=False)["n"].sum()
-    piv = cnt.pivot_table(index="cents", columns="wk", values="n",
-                          fill_value=0, aggfunc="sum").sort_index()
-    a = piv.get(1, pd.Series(0, index=piv.index)).to_numpy(np.int64)
-    b = piv.get(0, pd.Series(0, index=piv.index)).to_numpy(np.int64)
-    cb_below = np.r_[0, np.cumsum(b)[:-1]]
-    n1, n2 = int(a.sum()), int(b.sum())
-    gt = int((a * cb_below).sum())
-    lt = int((a * (n2 - cb_below - b)).sum())
-    delta = (gt - lt) / float(n1 * n2)
-    return pd.DataFrame({
-        "n_weekend": np.array([n1], np.int64),
-        "n_weekday": np.array([n2], np.int64),
-        "cliffs_delta": [round(delta, 6)]})
-
-
-SQL_CLIFFS_DELTA = """
-WITH v AS (SELECT CASE WHEN isodow(ts) >= 6 THEN 1 ELSE 0 END AS wk,
-                  CAST(ROUND(value * 100) AS BIGINT) AS cents
-           FROM events WHERE event_type = 'purchase'),
-c AS (SELECT cents,
-             SUM(CASE WHEN wk = 1 THEN 1 ELSE 0 END) AS a,
-             SUM(CASE WHEN wk = 0 THEN 1 ELSE 0 END) AS b
-      FROM v GROUP BY cents),
-t AS (SELECT SUM(a) AS n1, SUM(b) AS n2 FROM c),
-e AS (SELECT c.a, c.b,
-             COALESCE(SUM(c.b) OVER (ORDER BY c.cents
-                      ROWS BETWEEN UNBOUNDED PRECEDING
-                               AND 1 PRECEDING), 0) AS cb,
-             t.n1, t.n2
-      FROM c, t)
-SELECT CAST(MAX(n1) AS BIGINT) AS n_weekend,
-       CAST(MAX(n2) AS BIGINT) AS n_weekday,
-       ROUND((SUM(a * cb) - SUM(a * (n2 - cb - b))) * 1.0
-             / (MAX(n1) * MAX(n2)), 6) AS cliffs_delta
-FROM e
-"""
-
-
-def q_hypergeom_point_logp(sf_dir: str):
-    """Exact-test primitive: the hypergeometric point log-probability of
-    the observed (weekend × error) 2×2 table — the Fisher-exact
-    building block, all lgamma arithmetic (DuckDB exposes lgamma, so
-    the oracle reproduces it to the ulp).  One integer cell fold."""
-    from math import lgamma, log
-
-    ds = _read(sf_dir, "events", ["ts", "event_type"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        wk = (pd.to_datetime(df["ts"]).dt.dayofweek >= 5).to_numpy()
-        er = (df["event_type"] == "error").to_numpy()
-        return pd.DataFrame({"n": [len(df)], "kk": [int(er.sum())],
-                             "nn": [int(wk.sum())],
-                             "k": [int((wk & er).sum())]})
-
-    mo = ds.map_batches(partial, batch_format="pandas").to_pandas().sum()
-    N, K, n, k = (int(mo["n"]), int(mo["kk"]), int(mo["nn"]),
-                  int(mo["k"]))
-    lp = (lgamma(K + 1) - lgamma(k + 1) - lgamma(K - k + 1)
-          + lgamma(N - K + 1) - lgamma(n - k + 1)
-          - lgamma(N - K - n + k + 1)
-          - (lgamma(N + 1) - lgamma(n + 1) - lgamma(N - n + 1)))
-    return pd.DataFrame({
-        "n_events": np.array([N], np.int64),
-        "n_errors": np.array([K], np.int64),
-        "n_weekend": np.array([n], np.int64),
-        "k_weekend_errors": np.array([k], np.int64),
-        "log10_p_point": [round(lp / log(10.0), 6)]})
-
-
-SQL_HYPERGEOM_POINT_LOGP = """
-WITH t AS (SELECT COUNT(*) * 1.0 AS nn,
-                  SUM(CASE WHEN event_type = 'error'
-                           THEN 1 ELSE 0 END) * 1.0 AS kk,
-                  SUM(CASE WHEN isodow(ts) >= 6
-                           THEN 1 ELSE 0 END) * 1.0 AS wn,
-                  SUM(CASE WHEN isodow(ts) >= 6
-                                AND event_type = 'error'
-                           THEN 1 ELSE 0 END) * 1.0 AS k
-           FROM events)
-SELECT CAST(nn AS BIGINT) AS n_events,
-       CAST(kk AS BIGINT) AS n_errors,
-       CAST(wn AS BIGINT) AS n_weekend,
-       CAST(k AS BIGINT) AS k_weekend_errors,
-       ROUND((lgamma(kk + 1) - lgamma(k + 1) - lgamma(kk - k + 1)
-              + lgamma(nn - kk + 1) - lgamma(wn - k + 1)
-              - lgamma(nn - kk - wn + k + 1)
-              - (lgamma(nn + 1) - lgamma(wn + 1)
-                 - lgamma(nn - wn + 1))) / LN(10.0), 6)
-         AS log10_p_point
-FROM t
-"""
-
-
 def q_rarefaction_vocab(sf_dir: str):
     """Vocabulary rarefaction: the EXPECTED number of distinct words in
     a uniform 1000-token subsample, E[S_m] = Σ_r F_r·(1 −
@@ -17927,68 +14270,6 @@ FROM e
 """
 
 
-def q_dean_overdispersion(sf_dir: str):
-    """Dean's score test for Poisson overdispersion of per-user daily
-    event counts: T = [Σ(y−μ)² − Σy]/(μ√(2N)) over ALL user-day cells
-    (zeros implicit in N = n_users × n_days, the q_zip_fit device) —
-    significantly positive T says a plain-Poisson rate model will
-    underestimate variance.  One active-cell combiner fold; everything
-    else is closed form."""
-    P = 32
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame({
-            "user_id": df["user_id"],
-            "d": df["ts"].to_numpy(dtype="datetime64[D]")}) \
-            .groupby(["user_id", "d"], as_index=False).size() \
-            .rename(columns={"size": "n"})
-        out["part"] = (out["user_id"].to_numpy() % P).astype(np.int32)
-        return out
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        c = g.groupby(["user_id", "d"], as_index=False)["n"].sum()
-        v = c["n"].to_numpy(np.int64)
-        return pd.DataFrame({
-            "cells": [len(c)], "s": [int(v.sum())],
-            "ss": [int((v * v).sum())],
-            "users": [c["user_id"].nunique()],
-            "dmin": [c["d"].min()], "dmax": [c["d"].max()]})
-
-    mo = ds.map_batches(partial, batch_format="pandas") \
-        .groupby("part").map_groups(merge, batch_format="pandas") \
-        .to_pandas()
-    n_users = int(mo["users"].sum())
-    n_days = int((mo["dmax"].max() - mo["dmin"].min()).days) + 1
-    N = float(n_users * n_days)
-    s, ss = float(mo["s"].sum()), float(mo["ss"].sum())
-    mu = s / N
-    # Σ(y-μ)² over all cells = ss - 2 μ s + N μ²  (zero cells implicit)
-    t = (ss - 2.0 * mu * s + N * mu * mu - s) \
-        / (mu * np.sqrt(2.0 * N))
-    return pd.DataFrame({
-        "n_cells": np.array([int(N)], np.int64),
-        "mean_rate": [round(mu, 6)],
-        "dean_t": [round(float(t), 6)]})
-
-
-SQL_DEAN_OVERDISPERSION = """
-WITH c AS (SELECT user_id, CAST(ts AS DATE) AS d, COUNT(*) AS n
-           FROM events GROUP BY 1, 2),
-span AS (SELECT COUNT(DISTINCT user_id) * 1.0
-                  * (date_diff('day', MIN(CAST(ts AS DATE)),
-                               MAX(CAST(ts AS DATE))) + 1) AS nn
-         FROM events),
-m AS (SELECT SUM(n) * 1.0 AS s, SUM(n * n) * 1.0 AS ss FROM c)
-SELECT CAST(span.nn AS BIGINT) AS n_cells,
-       ROUND(m.s / span.nn, 6) AS mean_rate,
-       ROUND((m.ss - 2.0 * (m.s / span.nn) * m.s
-              + span.nn * (m.s / span.nn) * (m.s / span.nn) - m.s)
-             / ((m.s / span.nn) * SQRT(2.0 * span.nn)), 6) AS dean_t
-FROM span, m
-"""
-
-
 def q_u_chart_errors(sf_dir: str):
     """Attribute control chart (u-chart) on the daily error rate:
     per-day errors-per-event u_d against ū ± 3·√(ū/n_d) limits,
@@ -18032,64 +14313,6 @@ SELECT CAST(COUNT(*) AS BIGINT) AS n_days,
                           < t.ubar - 3.0 * SQRT(t.ubar / daily.n)
                      THEN 1 ELSE 0 END) AS BIGINT) AS n_out_of_control
 FROM daily, t
-"""
-
-
-def q_bhattacharyya_weekend(sf_dir: str):
-    """Bhattacharyya coefficient (Σ√(p·q)) and distance between the
-    weekend and weekday purchase-value distributions over the exact
-    count grid — the affinity measure bounded in [0,1] that feeds
-    classifier-separability bounds.  Same grid combiner as the CvM/W1
-    family."""
-    ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.loc[df["event_type"] == "purchase"]
-        return pd.DataFrame({
-            "wk": (pd.to_datetime(d["ts"]).dt.dayofweek >= 5)
-            .to_numpy().astype(np.int64),
-            "cents": np.round(d["value"].to_numpy() * 100)
-            .astype(np.int64)}).groupby(["wk", "cents"],
-                                        as_index=False).size() \
-            .rename(columns={"size": "n"})
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    cnt = parts.groupby(["wk", "cents"], as_index=False)["n"].sum()
-    piv = cnt.pivot_table(index="cents", columns="wk", values="n",
-                          fill_value=0, aggfunc="sum").sort_index()
-    a = piv.get(1, pd.Series(0, index=piv.index)).to_numpy(np.float64)
-    b = piv.get(0, pd.Series(0, index=piv.index)).to_numpy(np.float64)
-    bc = float(np.sqrt(a / a.sum() * (b / b.sum())).sum())
-    shared = int(((a > 0) & (b > 0)).sum())
-    # distance -ln(BC) is undefined on disjoint supports (possible at
-    # tiny scales where no exact cent value repeats across groups), so
-    # report the coefficient plus the shared-support size instead
-    return pd.DataFrame({
-        "n_weekend": np.array([int(a.sum())], np.int64),
-        "n_weekday": np.array([int(b.sum())], np.int64),
-        "n_shared_values": np.array([shared], np.int64),
-        "bhattacharyya_coef": [round(bc, 6)]})
-
-
-SQL_BHATTACHARYYA_WEEKEND = """
-WITH v AS (SELECT CASE WHEN isodow(ts) >= 6 THEN 1 ELSE 0 END AS wk,
-                  CAST(ROUND(value * 100) AS BIGINT) AS cents
-           FROM events WHERE event_type = 'purchase'),
-c AS (SELECT cents,
-             SUM(CASE WHEN wk = 1 THEN 1 ELSE 0 END) * 1.0 AS a,
-             SUM(CASE WHEN wk = 0 THEN 1 ELSE 0 END) * 1.0 AS b
-      FROM v GROUP BY cents),
-t AS (SELECT SUM(a) AS n1, SUM(b) AS n2 FROM c),
-s AS (SELECT SUM(SQRT(c.a / t.n1 * (c.b / t.n2))) AS bc,
-             SUM(CASE WHEN c.a > 0 AND c.b > 0 THEN 1 ELSE 0 END)
-               AS shared,
-             MAX(t.n1) AS n1, MAX(t.n2) AS n2
-      FROM c, t)
-SELECT CAST(n1 AS BIGINT) AS n_weekend,
-       CAST(n2 AS BIGINT) AS n_weekday,
-       CAST(shared AS BIGINT) AS n_shared_values,
-       ROUND(bc, 6) AS bhattacharyya_coef
-FROM s
 """
 
 
@@ -18277,77 +14500,6 @@ SELECT CAST(n AS BIGINT) AS n_days,
        ROUND(mae7 / 100.0, 2) AS mae_lag7,
        ROUND(mae1 / mae7, 6) AS mase
 FROM m
-"""
-
-
-def q_brier_decomposition(sf_dir: str):
-    """Murphy decomposition of the Brier score for the hour-of-day
-    purchase model (trained on even epoch-days, scored on odd):
-    Brier = reliability − resolution + uncertainty over the 24 hour
-    bins — WHERE a probability model loses its score, not just how
-    much (the companion to q_ece_hour_model).  Same hour-bounded
-    integer folds."""
-    ds = _read(sf_dir, "events", ["ts", "event_type"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        t_us = df["ts"].to_numpy(dtype="datetime64[us]").astype(np.int64)
-        return pd.DataFrame({
-            "h": (t_us // 3_600_000_000) % 24,
-            "even": ((t_us // 86_400_000_000) % 2 == 0)
-            .astype(np.int64),
-            "n": 1,
-            "k": (df["event_type"] == "purchase").to_numpy()
-            .astype(np.int64)}).groupby(["h", "even"],
-                                        as_index=False).sum()
-
-    t = ds.map_batches(partial, batch_format="pandas").to_pandas() \
-        .groupby(["h", "even"], as_index=False).sum()
-    piv = t.pivot_table(index="h", columns="even", values=["n", "k"],
-                        fill_value=0, aggfunc="sum").sort_index()
-    pred = piv[("k", 1)].to_numpy(np.float64) \
-        / piv[("n", 1)].to_numpy(np.float64)
-    nt = piv[("n", 0)].to_numpy(np.float64)
-    ot = piv[("k", 0)].to_numpy(np.float64) / nt
-    N = nt.sum()
-    obar = (nt * ot).sum() / N
-    rel = (nt * (pred - ot) ** 2).sum() / N
-    res = (nt * (ot - obar) ** 2).sum() / N
-    unc = obar * (1.0 - obar)
-    return pd.DataFrame({
-        "n_test": np.array([int(N)], np.int64),
-        "reliability": [round(float(rel), 6)],
-        "resolution": [round(float(res), 6)],
-        "uncertainty": [round(float(unc), 6)],
-        "brier": [round(float(rel - res + unc), 6)]})
-
-
-SQL_BRIER_DECOMPOSITION = """
-WITH e AS (SELECT (epoch_us(ts) // 3600000000) % 24 AS h,
-                  (epoch_us(ts) // 86400000000) % 2 = 0 AS even,
-                  CASE WHEN event_type = 'purchase'
-                       THEN 1 ELSE 0 END AS k
-           FROM events),
-g AS (SELECT h,
-             SUM(CASE WHEN even THEN 1 ELSE 0 END) * 1.0 AS n_tr,
-             SUM(CASE WHEN even THEN k ELSE 0 END) * 1.0 AS k_tr,
-             SUM(CASE WHEN NOT even THEN 1 ELSE 0 END) * 1.0 AS n_te,
-             SUM(CASE WHEN NOT even THEN k ELSE 0 END) * 1.0 AS k_te
-      FROM e GROUP BY 1),
-t AS (SELECT SUM(n_te) AS nt, SUM(k_te) / SUM(n_te) AS obar FROM g)
-SELECT CAST(t.nt AS BIGINT) AS n_test,
-       ROUND(SUM(g.n_te * (g.k_tr / g.n_tr - g.k_te / g.n_te)
-                 * (g.k_tr / g.n_tr - g.k_te / g.n_te)) / t.nt, 6)
-         AS reliability,
-       ROUND(SUM(g.n_te * (g.k_te / g.n_te - t.obar)
-                 * (g.k_te / g.n_te - t.obar)) / t.nt, 6)
-         AS resolution,
-       ROUND(MAX(t.obar * (1.0 - t.obar)), 6) AS uncertainty,
-       ROUND(SUM(g.n_te * (g.k_tr / g.n_tr - g.k_te / g.n_te)
-                 * (g.k_tr / g.n_tr - g.k_te / g.n_te)) / t.nt
-             - SUM(g.n_te * (g.k_te / g.n_te - t.obar)
-                   * (g.k_te / g.n_te - t.obar)) / t.nt
-             + MAX(t.obar * (1.0 - t.obar)), 6) AS brier
-FROM g, t GROUP BY t.nt
 """
 
 
@@ -18633,74 +14785,6 @@ FROM g, t GROUP BY t.ta, t.tb
 """
 
 
-def q_energy_distance_weekend(sf_dir: str):
-    """Energy distance between weekend and weekday purchase values:
-    E = 2·E|X−Y| − E|X−X'| − E|Y−Y'|, each mean absolute difference
-    computed EXACTLY from the value-count grid via the step-function
-    identity E|X−Y| = ∫[F₁(1−F₂)+F₂(1−F₁)]dt — the rotation-free
-    two-sample statistic that is zero iff the distributions match.
-    One grid combiner, one ordered pass."""
-    ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.loc[df["event_type"] == "purchase"]
-        return pd.DataFrame({
-            "wk": (pd.to_datetime(d["ts"]).dt.dayofweek >= 5)
-            .to_numpy().astype(np.int64),
-            "cents": np.round(d["value"].to_numpy() * 100)
-            .astype(np.int64)}).groupby(["wk", "cents"],
-                                        as_index=False).size() \
-            .rename(columns={"size": "n"})
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    cnt = parts.groupby(["wk", "cents"], as_index=False)["n"].sum()
-    piv = cnt.pivot_table(index="cents", columns="wk", values="n",
-                          fill_value=0, aggfunc="sum").sort_index()
-    a = piv.get(1, pd.Series(0, index=piv.index)).to_numpy(np.int64)
-    b = piv.get(0, pd.Series(0, index=piv.index)).to_numpy(np.int64)
-    v = piv.index.to_numpy(np.int64)
-    f1 = np.cumsum(a) / float(a.sum())
-    f2 = np.cumsum(b) / float(b.sum())
-    gap = np.diff(v).astype(np.float64)
-    g1, g2 = f1[:-1], f2[:-1]
-    exy = float((gap * (g1 * (1.0 - g2) + g2 * (1.0 - g1))).sum())
-    exx = float((gap * (2.0 * g1 * (1.0 - g1))).sum())
-    eyy = float((gap * (2.0 * g2 * (1.0 - g2))).sum())
-    e = 2.0 * exy - exx - eyy
-    return pd.DataFrame({
-        "e_xy_dollars": [round(exy / 100.0, 6)],
-        "energy_distance": [round(e / 100.0, 6)]})
-
-
-SQL_ENERGY_DISTANCE_WEEKEND = """
-WITH v AS (SELECT CASE WHEN isodow(ts) >= 6 THEN 1 ELSE 0 END AS wk,
-                  CAST(ROUND(value * 100) AS BIGINT) AS cents
-           FROM events WHERE event_type = 'purchase'),
-c AS (SELECT cents,
-             SUM(CASE WHEN wk = 1 THEN 1 ELSE 0 END) AS a,
-             SUM(CASE WHEN wk = 0 THEN 1 ELSE 0 END) AS b
-      FROM v GROUP BY cents),
-t AS (SELECT SUM(a) * 1.0 AS n1, SUM(b) * 1.0 AS n2 FROM c),
-e AS (SELECT SUM(c.a) OVER (ORDER BY c.cents) / t.n1 AS f1,
-             SUM(c.b) OVER (ORDER BY c.cents) / t.n2 AS f2,
-             LEAD(c.cents) OVER (ORDER BY c.cents) - c.cents AS gap
-      FROM c, t),
-s AS (SELECT SUM(CASE WHEN gap IS NOT NULL
-                      THEN gap * (f1 * (1.0 - f2) + f2 * (1.0 - f1))
-                      ELSE 0 END) AS exy,
-             SUM(CASE WHEN gap IS NOT NULL
-                      THEN gap * 2.0 * f1 * (1.0 - f1) ELSE 0 END)
-               AS exx,
-             SUM(CASE WHEN gap IS NOT NULL
-                      THEN gap * 2.0 * f2 * (1.0 - f2) ELSE 0 END)
-               AS eyy
-      FROM e)
-SELECT ROUND(exy / 100.0, 6) AS e_xy_dollars,
-       ROUND((2.0 * exy - exx - eyy) / 100.0, 6) AS energy_distance
-FROM s
-"""
-
-
 def q_yule_k(sf_dir: str):
     """Yule's characteristic K = 10⁴·(Σ r²·F_r − N)/N² and Herdan's
     C = ln V/ln N over the corpus vocabulary — the classic
@@ -18956,70 +15040,6 @@ SELECT lang, CAST(w AS BIGINT) AS n_words,
        ROUND(c / w, 6) AS complex_share,
        ROUND(0.4 * (w / s + 100.0 * c / w), 6) AS gunning_fog
 FROM g ORDER BY lang
-"""
-
-
-def q_sign_test_weeks(sf_dir: str):
-    """Paired sign test: per user, did week-2 activity exceed week-1?
-    z = (pos − neg)/√(pos + neg) over the non-tied pairs — the
-    assumption-free paired comparison (the magnitude-blind sibling of
-    a paired t).  Per-user week-count folds in user partitions."""
-    P = 32
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
-    lo = pd.Timestamp(ds.min("ts")).normalize()
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        day = (df["ts"].to_numpy(dtype="datetime64[D]")
-               - np.datetime64(lo, "D")).astype(np.int64)
-        keep = day < 14
-        out = pd.DataFrame({"user_id": df["user_id"].to_numpy()[keep],
-                            "w": day[keep] // 7, "n": 1}) \
-            .groupby(["user_id", "w"], as_index=False).sum()
-        out["part"] = (out["user_id"].to_numpy() % P).astype(np.int32)
-        return out
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        piv = g.pivot_table(index="user_id", columns="w", values="n",
-                            fill_value=0, aggfunc="sum")
-        c0 = (piv[0].to_numpy(np.int64) if 0 in piv.columns
-              else np.zeros(len(piv), np.int64))
-        c1 = (piv[1].to_numpy(np.int64) if 1 in piv.columns
-              else np.zeros(len(piv), np.int64))
-        return pd.DataFrame({"pos": [int((c1 > c0).sum())],
-                             "neg": [int((c1 < c0).sum())],
-                             "tie": [int((c1 == c0).sum())]})
-
-    mo = ds.map_batches(partial, batch_format="pandas") \
-        .groupby("part").map_groups(merge, batch_format="pandas") \
-        .to_pandas().sum()
-    pos, neg = int(mo["pos"]), int(mo["neg"])
-    z = (pos - neg) / np.sqrt(pos + neg)
-    return pd.DataFrame({
-        "n_up": np.array([pos], np.int64),
-        "n_down": np.array([neg], np.int64),
-        "n_tied": np.array([int(mo["tie"])], np.int64),
-        "sign_z": [round(float(z), 6)]})
-
-
-SQL_SIGN_TEST_WEEKS = """
-WITH lo AS (SELECT CAST(MIN(ts) AS DATE) AS d0 FROM events),
-u AS (SELECT user_id,
-             SUM(CASE WHEN date_diff('day', lo.d0, CAST(ts AS DATE))
-                           < 7 THEN 1 ELSE 0 END) AS c0,
-             SUM(CASE WHEN date_diff('day', lo.d0, CAST(ts AS DATE))
-                           BETWEEN 7 AND 13 THEN 1 ELSE 0 END) AS c1
-      FROM events, lo
-      WHERE date_diff('day', lo.d0, CAST(ts AS DATE)) < 14
-      GROUP BY user_id),
-t AS (SELECT SUM(CASE WHEN c1 > c0 THEN 1 ELSE 0 END) * 1.0 AS pos,
-             SUM(CASE WHEN c1 < c0 THEN 1 ELSE 0 END) * 1.0 AS neg,
-             SUM(CASE WHEN c1 = c0 THEN 1 ELSE 0 END) AS tie
-      FROM u)
-SELECT CAST(pos AS BIGINT) AS n_up,
-       CAST(neg AS BIGINT) AS n_down,
-       CAST(tie AS BIGINT) AS n_tied,
-       ROUND((pos - neg) / SQRT(pos + neg), 6) AS sign_z
-FROM t
 """
 
 
@@ -19351,86 +15371,6 @@ g AS (SELECT c.term, c.a, c.b,
 SELECT term, CAST(a AS BIGINT) AS n_en, CAST(b AS BIGINT) AS n_rest,
        ROUND(g2, 6) AS g2, CAST(en_leaning AS BIGINT) AS en_leaning
 FROM g ORDER BY g2 DESC, term ASC LIMIT 10
-"""
-
-
-def q_cucconi_test(sf_dir: str):
-    """Cucconi's combined location-scale two-sample test (weekend vs
-    weekday purchase values): U from squared midranks, V from squared
-    contrary ranks, C = (U² + V² − 2ρUV)/(2(1−ρ²)) — one statistic
-    catching BOTH mean and variance shifts (midranks for ties, noted).
-    All rank sums fold from the exact value-count grid."""
-    ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.loc[df["event_type"] == "purchase"]
-        return pd.DataFrame({
-            "wk": (pd.to_datetime(d["ts"]).dt.dayofweek >= 5)
-            .to_numpy().astype(np.int64),
-            "cents": np.round(d["value"].to_numpy() * 100)
-            .astype(np.int64)}).groupby(["wk", "cents"],
-                                        as_index=False).size() \
-            .rename(columns={"size": "n"})
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    cnt = parts.groupby(["wk", "cents"], as_index=False)["n"].sum()
-    piv = cnt.pivot_table(index="cents", columns="wk", values="n",
-                          fill_value=0, aggfunc="sum").sort_index()
-    a = piv.get(1, pd.Series(0, index=piv.index)).to_numpy(np.int64)
-    b = piv.get(0, pd.Series(0, index=piv.index)).to_numpy(np.int64)
-    tot = a + b
-    cum = np.cumsum(tot)
-    mid = (cum - tot) + (tot + 1) / 2.0  # midrank at each value
-    n1, n2 = float(a.sum()), float(b.sum())
-    n = n1 + n2
-    s1 = float((a * mid * mid).sum())          # Σ R² over sample 1
-    s1c = float((a * (n + 1.0 - mid) ** 2).sum())  # contrary ranks
-    mu = n1 * (n + 1.0) * (2.0 * n + 1.0) / 6.0
-    sig = np.sqrt(n1 * n2 * (n + 1.0) * (2.0 * n + 1.0)
-                  * (8.0 * n + 11.0) / 180.0)
-    u = (s1 - mu) / sig
-    v = (s1c - mu) / sig
-    rho = (2.0 * (n * n - 4.0)
-           / ((2.0 * n + 1.0) * (8.0 * n + 11.0))) - 1.0
-    c = (u * u + v * v - 2.0 * rho * u * v) / (2.0 * (1.0 - rho * rho))
-    return pd.DataFrame({
-        "n_weekend": np.array([int(n1)], np.int64),
-        "n_weekday": np.array([int(n2)], np.int64),
-        "cucconi_c": [round(float(c), 6)]})
-
-
-SQL_CUCCONI_TEST = """
-WITH v AS (SELECT CASE WHEN isodow(ts) >= 6 THEN 1 ELSE 0 END AS wk,
-                  CAST(ROUND(value * 100) AS BIGINT) AS cents
-           FROM events WHERE event_type = 'purchase'),
-c AS (SELECT cents,
-             SUM(CASE WHEN wk = 1 THEN 1 ELSE 0 END) AS a,
-             SUM(CASE WHEN wk = 0 THEN 1 ELSE 0 END) AS b
-      FROM v GROUP BY cents),
-m AS (SELECT a, b,
-             (SUM(a + b) OVER (ORDER BY cents) - (a + b))
-               + (a + b + 1) / 2.0 AS mid,
-             (SELECT SUM(a + b) FROM c) * 1.0 AS ntot
-      FROM c),
-t AS (SELECT SUM(a) * 1.0 AS n1, SUM(b) * 1.0 AS n2,
-             MIN(ntot) AS n,
-             SUM(a * mid * mid) AS s1,
-             SUM(a * (ntot + 1.0 - mid) * (ntot + 1.0 - mid)) AS s1c
-      FROM m),
-s AS (SELECT n1, n2, n, s1, s1c,
-             n1 * (n + 1.0) * (2.0 * n + 1.0) / 6.0 AS mu,
-             SQRT(n1 * n2 * (n + 1.0) * (2.0 * n + 1.0)
-                  * (8.0 * n + 11.0) / 180.0) AS sig,
-             (2.0 * (n * n - 4.0)
-              / ((2.0 * n + 1.0) * (8.0 * n + 11.0))) - 1.0 AS rho
-      FROM t)
-SELECT CAST(n1 AS BIGINT) AS n_weekend,
-       CAST(n2 AS BIGINT) AS n_weekday,
-       ROUND((((s1 - mu) / sig) * ((s1 - mu) / sig)
-              + ((s1c - mu) / sig) * ((s1c - mu) / sig)
-              - 2.0 * rho * ((s1 - mu) / sig) * ((s1c - mu) / sig))
-             / (2.0 * (1.0 - rho * rho)), 6) AS cucconi_c
-FROM s
 """
 
 
@@ -19840,205 +15780,6 @@ FROM m
 """
 
 
-def q_kuiper_hour_test(sf_dir: str):
-    """Kuiper's V (the rotation-invariant KS) for purchase time-of-day
-    vs uniform: V = D⁺ + D⁻ over the second-of-day ECDF — unlike plain
-    KS, equally sensitive at midnight wrap-around, the right
-    uniformity test on a circle.  Second-of-day counts fold into an
-    86400-bounded grid; the ECDF scan is driver arithmetic."""
-    ds = _read(sf_dir, "events", ["ts", "event_type"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.loc[df["event_type"] == "purchase"]
-        t_us = d["ts"].to_numpy(dtype="datetime64[us]").astype(np.int64)
-        sec = (t_us % 86_400_000_000) // 1_000_000
-        return pd.DataFrame({"s": sec, "n": 1}) \
-            .groupby("s", as_index=False).sum()
-
-    g = ds.map_batches(partial, batch_format="pandas").to_pandas() \
-        .groupby("s")["n"].sum().sort_index()
-    n = float(g.sum())
-    cum = np.cumsum(g.to_numpy(np.int64)) / n
-    f0_hi = (g.index.to_numpy(np.int64) + 1) / 86400.0
-    f0_lo = g.index.to_numpy(np.int64) / 86400.0
-    cum_before = np.r_[0.0, cum[:-1]]
-    dplus = float(np.max(cum - f0_lo))
-    dminus = float(np.max(f0_hi - cum_before))
-    v = dplus + dminus
-    return pd.DataFrame({
-        "n_purchases": np.array([int(n)], np.int64),
-        "d_plus": [round(dplus, 6)],
-        "d_minus": [round(dminus, 6)],
-        "kuiper_v": [round(v, 6)],
-        "kuiper_stat": [round(v * (np.sqrt(n) + 0.155
-                                   + 0.24 / np.sqrt(n)), 6)]})
-
-
-SQL_KUIPER_HOUR_TEST = """
-WITH v AS (SELECT (epoch_us(ts) % 86400000000) // 1000000 AS s
-           FROM events WHERE event_type = 'purchase'),
-g AS (SELECT s, COUNT(*) AS n FROM v GROUP BY 1),
-t AS (SELECT SUM(n) * 1.0 AS nt FROM g),
-e AS (SELECT s, n,
-             SUM(n) OVER (ORDER BY s) / t.nt AS cum,
-             COALESCE(SUM(n) OVER (ORDER BY s
-                      ROWS BETWEEN UNBOUNDED PRECEDING
-                               AND 1 PRECEDING), 0) / t.nt AS cumb,
-             t.nt
-      FROM g, t),
-d AS (SELECT MAX(cum - s / 86400.0) AS dplus,
-             MAX((s + 1) / 86400.0 - cumb) AS dminus,
-             MAX(nt) AS n
-      FROM e)
-SELECT CAST(n AS BIGINT) AS n_purchases,
-       ROUND(dplus, 6) AS d_plus,
-       ROUND(dminus, 6) AS d_minus,
-       ROUND(dplus + dminus, 6) AS kuiper_v,
-       ROUND((dplus + dminus)
-             * (SQRT(n) + 0.155 + 0.24 / SQRT(n)), 6) AS kuiper_stat
-FROM d
-"""
-
-
-def q_circular_linear_corr(sf_dir: str):
-    """Mardia's circular–linear correlation between purchase
-    TIME-OF-DAY (an angle) and purchase VALUE: R² = (r_xc² + r_xs² −
-    2·r_xc·r_xs·r_cs)/(1 − r_cs²) from the value-vs-cos/sin Pearson
-    correlations — a linear correlation against clock time is simply
-    wrong at the midnight wrap; this is the correct object.  Five
-    moment folds, all distributed."""
-    ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.loc[df["event_type"] == "purchase"]
-        t_us = d["ts"].to_numpy(dtype="datetime64[us]").astype(np.int64)
-        ang = 2.0 * np.pi * ((t_us % 86_400_000_000)
-                             / 86_400_000_000.0)
-        x = np.round(d["value"].to_numpy() * 100)
-        c, s = np.cos(ang), np.sin(ang)
-        return pd.DataFrame({
-            "n": [len(d)], "sx": [x.sum()], "sc": [c.sum()],
-            "ss": [s.sum()], "sxx": [(x * x).sum()],
-            "scc": [(c * c).sum()], "sss": [(s * s).sum()],
-            "sxc": [(x * c).sum()], "sxs": [(x * s).sum()],
-            "scs": [(c * s).sum()]})
-
-    mo = ds.map_batches(partial, batch_format="pandas").to_pandas().sum()
-    n = float(mo["n"])
-
-    def corr(sab, sa, sb, saa, sbb):
-        num = sab / n - (sa / n) * (sb / n)
-        return num / np.sqrt((saa / n - (sa / n) ** 2)
-                             * (sbb / n - (sb / n) ** 2))
-
-    rxc = corr(float(mo["sxc"]), float(mo["sx"]), float(mo["sc"]),
-               float(mo["sxx"]), float(mo["scc"]))
-    rxs = corr(float(mo["sxs"]), float(mo["sx"]), float(mo["ss"]),
-               float(mo["sxx"]), float(mo["sss"]))
-    rcs = corr(float(mo["scs"]), float(mo["sc"]), float(mo["ss"]),
-               float(mo["scc"]), float(mo["sss"]))
-    r2 = (rxc * rxc + rxs * rxs - 2.0 * rxc * rxs * rcs) \
-        / (1.0 - rcs * rcs)
-    return pd.DataFrame({
-        "n_purchases": np.array([int(n)], np.int64),
-        "r_value_cos": [round(float(rxc), 6)],
-        "r_value_sin": [round(float(rxs), 6)],
-        "circ_linear_r2": [round(float(r2), 6)]})
-
-
-SQL_CIRCULAR_LINEAR_CORR = """
-WITH v AS (SELECT CAST(ROUND(value * 100) AS BIGINT) * 1.0 AS x,
-                  COS(2 * PI() * ((epoch_us(ts) % 86400000000)
-                                  / 86400000000.0)) AS c,
-                  SIN(2 * PI() * ((epoch_us(ts) % 86400000000)
-                                  / 86400000000.0)) AS s
-           FROM events WHERE event_type = 'purchase'),
-m AS (SELECT COUNT(*) * 1.0 AS n, SUM(x) AS sx, SUM(c) AS sc,
-             SUM(s) AS ss, SUM(x * x) AS sxx, SUM(c * c) AS scc,
-             SUM(s * s) AS sss, SUM(x * c) AS sxc, SUM(x * s) AS sxs,
-             SUM(c * s) AS scs
-      FROM v),
-r AS (SELECT n,
-             (sxc / n - (sx / n) * (sc / n))
-               / SQRT((sxx / n - (sx / n) * (sx / n))
-                      * (scc / n - (sc / n) * (sc / n))) AS rxc,
-             (sxs / n - (sx / n) * (ss / n))
-               / SQRT((sxx / n - (sx / n) * (sx / n))
-                      * (sss / n - (ss / n) * (ss / n))) AS rxs,
-             (scs / n - (sc / n) * (ss / n))
-               / SQRT((scc / n - (sc / n) * (sc / n))
-                      * (sss / n - (ss / n) * (ss / n))) AS rcs
-      FROM m)
-SELECT CAST(n AS BIGINT) AS n_purchases,
-       ROUND(rxc, 6) AS r_value_cos,
-       ROUND(rxs, 6) AS r_value_sin,
-       ROUND((rxc * rxc + rxs * rxs - 2.0 * rxc * rxs * rcs)
-             / (1.0 - rcs * rcs), 6) AS circ_linear_r2
-FROM r
-"""
-
-
-def q_watson_u2_hours(sf_dir: str):
-    """Watson's two-sample U² comparing weekend vs weekday purchase
-    time-of-day on the circle: U² = (n₁n₂/N²)·Σ w_k(d_k − d̄_w)² over
-    the pooled second-of-day grid, d = F₁−F₂ and d̄_w the count-weighted
-    mean — the rotation-invariant two-sample test (KS/CvM would depend
-    on where midnight cuts).  One 86400-bounded grid fold."""
-    ds = _read(sf_dir, "events", ["ts", "event_type"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.loc[df["event_type"] == "purchase"]
-        t_us = d["ts"].to_numpy(dtype="datetime64[us]").astype(np.int64)
-        sec = (t_us % 86_400_000_000) // 1_000_000
-        wk = (pd.to_datetime(d["ts"]).dt.dayofweek >= 5).to_numpy() \
-            .astype(np.int64)
-        return pd.DataFrame({"s": sec, "wk": wk, "n": 1}) \
-            .groupby(["s", "wk"], as_index=False).sum()
-
-    g = ds.map_batches(partial, batch_format="pandas").to_pandas() \
-        .groupby(["s", "wk"], as_index=False)["n"].sum()
-    piv = g.pivot_table(index="s", columns="wk", values="n",
-                        fill_value=0, aggfunc="sum").sort_index()
-    a = piv.get(1, pd.Series(0, index=piv.index)).to_numpy(np.int64)
-    b = piv.get(0, pd.Series(0, index=piv.index)).to_numpy(np.int64)
-    n1, n2 = float(a.sum()), float(b.sum())
-    nn = n1 + n2
-    d = np.cumsum(a) / n1 - np.cumsum(b) / n2
-    w = (a + b).astype(np.float64)
-    dbar = (w * d).sum() / nn
-    u2 = n1 * n2 / (nn * nn) * float((w * (d - dbar) ** 2).sum())
-    return pd.DataFrame({
-        "n_weekend": np.array([int(n1)], np.int64),
-        "n_weekday": np.array([int(n2)], np.int64),
-        "watson_u2": [round(u2, 6)]})
-
-
-SQL_WATSON_U2_HOURS = """
-WITH v AS (SELECT (epoch_us(ts) % 86400000000) // 1000000 AS s,
-                  CASE WHEN isodow(ts) >= 6 THEN 1 ELSE 0 END AS wk
-           FROM events WHERE event_type = 'purchase'),
-g AS (SELECT s,
-             SUM(CASE WHEN wk = 1 THEN 1 ELSE 0 END) AS a,
-             SUM(CASE WHEN wk = 0 THEN 1 ELSE 0 END) AS b
-      FROM v GROUP BY 1),
-t AS (SELECT SUM(a) * 1.0 AS n1, SUM(b) * 1.0 AS n2 FROM g),
-e AS (SELECT g.a + g.b AS w,
-             SUM(g.a) OVER (ORDER BY g.s) / t.n1
-               - SUM(g.b) OVER (ORDER BY g.s) / t.n2 AS d,
-             t.n1, t.n2
-      FROM g, t),
-db AS (SELECT SUM(w * d) / (MAX(n1) + MAX(n2)) AS dbar,
-              MAX(n1) AS n1, MAX(n2) AS n2
-       FROM e)
-SELECT CAST(db.n1 AS BIGINT) AS n_weekend,
-       CAST(db.n2 AS BIGINT) AS n_weekday,
-       ROUND(db.n1 * db.n2 / ((db.n1 + db.n2) * (db.n1 + db.n2))
-             * (SELECT SUM(e.w * (e.d - db.dbar) * (e.d - db.dbar))
-                FROM e), 6) AS watson_u2
-FROM db
-"""
-
-
 def q_storey_pi0(sf_dir: str):
     """Storey's π₀ estimate on the 25 per-nation weekend p-values:
     π₀ = #{p > λ}/((1−λ)m) at λ = 0.5 — the 'how many nulls are
@@ -20082,184 +15823,6 @@ SELECT CAST(pi.m AS BIGINT) AS m_tests,
          AS bh_rejections,
        CAST(st.rej AS BIGINT) AS storey_rejections
 FROM pi, st
-"""
-
-
-def q_max_spacing_stat(sf_dir: str):
-    """Maximum spacing statistic of purchase values: the largest gap
-    between consecutive DISTINCT observed cents, normalized by
-    range/n — a huge spacing flags a gated/bimodal value process
-    (price tiers, caps) that histogram bins average away.  One
-    value-grid fold; the spacing scan runs over the sorted grid."""
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.loc[df["event_type"] == "purchase"]
-        return pd.DataFrame({
-            "cents": np.round(d["value"].to_numpy() * 100)
-            .astype(np.int64)}).groupby("cents", as_index=False) \
-            .size().rename(columns={"size": "n"})
-
-    g = ds.map_batches(partial, batch_format="pandas").to_pandas() \
-        .groupby("cents")["n"].sum().sort_index()
-    v = g.index.to_numpy(np.int64)
-    n = int(g.sum())
-    gaps = np.diff(v)
-    mx = int(gaps.max())
-    at = int(v[np.argmax(gaps)])
-    mean_gap = (v[-1] - v[0]) / float(len(v) - 1)
-    return pd.DataFrame({
-        "n_purchases": np.array([n], np.int64),
-        "n_distinct": np.array([len(v)], np.int64),
-        "max_gap_dollars": [round(mx / 100.0, 2)],
-        "gap_start": [round(at / 100.0, 2)],
-        "gap_ratio": [round(mx / mean_gap, 6)]})
-
-
-SQL_MAX_SPACING_STAT = """
-WITH v AS (SELECT CAST(ROUND(value * 100) AS BIGINT) AS cents
-           FROM events WHERE event_type = 'purchase'),
-g AS (SELECT cents, COUNT(*) AS n FROM v GROUP BY 1),
-d AS (SELECT cents,
-             LEAD(cents) OVER (ORDER BY cents) - cents AS gap
-      FROM g),
-t AS (SELECT (SELECT SUM(n) FROM g) AS np,
-             (SELECT COUNT(*) FROM g) AS nd,
-             (SELECT MAX(cents) - MIN(cents) FROM g) * 1.0
-               / ((SELECT COUNT(*) FROM g) - 1) AS mean_gap),
-best AS (SELECT cents, gap FROM d WHERE gap IS NOT NULL
-         ORDER BY gap DESC, cents ASC LIMIT 1)
-SELECT CAST(t.np AS BIGINT) AS n_purchases,
-       CAST(t.nd AS BIGINT) AS n_distinct,
-       ROUND(best.gap / 100.0, 2) AS max_gap_dollars,
-       ROUND(best.cents / 100.0, 2) AS gap_start,
-       ROUND(best.gap / t.mean_gap, 6) AS gap_ratio
-FROM t, best
-"""
-
-
-def q_anderson_darling_2sample(sf_dir: str):
-    """Two-sample Anderson–Darling (Scholz–Stephens ties-corrected
-    midrank form) for weekend vs weekday purchase values — the
-    tail-weighted member that completes the KS/CvM/Wasserstein/energy
-    two-sample family (AD up-weights exactly the tails the others
-    flatten).  Everything folds from the value-count grid: midpoint
-    cumulatives per distinct value, one weighted reduce."""
-    ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.loc[df["event_type"] == "purchase"]
-        return pd.DataFrame({
-            "wk": (pd.to_datetime(d["ts"]).dt.dayofweek >= 5)
-            .to_numpy().astype(np.int64),
-            "cents": np.round(d["value"].to_numpy() * 100)
-            .astype(np.int64)}).groupby(["wk", "cents"],
-                                        as_index=False).size() \
-            .rename(columns={"size": "n"})
-
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    cnt = parts.groupby(["wk", "cents"], as_index=False)["n"].sum()
-    piv = cnt.pivot_table(index="cents", columns="wk", values="n",
-                          fill_value=0, aggfunc="sum").sort_index()
-    a = piv.get(1, pd.Series(0, index=piv.index)).to_numpy(np.float64)
-    b = piv.get(0, pd.Series(0, index=piv.index)).to_numpy(np.float64)
-    lj = a + b
-    n1, n2 = a.sum(), b.sum()
-    nn = n1 + n2
-    bj = np.cumsum(lj) - lj / 2.0         # pooled midpoint cumulative
-    ma = np.cumsum(a) - a / 2.0
-    mb = np.cumsum(b) - b / 2.0
-    den = bj * (nn - bj) - nn * lj / 4.0
-    term_a = (lj * (nn * ma - n1 * bj) ** 2 / den).sum() / n1
-    term_b = (lj * (nn * mb - n2 * bj) ** 2 / den).sum() / n2
-    a2 = (nn - 1.0) / (nn * nn) * (term_a + term_b)
-    return pd.DataFrame({
-        "n_weekend": np.array([int(n1)], np.int64),
-        "n_weekday": np.array([int(n2)], np.int64),
-        "ad_a2": [round(float(a2), 6)]})
-
-
-SQL_ANDERSON_DARLING_2SAMPLE = """
-WITH v AS (SELECT CASE WHEN isodow(ts) >= 6 THEN 1 ELSE 0 END AS wk,
-                  CAST(ROUND(value * 100) AS BIGINT) AS cents
-           FROM events WHERE event_type = 'purchase'),
-c AS (SELECT cents,
-             SUM(CASE WHEN wk = 1 THEN 1 ELSE 0 END) * 1.0 AS a,
-             SUM(CASE WHEN wk = 0 THEN 1 ELSE 0 END) * 1.0 AS b
-      FROM v GROUP BY cents),
-t AS (SELECT SUM(a) AS n1, SUM(b) AS n2, SUM(a + b) AS nn FROM c),
-e AS (SELECT c.a, c.b, c.a + c.b AS lj,
-             SUM(c.a + c.b) OVER (ORDER BY c.cents)
-               - (c.a + c.b) / 2.0 AS bj,
-             SUM(c.a) OVER (ORDER BY c.cents) - c.a / 2.0 AS ma,
-             SUM(c.b) OVER (ORDER BY c.cents) - c.b / 2.0 AS mb,
-             t.n1, t.n2, t.nn
-      FROM c, t),
-s AS (SELECT SUM(lj * (nn * ma - n1 * bj) * (nn * ma - n1 * bj)
-                 / (bj * (nn - bj) - nn * lj / 4.0)) / MAX(n1)
-               AS term_a,
-             SUM(lj * (nn * mb - n2 * bj) * (nn * mb - n2 * bj)
-                 / (bj * (nn - bj) - nn * lj / 4.0)) / MAX(n2)
-               AS term_b,
-             MAX(n1) AS n1, MAX(n2) AS n2, MAX(nn) AS nn
-      FROM e)
-SELECT CAST(n1 AS BIGINT) AS n_weekend,
-       CAST(n2 AS BIGINT) AS n_weekday,
-       ROUND((nn - 1.0) / (nn * nn) * (term_a + term_b), 6) AS ad_a2
-FROM s
-"""
-
-
-def q_nation_activity_coverage(sf_dir: str):
-    """Per-nation activity coverage: the share of calendar days (global
-    order-date span) on which the nation placed at least one order —
-    the ops-monitoring liveness profile that distinguishes a thin
-    steady market from a bursty one.  (nation, day) presence folds
-    through the salted join; coverage is 25-row arithmetic against the
-    global span."""
-    from icrawler_ray.stages.joins import salted_hash_join
-
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderdate"])
-    lo = pd.Timestamp(orders.min("o_orderdate"))
-    hi = pd.Timestamp(orders.max("o_orderdate"))
-    span = int((hi - lo).days) + 1
-    o2 = orders.map_batches(
-        lambda df: pd.DataFrame({
-            "c_custkey": df["o_custkey"].to_numpy(),
-            "d": (pd.to_datetime(df["o_orderdate"])
-                  - pd.Timestamp("1990-01-01")).dt.days
-            .to_numpy(np.int64)}),
-        batch_format="pandas")
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-
-    def agg(g: pd.DataFrame) -> pd.DataFrame:
-        return g[["c_nationkey", "d"]].drop_duplicates()
-
-    t = salted_hash_join(o2, cust, "c_custkey", agg_fn=agg,
-                         hot_keys=np.array([], np.int64)).to_pandas() \
-        .drop_duplicates(["c_nationkey", "d"]) \
-        .groupby("c_nationkey").size().rename("nd").reset_index()
-    nat = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
-    t = t.merge(nat, left_on="c_nationkey", right_on="n_nationkey")
-    return pd.DataFrame({
-        "n_name": t["n_name"],
-        "active_days": t["nd"].astype(np.int64),
-        "coverage": np.round(t["nd"].to_numpy(np.float64) / span, 6)}) \
-        .sort_values("n_name").reset_index(drop=True)
-
-
-SQL_NATION_ACTIVITY_COVERAGE = """
-WITH span AS (SELECT date_diff('day', MIN(o_orderdate),
-                               MAX(o_orderdate)) + 1 AS days
-              FROM orders),
-f AS (SELECT DISTINCT c.c_nationkey AS nk,
-             CAST(o.o_orderdate AS DATE) AS d
-      FROM orders o JOIN customer c ON c.c_custkey = o.o_custkey),
-g AS (SELECT nk, COUNT(*) AS nd FROM f GROUP BY 1)
-SELECT n.n_name, CAST(g.nd AS BIGINT) AS active_days,
-       ROUND(g.nd * 1.0 / span.days, 6) AS coverage
-FROM g JOIN nation n ON n.n_nationkey = g.nk, span
-ORDER BY n.n_name
 """
 
 
@@ -20487,78 +16050,6 @@ SELECT CAST(t.xt AS BIGINT) AS n_purchases,
        ROUND(SUM((g.x / t.xt) * (g.x / g.n)), 6) AS isolation_xx,
        ROUND(SUM((g.x / t.xt) * (g.y / g.n)), 6) AS exposure_xy
 FROM g, t GROUP BY t.xt
-"""
-
-
-def q_brier_skill_score(sf_dir: str):
-    """Brier skill score of the hour-of-day purchase model against the
-    climatology (constant base-rate) reference: BSS = 1 − BS/BS_ref —
-    positive means the hourly structure genuinely adds forecast skill,
-    the normalization that makes Brier scores comparable across bases.
-    Even-day-trained rates score odd days, all hour-bounded folds."""
-    ds = _read(sf_dir, "events", ["ts", "event_type"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        t_us = df["ts"].to_numpy(dtype="datetime64[us]").astype(np.int64)
-        return pd.DataFrame({
-            "h": (t_us // 3_600_000_000) % 24,
-            "even": ((t_us // 86_400_000_000) % 2 == 0)
-            .astype(np.int64),
-            "n": 1,
-            "k": (df["event_type"] == "purchase").to_numpy()
-            .astype(np.int64)}).groupby(["h", "even"],
-                                        as_index=False).sum()
-
-    t = ds.map_batches(partial, batch_format="pandas").to_pandas() \
-        .groupby(["h", "even"], as_index=False).sum()
-    piv = t.pivot_table(index="h", columns="even", values=["n", "k"],
-                        fill_value=0, aggfunc="sum").sort_index()
-    pred = piv[("k", 1)].to_numpy(np.float64) \
-        / piv[("n", 1)].to_numpy(np.float64)
-    nt = piv[("n", 0)].to_numpy(np.float64)
-    kt = piv[("k", 0)].to_numpy(np.float64)
-    N = nt.sum()
-    base = piv[("k", 1)].to_numpy(np.float64).sum() \
-        / piv[("n", 1)].to_numpy(np.float64).sum()
-    # per-hour expansion: k outcomes of 1, n-k outcomes of 0
-    bs = float((kt * (1.0 - pred) ** 2
-                + (nt - kt) * pred ** 2).sum()) / N
-    bs_ref = float((kt * (1.0 - base) ** 2
-                    + (nt - kt) * base ** 2).sum()) / N
-    return pd.DataFrame({
-        "n_test": np.array([int(N)], np.int64),
-        "brier_model": [round(bs, 6)],
-        "brier_ref": [round(bs_ref, 6)],
-        "bss": [round(1.0 - bs / bs_ref, 6)]})
-
-
-SQL_BRIER_SKILL_SCORE = """
-WITH e AS (SELECT (epoch_us(ts) // 3600000000) % 24 AS h,
-                  (epoch_us(ts) // 86400000000) % 2 = 0 AS even,
-                  CASE WHEN event_type = 'purchase'
-                       THEN 1 ELSE 0 END AS k
-           FROM events),
-g AS (SELECT h,
-             SUM(CASE WHEN even THEN 1 ELSE 0 END) * 1.0 AS n_tr,
-             SUM(CASE WHEN even THEN k ELSE 0 END) * 1.0 AS k_tr,
-             SUM(CASE WHEN NOT even THEN 1 ELSE 0 END) * 1.0 AS n_te,
-             SUM(CASE WHEN NOT even THEN k ELSE 0 END) * 1.0 AS k_te
-      FROM e GROUP BY 1),
-b AS (SELECT SUM(k_tr) / SUM(n_tr) AS base, SUM(n_te) AS nt FROM g),
-s AS (SELECT SUM(g.k_te * (1.0 - g.k_tr / g.n_tr)
-                        * (1.0 - g.k_tr / g.n_tr)
-                 + (g.n_te - g.k_te) * (g.k_tr / g.n_tr)
-                   * (g.k_tr / g.n_tr)) / b.nt AS bs,
-             SUM(g.k_te * (1.0 - b.base) * (1.0 - b.base)
-                 + (g.n_te - g.k_te) * b.base * b.base) / b.nt
-               AS bs_ref,
-             b.nt
-      FROM g, b GROUP BY b.nt, b.base)
-SELECT CAST(nt AS BIGINT) AS n_test,
-       ROUND(bs, 6) AS brier_model,
-       ROUND(bs_ref, 6) AS brier_ref,
-       ROUND(1.0 - bs / bs_ref, 6) AS bss
-FROM s
 """
 
 
@@ -20847,70 +16338,6 @@ FROM c
 """
 
 
-def q_rate_ratio_ci(sf_dir: str):
-    """Poisson rate ratio of ERROR events per weekend day vs per
-    weekday day, with the log-scale 95% interval
-    exp(ln RR ± 1.96·√(1/k₁+1/k₀)) — incidence-rate inference where
-    the denominators are EXPOSURE (days), not trials.  One counting
-    fold plus the calendar span."""
-    ds = _read(sf_dir, "events", ["ts", "event_type"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.loc[df["event_type"] == "error"]
-        wk = (pd.to_datetime(d["ts"]).dt.dayofweek >= 5).to_numpy()
-        days = df["ts"].to_numpy(dtype="datetime64[D]")
-        return pd.DataFrame({
-            "k1": [int(wk.sum())], "k0": [int((~wk).sum())],
-            "dmin": [days.min()], "dmax": [days.max()]})
-
-    mo = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    k1, k0 = int(mo["k1"].sum()), int(mo["k0"].sum())
-    lo = pd.Timestamp(mo["dmin"].min())
-    hi = pd.Timestamp(mo["dmax"].max())
-    all_days = pd.date_range(lo, hi, freq="D")
-    t1 = float((all_days.dayofweek >= 5).sum())
-    t0 = float(len(all_days)) - t1
-    rr = (k1 / t1) / (k0 / t0)
-    se = np.sqrt(1.0 / k1 + 1.0 / k0)
-    return pd.DataFrame({
-        "errors_weekend": np.array([k1], np.int64),
-        "errors_weekday": np.array([k0], np.int64),
-        "rate_ratio": [round(rr, 6)],
-        "rr_ci_low": [round(float(np.exp(np.log(rr) - 1.96 * se)), 6)],
-        "rr_ci_high": [round(float(np.exp(np.log(rr) + 1.96 * se)),
-                             6)]})
-
-
-SQL_RATE_RATIO_CI = """
-WITH e AS (SELECT CAST(ts AS DATE) AS d,
-                  CASE WHEN isodow(ts) >= 6 THEN 1 ELSE 0 END AS wk,
-                  event_type
-           FROM events),
-k AS (SELECT SUM(CASE WHEN event_type = 'error' AND wk = 1
-                      THEN 1 ELSE 0 END) * 1.0 AS k1,
-             SUM(CASE WHEN event_type = 'error' AND wk = 0
-                      THEN 1 ELSE 0 END) * 1.0 AS k0,
-             MIN(d) AS lo, MAX(d) AS hi
-      FROM e),
-cal AS (SELECT SUM(CASE WHEN isodow(lo + g.i * INTERVAL 1 DAY) >= 6
-                        THEN 1 ELSE 0 END) * 1.0 AS t1,
-               SUM(CASE WHEN isodow(lo + g.i * INTERVAL 1 DAY) < 6
-                        THEN 1 ELSE 0 END) * 1.0 AS t0
-        FROM k, (SELECT UNNEST(range(0, 100000)) AS i) g
-        WHERE g.i <= date_diff('day', k.lo, k.hi)),
-r AS (SELECT (k.k1 / cal.t1) / (k.k0 / cal.t0) AS rr,
-             SQRT(1.0 / k.k1 + 1.0 / k.k0) AS se,
-             k.k1, k.k0
-      FROM k, cal)
-SELECT CAST(k1 AS BIGINT) AS errors_weekend,
-       CAST(k0 AS BIGINT) AS errors_weekday,
-       ROUND(rr, 6) AS rate_ratio,
-       ROUND(EXP(LN(rr) - 1.96 * se), 6) AS rr_ci_low,
-       ROUND(EXP(LN(rr) + 1.96 * se), 6) AS rr_ci_high
-FROM r
-"""
-
-
 def q_variance_homogeneity_quick(sf_dir: str):
     """The quick variance-homogeneity screens across market segments:
     Hartley's F_max = s²_max/s²_min and Cochran's C = s²_max/Σs² —
@@ -20958,72 +16385,6 @@ SELECT CAST(COUNT(*) AS BIGINT) AS k_groups,
        ROUND(MAX(vi) / MIN(vi), 6) AS hartley_fmax,
        ROUND(MAX(vi) / SUM(vi), 6) AS cochran_c
 FROM v
-"""
-
-
-def q_ks_poisson_user_counts(sf_dir: str):
-    """Discrete KS distance between per-user event counts and the
-    FITTED Poisson(λ̂ = mean): D = max_k |F_emp(k) − F_Pois(k)| with
-    the Poisson CDF built from exp(j·ln λ − λ − lgamma(j+1)) terms —
-    'is user activity Poisson at all' (Dean's test said overdispersed;
-    this says by how much in CDF distance).  Count histogram folds in
-    user partitions; the CDF scan is count-domain bounded."""
-    from math import lgamma
-
-    P = 32
-    ds = _read(sf_dir, "events", ["user_id"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.assign(n=1).groupby("user_id", as_index=False)[
-            "n"].sum()
-        out["part"] = (out["user_id"].to_numpy() % P).astype(np.int32)
-        return out
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        u = g.groupby("user_id")["n"].sum()
-        h = u.value_counts().rename("f").reset_index()
-        h.columns = ["k", "f"]
-        return h
-
-    hist = ds.map_batches(partial, batch_format="pandas") \
-        .groupby("part").map_groups(merge, batch_format="pandas") \
-        .to_pandas().groupby("k")["f"].sum().sort_index()
-    k = hist.index.to_numpy(np.int64)
-    f = hist.to_numpy(np.int64)
-    n = float(f.sum())
-    lam = float((k * f).sum()) / n
-    femp = np.cumsum(f) / n
-    kmax = int(k.max())
-    logp = np.array([j * np.log(lam) - lam - lgamma(j + 1)
-                     for j in range(kmax + 1)])
-    cdf_all = np.cumsum(np.exp(logp))
-    fpois = cdf_all[k]
-    d = float(np.abs(femp - fpois).max())
-    return pd.DataFrame({
-        "n_users": np.array([int(n)], np.int64),
-        "lambda_hat": [round(lam, 4)],
-        "ks_d": [round(d, 6)]})
-
-
-SQL_KS_POISSON_USER_COUNTS = """
-WITH u AS (SELECT user_id, COUNT(*) AS k FROM events GROUP BY 1),
-h AS (SELECT k, COUNT(*) * 1.0 AS f FROM u GROUP BY 1),
-t AS (SELECT SUM(f) AS n, SUM(k * f) / SUM(f) AS lam,
-             MAX(k) AS kmax
-      FROM h),
-grid AS (SELECT g.j, t.lam,
-                EXP(g.j * LN(t.lam) - t.lam - lgamma(g.j + 1.0))
-                  AS pj
-         FROM t, (SELECT UNNEST(range(0, 100000)) AS j) g
-         WHERE g.j <= t.kmax),
-cdf AS (SELECT j, SUM(pj) OVER (ORDER BY j) AS fp FROM grid),
-e AS (SELECT h.k, SUM(h.f) OVER (ORDER BY h.k) / t.n AS femp,
-             cdf.fp
-      FROM h JOIN cdf ON cdf.j = h.k, t)
-SELECT (SELECT CAST(n AS BIGINT) FROM t) AS n_users,
-       ROUND((SELECT lam FROM t), 4) AS lambda_hat,
-       ROUND(MAX(ABS(femp - fp)), 6) AS ks_d
-FROM e
 """
 
 
@@ -21127,7 +16488,6 @@ QUERIES = {
     "rate_anomaly": q_rate_anomaly,
     "reservoir_per_group": q_reservoir_per_group,
     "embedding_pca": q_embedding_pca,
-    "event_funnel": q_event_funnel,
     "cohort_retention": q_cohort_retention,
     "winnow_pairs": q_winnow_pairs,
     "kcore": q_kcore,
@@ -21135,7 +16495,6 @@ QUERIES = {
     "percent_rank_by_lang": q_percent_rank,
     "incremental_dedup": q_incremental_dedup,
     "charlm_quality": q_charlm_quality,
-    "event_transitions": q_event_transitions,
     "hash_split": q_hash_split,
     "json_props_stats": q_json_props_stats,
     "rollup_counts": q_rollup_counts,
@@ -21160,7 +16519,6 @@ QUERIES = {
     "corpus_refinery": q_corpus_refinery,
     "multimodal_pack": q_multimodal_pack,
     "left_outer_orders": q_left_outer_orders,
-    "skew_audit": q_skew_audit,
     "late_events": q_late_events,
     "csv_roundtrip": q_csv_roundtrip,
     "lpa_communities": q_lpa_communities,
@@ -21200,7 +16558,6 @@ QUERIES = {
     "edge_reciprocity": q_edge_reciprocity,
     "mad_outliers": q_mad_outliers,
     "vocab_coverage": q_vocab_coverage,
-    "interarrival_quantiles": q_interarrival_quantiles,
     "weighted_pagerank": q_weighted_pagerank,
     "user_path_prefix": q_user_path_prefix,
     "quantization_error": q_quantization_error,
@@ -21217,7 +16574,6 @@ QUERIES = {
     "type_hour_mi": q_type_hour_mi,
     "rare_category_merge": q_rare_category_merge,
     "vocab_churn": q_vocab_churn,
-    "dau_mau_stickiness": q_dau_mau_stickiness,
     "lines_per_order_dist": q_lines_per_order_dist,
     "discount_revenue_curve": q_discount_revenue_curve,
     "supplier_region_acctbal": q_supplier_region_acctbal,
@@ -21226,12 +16582,10 @@ QUERIES = {
     "lang_embedding_norm": q_lang_embedding_norm,
     "dup_cluster_sizes": q_dup_cluster_sizes,
     "head_mass_terms": q_head_mass_terms,
-    "hourly_autocorr": q_hourly_autocorr,
     "tokens_per_char": q_tokens_per_char,
     "weekend_effect": q_weekend_effect,
     "embedding_outlier_dims": q_embedding_outlier_dims,
     "ship_delay_quantiles": q_ship_delay_quantiles,
-    "user_value_deciles": q_user_value_deciles,
     "rich_club": q_rich_club,
     "price_size_regression": q_price_size_regression,
     "revenue_mom_growth": q_revenue_mom_growth,
@@ -21240,22 +16594,17 @@ QUERIES = {
     "dup_rate_by_length_decile": q_dup_rate_by_length_decile,
     "q6_revenue": q_q6_revenue,
     "segment_priority_mix": q_segment_priority_mix,
-    "daily_ohlc": q_daily_ohlc,
     "small_quantity_revenue": q_small_quantity_revenue,
     "big_orders_having": q_big_orders_having,
     "part_spend_concentration": q_part_spend_concentration,
     "brand_supplier_variety": q_brand_supplier_variety,
-    "session_covisit_pairs": q_session_covisit_pairs,
     "daily_gap_fill": q_daily_gap_fill,
     "grouping_sets_events": q_grouping_sets_events,
-    "markov_stationary": q_markov_stationary,
     "brand_top_parts_dense": q_brand_top_parts_dense,
     "systematic_sample": q_systematic_sample,
     "theilsen_trend": q_theilsen_trend,
     "cusum_changepoint": q_cusum_changepoint,
-    "conversion_lag_quantiles": q_conversion_lag_quantiles,
     "skyline_parts": q_skyline_parts,
-    "psi_value_drift": q_psi_value_drift,
     "modal_hour": q_modal_hour,
     "copresence_daily": q_copresence_daily,
     "rle_compression_audit": q_rle_compression_audit,
@@ -21265,24 +16614,16 @@ QUERIES = {
     "all_quarters_customers": q_all_quarters_customers,
     "trimmed_mean_orders": q_trimmed_mean_orders,
     "priority_value_kappa": q_priority_value_kappa,
-    "geo_rollup_shares": q_geo_rollup_shares,
     "range_window_revenue": q_range_window_revenue,
-    "bounce_rate": q_bounce_rate,
     "wow_change": q_wow_change,
     "dup_orders_audit": q_dup_orders_audit,
     "seasonality_strength": q_seasonality_strength,
     "linenumber_gaps": q_linenumber_gaps,
     "nation_top_names": q_nation_top_names,
     "gini_mean_difference": q_gini_mean_difference,
-    "dod_user_jaccard": q_dod_user_jaccard,
-    "session_duration_median": q_session_duration_median,
     "type_traffic_cosine": q_type_traffic_cosine,
-    "conversion_cdf": q_conversion_cdf,
-    "weekend_value_qte": q_weekend_value_qte,
     "acctbal_ks_two_table": q_acctbal_ks_two_table,
     "busiest_days_by_users": q_busiest_days_by_users,
-    "value_moments_by_type": q_value_moments_by_type,
-    "updown_runs": q_updown_runs,
     "source_lang_cramers_v": q_source_lang_cramers_v,
     "participation_ratio": q_participation_ratio,
     "vocab_jaccard_langs": q_vocab_jaccard_langs,
@@ -21294,42 +16635,29 @@ QUERIES = {
     "dominant_suppliers": q_dominant_suppliers,
     "month_end_loading": q_month_end_loading,
     "price_dispersion_cells": q_price_dispersion_cells,
-    "type_xcorr_lag": q_type_xcorr_lag,
-    "active_day_streaks": q_active_day_streaks,
     "brand_name_token_mode": q_brand_name_token_mode,
     "name_key_consistency": q_name_key_consistency,
     "hour_boundary_share": q_hour_boundary_share,
-    "peak_hour_stability": q_peak_hour_stability,
     "centroid_confusion": q_centroid_confusion,
-    "next_day_return_rate": q_next_day_return_rate,
     "discount_by_linenumber": q_discount_by_linenumber,
     "round_price_share": q_round_price_share,
     "revenue_masd": q_revenue_masd,
     "above_avg_discount_share": q_above_avg_discount_share,
     "same_day_reorders": q_same_day_reorders,
-    "mannwhitney_weekend": q_mannwhitney_weekend,
     "qty_uniformity_gof": q_qty_uniformity_gof,
     "heaps_law_fit": q_heaps_law_fit,
-    "theil_decomposition": q_theil_decomposition,
-    "linear_attribution": q_linear_attribution,
-    "value_by_session_position": q_value_by_session_position,
     "part_keyword_revenue": q_part_keyword_revenue,
-    "error_then_purchase_rate": q_error_then_purchase_rate,
     "reactivated_customers": q_reactivated_customers,
     "lexical_sophistication": q_lexical_sophistication,
     "wau_trend": q_wau_trend,
-    "activity_halflife": q_activity_halflife,
-    "user_value_autocorr": q_user_value_autocorr,
     "top_token_burstiness": q_top_token_burstiness,
     "dom_ordering_profile": q_dom_ordering_profile,
     "dominant_type_users": q_dominant_type_users,
     "order_priority_transition": q_order_priority_transition,
     "first_dow_ltv": q_first_dow_ltv,
-    "weekend_audience_overlap": q_weekend_audience_overlap,
     "monthly_arpu": q_monthly_arpu,
     "name_component_mi": q_name_component_mi,
     "vocab_gini": q_vocab_gini,
-    "repeat_rate_by_first_type": q_repeat_rate_by_first_type,
     "doc_fingerprint": q_doc_fingerprint,
     "simhash_pairs": q_simhash_pairs,
     "benford_audit": q_benford_audit,
@@ -21339,8 +16667,6 @@ QUERIES = {
     "crawl_flickr": q_crawl_flickr,
     "crawl_greedy": q_crawl_greedy,
     "frontier_seen_filter": q_frontier_seen_filter,
-    "markov_entropy_rate": q_markov_entropy_rate,
-    "user_hour_entropy": q_user_hour_entropy,
     "brand_discount_elasticity": q_brand_discount_elasticity,
     "exit_type_share": q_exit_type_share,
     "order_value_cv_by_nation": q_order_value_cv_by_nation,
@@ -21352,61 +16678,36 @@ QUERIES = {
     "orders_per_customer_hist": q_orders_per_customer_hist,
     "brand_price_size_slopes": q_brand_price_size_slopes,
     "sentence_stats_by_lang": q_sentence_stats_by_lang,
-    "session_size_hist": q_session_size_hist,
-    "odds_ratio_weekend_purchase": q_odds_ratio_weekend_purchase,
     "name_verbosity_premium": q_name_verbosity_premium,
     "supplier_nation_tax": q_supplier_nation_tax,
-    "interarrival_cv_by_type": q_interarrival_cv_by_type,
     "effective_price_quantiles": q_effective_price_quantiles,
     "rounding_drift_audit": q_rounding_drift_audit,
     "burrows_delta": q_burrows_delta,
     "log_odds_terms": q_log_odds_terms,
-    "cuped_adjusted_lift": q_cuped_adjusted_lift,
-    "zip_fit_daily_counts": q_zip_fit_daily_counts,
-    "chapman_population": q_chapman_population,
-    "jarque_bera_value": q_jarque_bera_value,
     "fd_sturges_bins": q_fd_sturges_bins,
-    "logrank_segments": q_logrank_segments,
-    "mcnemar_weekend": q_mcnemar_weekend,
-    "cramer_von_mises": q_cramer_von_mises,
-    "cronbach_alpha": q_cronbach_alpha,
-    "sprt_crossing": q_sprt_crossing,
     "good_turing_mass": q_good_turing_mass,
-    "fano_factor_windows": q_fano_factor_windows,
     "record_days": q_record_days,
-    "wasserstein_weekend": q_wasserstein_weekend,
     "hill_tail_index": q_hill_tail_index,
     "clustering_agreement": q_clustering_agreement,
-    "ece_hour_model": q_ece_hour_model,
-    "taylor_law_exponent": q_taylor_law_exponent,
-    "brown_forsythe_types": q_brown_forsythe_types,
-    "granger_daily_types": q_granger_daily_types,
     "juilland_dispersion": q_juilland_dispersion,
     "jsd_source_langs": q_jsd_source_langs,
     "process_capability": q_process_capability,
     "cochran_q_weeks": q_cochran_q_weeks,
-    "cliffs_delta": q_cliffs_delta,
-    "hypergeom_point_logp": q_hypergeom_point_logp,
     "rarefaction_vocab": q_rarefaction_vocab,
-    "dean_overdispersion": q_dean_overdispersion,
     "u_chart_errors": q_u_chart_errors,
-    "bhattacharyya_weekend": q_bhattacharyya_weekend,
     "german_tank_estimate": q_german_tank_estimate,
     "honore_r_sources": q_honore_r_sources,
     "kish_neff": q_kish_neff,
     "mase_naive7": q_mase_naive7,
-    "brier_decomposition": q_brier_decomposition,
     "diebold_mariano": q_diebold_mariano,
     "simhash_pr_eval": q_simhash_pr_eval,
     "silhouette_kmeans": q_silhouette_kmeans,
     "atkinson_index": q_atkinson_index,
     "duncan_dissimilarity": q_duncan_dissimilarity,
-    "energy_distance_weekend": q_energy_distance_weekend,
     "yule_k": q_yule_k,
     "bigram_perplexity": q_bigram_perplexity,
     "cohens_h": q_cohens_h,
     "gunning_fog": q_gunning_fog,
-    "sign_test_weeks": q_sign_test_weeks,
     "kpss_lite_daily": q_kpss_lite_daily,
     "cms_overcount_audit": q_cms_overcount_audit,
     "holm_rejections": q_holm_rejections,
@@ -21414,7 +16715,6 @@ QUERIES = {
     "mean_log_deviation": q_mean_log_deviation,
     "bucket_occupancy_audit": q_bucket_occupancy_audit,
     "dunning_g2_terms": q_dunning_g2_terms,
-    "cucconi_test": q_cucconi_test,
     "hill_numbers_vocab": q_hill_numbers_vocab,
     "chao_shen_entropy": q_chao_shen_entropy,
     "brunet_sichel": q_brunet_sichel,
@@ -21423,25 +16723,16 @@ QUERIES = {
     "omega_ratio_daily": q_omega_ratio_daily,
     "ulcer_index_daily": q_ulcer_index_daily,
     "rayleigh_hour_test": q_rayleigh_hour_test,
-    "kuiper_hour_test": q_kuiper_hour_test,
-    "circular_linear_corr": q_circular_linear_corr,
-    "watson_u2_hours": q_watson_u2_hours,
     "storey_pi0": q_storey_pi0,
-    "max_spacing_stat": q_max_spacing_stat,
-    "anderson_darling_2sample": q_anderson_darling_2sample,
-    "nation_activity_coverage": q_nation_activity_coverage,
     "zipf_abbreviation": q_zipf_abbreviation,
     "menzerath_law": q_menzerath_law,
     "effective_brands": q_effective_brands,
     "isolation_index_hours": q_isolation_index_hours,
-    "brier_skill_score": q_brier_skill_score,
     "eggers_test": q_eggers_test,
     "brunner_munzel": q_brunner_munzel,
     "cv_delta_ci": q_cv_delta_ci,
     "pythagorean_means": q_pythagorean_means,
-    "rate_ratio_ci": q_rate_ratio_ci,
     "variance_homogeneity_quick": q_variance_homogeneity_quick,
-    "ks_poisson_user_counts": q_ks_poisson_user_counts,
 }
 
 ORACLE_SQL = {
@@ -21529,7 +16820,6 @@ ORACLE_SQL = {
     "rate_anomaly": SQL_RATE_ANOMALY,
     "reservoir_per_group": SQL_RESERVOIR_PER_GROUP,
     "embedding_pca": SQL_EMBEDDING_PCA,
-    "event_funnel": SQL_EVENT_FUNNEL,
     "cohort_retention": SQL_COHORT_RETENTION,
     "winnow_pairs": SQL_WINNOW_PAIRS,
     "kcore": SQL_KCORE,
@@ -21537,7 +16827,6 @@ ORACLE_SQL = {
     "percent_rank_by_lang": SQL_PERCENT_RANK,
     "incremental_dedup": SQL_INCREMENTAL_DEDUP,
     "charlm_quality": SQL_CHARLM_QUALITY,
-    "event_transitions": SQL_EVENT_TRANSITIONS,
     "hash_split": SQL_HASH_SPLIT,
     "json_props_stats": SQL_JSON_PROPS_STATS,
     "rollup_counts": SQL_ROLLUP_COUNTS,
@@ -21562,7 +16851,6 @@ ORACLE_SQL = {
     "corpus_refinery": SQL_CORPUS_REFINERY.replace("{LANGVALS}", _sql_lang_values()),
     "multimodal_pack": SQL_MULTIMODAL_PACK,
     "left_outer_orders": SQL_LEFT_OUTER_ORDERS,
-    "skew_audit": SQL_SKEW_AUDIT,
     "late_events": SQL_LATE_EVENTS,
     "csv_roundtrip": SQL_CSV_ROUNDTRIP,
     "lpa_communities": SQL_LPA_COMMUNITIES,
@@ -21609,7 +16897,6 @@ ORACLE_SQL = {
     "benford_audit": SQL_BENFORD_AUDIT,
     "mad_outliers": SQL_MAD_OUTLIERS,
     "vocab_coverage": SQL_VOCAB_COVERAGE,
-    "interarrival_quantiles": SQL_INTERARRIVAL_QUANTILES,
     "mutual_knn": SQL_MUTUAL_KNN,
     "weighted_pagerank": SQL_WEIGHTED_PAGERANK,
     "type_cooccurrence_lift": SQL_TYPE_COOCCURRENCE_LIFT,
@@ -21629,7 +16916,6 @@ ORACLE_SQL = {
     "type_hour_mi": SQL_TYPE_HOUR_MI,
     "rare_category_merge": SQL_RARE_CATEGORY_MERGE,
     "vocab_churn": SQL_VOCAB_CHURN,
-    "dau_mau_stickiness": SQL_DAU_MAU,
     "lines_per_order_dist": SQL_LINES_PER_ORDER_DIST,
     "discount_revenue_curve": SQL_DISCOUNT_REVENUE_CURVE,
     "supplier_region_acctbal": SQL_SUPPLIER_REGION_ACCTBAL,
@@ -21640,12 +16926,10 @@ ORACLE_SQL = {
         "{CC_SWEEPS}",
         ",".join(_cc_iter_sql(f"l{i}", f"l{i + 1}") for i in range(8))),
     "head_mass_terms": SQL_HEAD_MASS_TERMS,
-    "hourly_autocorr": SQL_HOURLY_AUTOCORR,
     "tokens_per_char": SQL_TOKENS_PER_CHAR,
     "weekend_effect": SQL_WEEKEND_EFFECT,
     "embedding_outlier_dims": SQL_EMBEDDING_OUTLIER_DIMS,
     "ship_delay_quantiles": SQL_SHIP_DELAY_QUANTILES,
-    "user_value_deciles": SQL_USER_VALUE_DECILES,
     "rich_club": SQL_RICH_CLUB,
     "label_cohesion": SQL_LABEL_COHESION,
     "price_size_regression": SQL_PRICE_SIZE_REGRESSION,
@@ -21656,22 +16940,17 @@ ORACLE_SQL = {
     "dup_rate_by_length_decile": SQL_DUP_RATE_BY_LENGTH_DECILE,
     "q6_revenue": SQL_Q6_REVENUE,
     "segment_priority_mix": SQL_SEGMENT_PRIORITY_MIX,
-    "daily_ohlc": SQL_DAILY_OHLC,
     "small_quantity_revenue": SQL_SMALL_QUANTITY_REVENUE,
     "big_orders_having": SQL_BIG_ORDERS_HAVING,
     "part_spend_concentration": SQL_PART_SPEND_CONCENTRATION,
     "brand_supplier_variety": SQL_BRAND_SUPPLIER_VARIETY,
-    "session_covisit_pairs": SQL_SESSION_COVISIT_PAIRS,
     "daily_gap_fill": SQL_DAILY_GAP_FILL,
     "grouping_sets_events": SQL_GROUPING_SETS_EVENTS,
-    "markov_stationary": SQL_MARKOV_STATIONARY,
     "brand_top_parts_dense": SQL_BRAND_TOP_PARTS_DENSE,
     "systematic_sample": SQL_SYSTEMATIC_SAMPLE,
     "theilsen_trend": SQL_THEILSEN_TREND,
     "cusum_changepoint": SQL_CUSUM_CHANGEPOINT,
-    "conversion_lag_quantiles": SQL_CONVERSION_LAG_QUANTILES,
     "skyline_parts": SQL_SKYLINE_PARTS,
-    "psi_value_drift": SQL_PSI_VALUE_DRIFT,
     "modal_hour": SQL_MODAL_HOUR,
     "copresence_daily": SQL_COPRESENCE_DAILY,
     "rle_compression_audit": SQL_RLE_COMPRESSION_AUDIT,
@@ -21681,24 +16960,16 @@ ORACLE_SQL = {
     "all_quarters_customers": SQL_ALL_QUARTERS_CUSTOMERS,
     "trimmed_mean_orders": SQL_TRIMMED_MEAN_ORDERS,
     "priority_value_kappa": SQL_PRIORITY_VALUE_KAPPA,
-    "geo_rollup_shares": SQL_GEO_ROLLUP_SHARES,
     "range_window_revenue": SQL_RANGE_WINDOW_REVENUE,
-    "bounce_rate": SQL_BOUNCE_RATE,
     "wow_change": SQL_WOW_CHANGE,
     "dup_orders_audit": SQL_DUP_ORDERS_AUDIT,
     "seasonality_strength": SQL_SEASONALITY_STRENGTH,
     "linenumber_gaps": SQL_LINENUMBER_GAPS,
     "nation_top_names": SQL_NATION_TOP_NAMES,
     "gini_mean_difference": SQL_GINI_MEAN_DIFFERENCE,
-    "dod_user_jaccard": SQL_DOD_USER_JACCARD,
-    "session_duration_median": SQL_SESSION_DURATION_MEDIAN,
     "type_traffic_cosine": SQL_TYPE_TRAFFIC_COSINE,
-    "conversion_cdf": SQL_CONVERSION_CDF,
-    "weekend_value_qte": SQL_WEEKEND_VALUE_QTE,
     "acctbal_ks_two_table": SQL_ACCTBAL_KS_TWO_TABLE,
     "busiest_days_by_users": SQL_BUSIEST_DAYS_BY_USERS,
-    "value_moments_by_type": SQL_VALUE_MOMENTS_BY_TYPE,
-    "updown_runs": SQL_UPDOWN_RUNS,
     "source_lang_cramers_v": SQL_SOURCE_LANG_CRAMERS_V,
     "participation_ratio": SQL_PARTICIPATION_RATIO,
     "vocab_jaccard_langs": SQL_VOCAB_JACCARD_LANGS,
@@ -21710,44 +16981,29 @@ ORACLE_SQL = {
     "dominant_suppliers": SQL_DOMINANT_SUPPLIERS,
     "month_end_loading": SQL_MONTH_END_LOADING,
     "price_dispersion_cells": SQL_PRICE_DISPERSION_CELLS,
-    "type_xcorr_lag": SQL_TYPE_XCORR_LAG,
-    "active_day_streaks": SQL_ACTIVE_DAY_STREAKS,
     "brand_name_token_mode": SQL_BRAND_NAME_TOKEN_MODE,
     "name_key_consistency": SQL_NAME_KEY_CONSISTENCY,
     "hour_boundary_share": SQL_HOUR_BOUNDARY_SHARE,
-    "peak_hour_stability": SQL_PEAK_HOUR_STABILITY,
     "centroid_confusion": SQL_CENTROID_CONFUSION,
-    "next_day_return_rate": SQL_NEXT_DAY_RETURN_RATE,
     "discount_by_linenumber": SQL_DISCOUNT_BY_LINENUMBER,
     "round_price_share": SQL_ROUND_PRICE_SHARE,
     "revenue_masd": SQL_REVENUE_MASD,
     "above_avg_discount_share": SQL_ABOVE_AVG_DISCOUNT_SHARE,
     "same_day_reorders": SQL_SAME_DAY_REORDERS,
-    "mannwhitney_weekend": SQL_MANNWHITNEY_WEEKEND,
     "qty_uniformity_gof": SQL_QTY_UNIFORMITY_GOF,
     "heaps_law_fit": SQL_HEAPS_LAW_FIT,
-    "theil_decomposition": SQL_THEIL_DECOMPOSITION,
-    "linear_attribution": SQL_LINEAR_ATTRIBUTION,
-    "value_by_session_position": SQL_VALUE_BY_SESSION_POSITION,
     "part_keyword_revenue": SQL_PART_KEYWORD_REVENUE,
-    "error_then_purchase_rate": SQL_ERROR_THEN_PURCHASE_RATE,
     "reactivated_customers": SQL_REACTIVATED_CUSTOMERS,
     "lexical_sophistication": SQL_LEXICAL_SOPHISTICATION,
     "wau_trend": SQL_WAU_TREND,
-    "activity_halflife": SQL_ACTIVITY_HALFLIFE,
-    "user_value_autocorr": SQL_USER_VALUE_AUTOCORR,
     "top_token_burstiness": SQL_TOP_TOKEN_BURSTINESS,
     "dom_ordering_profile": SQL_DOM_ORDERING_PROFILE,
     "dominant_type_users": SQL_DOMINANT_TYPE_USERS,
     "order_priority_transition": SQL_ORDER_PRIORITY_TRANSITION,
     "first_dow_ltv": SQL_FIRST_DOW_LTV,
-    "weekend_audience_overlap": SQL_WEEKEND_AUDIENCE_OVERLAP,
     "monthly_arpu": SQL_MONTHLY_ARPU,
     "name_component_mi": SQL_NAME_COMPONENT_MI,
     "vocab_gini": SQL_VOCAB_GINI,
-    "repeat_rate_by_first_type": SQL_REPEAT_RATE_BY_FIRST_TYPE,
-    "markov_entropy_rate": SQL_MARKOV_ENTROPY_RATE,
-    "user_hour_entropy": SQL_USER_HOUR_ENTROPY,
     "brand_discount_elasticity": SQL_BRAND_DISCOUNT_ELASTICITY,
     "exit_type_share": SQL_EXIT_TYPE_SHARE,
     "order_value_cv_by_nation": SQL_ORDER_VALUE_CV_BY_NATION,
@@ -21759,63 +17015,38 @@ ORACLE_SQL = {
     "orders_per_customer_hist": SQL_ORDERS_PER_CUSTOMER_HIST,
     "brand_price_size_slopes": SQL_BRAND_PRICE_SIZE_SLOPES,
     "sentence_stats_by_lang": SQL_SENTENCE_STATS_BY_LANG,
-    "session_size_hist": SQL_SESSION_SIZE_HIST,
-    "odds_ratio_weekend_purchase": SQL_ODDS_RATIO_WEEKEND_PURCHASE,
     "name_verbosity_premium": SQL_NAME_VERBOSITY_PREMIUM,
     "supplier_nation_tax": SQL_SUPPLIER_NATION_TAX,
-    "interarrival_cv_by_type": SQL_INTERARRIVAL_CV_BY_TYPE,
     "effective_price_quantiles": SQL_EFFECTIVE_PRICE_QUANTILES,
     "rounding_drift_audit": SQL_ROUNDING_DRIFT_AUDIT,
     "bh_fdr_weekend_nation": SQL_BH_FDR_WEEKEND_NATION,
     "burrows_delta": SQL_BURROWS_DELTA,
     "log_odds_terms": SQL_LOG_ODDS_TERMS,
     "lsh_recall_at_k": SQL_LSH_RECALL_AT_K,
-    "cuped_adjusted_lift": SQL_CUPED_ADJUSTED_LIFT,
-    "zip_fit_daily_counts": SQL_ZIP_FIT_DAILY_COUNTS,
-    "chapman_population": SQL_CHAPMAN_POPULATION,
-    "jarque_bera_value": SQL_JARQUE_BERA_VALUE,
     "fd_sturges_bins": SQL_FD_STURGES_BINS,
-    "logrank_segments": SQL_LOGRANK_SEGMENTS,
-    "mcnemar_weekend": SQL_MCNEMAR_WEEKEND,
-    "cramer_von_mises": SQL_CRAMER_VON_MISES,
-    "cronbach_alpha": SQL_CRONBACH_ALPHA,
-    "sprt_crossing": SQL_SPRT_CROSSING,
     "good_turing_mass": SQL_GOOD_TURING_MASS,
-    "fano_factor_windows": SQL_FANO_FACTOR_WINDOWS,
     "record_days": SQL_RECORD_DAYS,
-    "wasserstein_weekend": SQL_WASSERSTEIN_WEEKEND,
     "hill_tail_index": SQL_HILL_TAIL_INDEX,
     "clustering_agreement": SQL_CLUSTERING_AGREEMENT,
-    "ece_hour_model": SQL_ECE_HOUR_MODEL,
-    "taylor_law_exponent": SQL_TAYLOR_LAW_EXPONENT,
-    "brown_forsythe_types": SQL_BROWN_FORSYTHE_TYPES,
-    "granger_daily_types": SQL_GRANGER_DAILY_TYPES,
     "juilland_dispersion": SQL_JUILLAND_DISPERSION,
     "jsd_source_langs": SQL_JSD_SOURCE_LANGS,
     "process_capability": SQL_PROCESS_CAPABILITY,
     "cochran_q_weeks": SQL_COCHRAN_Q_WEEKS,
-    "cliffs_delta": SQL_CLIFFS_DELTA,
-    "hypergeom_point_logp": SQL_HYPERGEOM_POINT_LOGP,
     "rarefaction_vocab": SQL_RAREFACTION_VOCAB,
-    "dean_overdispersion": SQL_DEAN_OVERDISPERSION,
     "u_chart_errors": SQL_U_CHART_ERRORS,
-    "bhattacharyya_weekend": SQL_BHATTACHARYYA_WEEKEND,
     "german_tank_estimate": SQL_GERMAN_TANK_ESTIMATE,
     "honore_r_sources": SQL_HONORE_R_SOURCES,
     "kish_neff": SQL_KISH_NEFF,
     "mase_naive7": SQL_MASE_NAIVE7,
-    "brier_decomposition": SQL_BRIER_DECOMPOSITION,
     "diebold_mariano": SQL_DIEBOLD_MARIANO,
     "simhash_pr_eval": SQL_SIMHASH_PR_EVAL,
     "silhouette_kmeans": SQL_SILHOUETTE_KMEANS,
     "atkinson_index": SQL_ATKINSON_INDEX,
     "duncan_dissimilarity": SQL_DUNCAN_DISSIMILARITY,
-    "energy_distance_weekend": SQL_ENERGY_DISTANCE_WEEKEND,
     "yule_k": SQL_YULE_K,
     "bigram_perplexity": SQL_BIGRAM_PERPLEXITY,
     "cohens_h": SQL_COHENS_H,
     "gunning_fog": SQL_GUNNING_FOG,
-    "sign_test_weeks": SQL_SIGN_TEST_WEEKS,
     "kpss_lite_daily": SQL_KPSS_LITE_DAILY,
     "cms_overcount_audit": SQL_CMS_OVERCOUNT_AUDIT,
     "holm_rejections": SQL_HOLM_REJECTIONS,
@@ -21823,7 +17054,6 @@ ORACLE_SQL = {
     "mean_log_deviation": SQL_MEAN_LOG_DEVIATION,
     "bucket_occupancy_audit": SQL_BUCKET_OCCUPANCY_AUDIT,
     "dunning_g2_terms": SQL_DUNNING_G2_TERMS,
-    "cucconi_test": SQL_CUCCONI_TEST,
     "hill_numbers_vocab": SQL_HILL_NUMBERS_VOCAB,
     "chao_shen_entropy": SQL_CHAO_SHEN_ENTROPY,
     "brunet_sichel": SQL_BRUNET_SICHEL,
@@ -21832,23 +17062,14 @@ ORACLE_SQL = {
     "omega_ratio_daily": SQL_OMEGA_RATIO_DAILY,
     "ulcer_index_daily": SQL_ULCER_INDEX_DAILY,
     "rayleigh_hour_test": SQL_RAYLEIGH_HOUR_TEST,
-    "kuiper_hour_test": SQL_KUIPER_HOUR_TEST,
-    "circular_linear_corr": SQL_CIRCULAR_LINEAR_CORR,
-    "watson_u2_hours": SQL_WATSON_U2_HOURS,
     "storey_pi0": SQL_STOREY_PI0,
-    "max_spacing_stat": SQL_MAX_SPACING_STAT,
-    "anderson_darling_2sample": SQL_ANDERSON_DARLING_2SAMPLE,
-    "nation_activity_coverage": SQL_NATION_ACTIVITY_COVERAGE,
     "zipf_abbreviation": SQL_ZIPF_ABBREVIATION,
     "menzerath_law": SQL_MENZERATH_LAW,
     "effective_brands": SQL_EFFECTIVE_BRANDS,
     "isolation_index_hours": SQL_ISOLATION_INDEX_HOURS,
-    "brier_skill_score": SQL_BRIER_SKILL_SCORE,
     "eggers_test": SQL_EGGERS_TEST,
     "brunner_munzel": SQL_BRUNNER_MUNZEL,
     "cv_delta_ci": SQL_CV_DELTA_CI,
     "pythagorean_means": SQL_PYTHAGOREAN_MEANS,
-    "rate_ratio_ci": SQL_RATE_RATIO_CI,
     "variance_homogeneity_quick": SQL_VARIANCE_HOMOGENEITY_QUICK,
-    "ks_poisson_user_counts": SQL_KS_POISSON_USER_COUNTS,
 }

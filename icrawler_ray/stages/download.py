@@ -111,8 +111,7 @@ class Fetcher:
     later get_filename / process_meta hooks see them."""
 
     def __init__(self, url_map_ref, min_size=None, max_size=None, flaky=None,
-                 keep_content: bool = True, inflight: str | None = None,
-                 user_downloader=None):
+                 keep_content: bool = True, user_downloader=None):
         self.session = make_session(url_map_ref, flaky=flaky)
         self.min_size = tuple(min_size) if min_size else None
         self.max_size = tuple(max_size) if max_size else None
@@ -122,9 +121,10 @@ class Fetcher:
             cls, kw = user_downloader
             self.user_hooks = RefDownloaderHooks(
                 cls, kw, min_size=min_size, max_size=max_size)
-        # exact per-host inflight caps via the named HostInflightLimiter
-        # actor (stages/politeness.py); one slot per (task, host run)
-        self.guard = InflightGuard(inflight) if inflight else None
+        # exact per-host inflight caps via the crawl's HostInflightLimiter
+        # actor (stages/politeness.py); one slot per (task, host run), set
+        # per batch by make_fetcher_fn
+        self.guard: InflightGuard | None = None
 
     def keep_file(self, content: bytes):
         """(keep, w, h): decode + size gates (ImageDownloader.keep_file,
@@ -204,6 +204,7 @@ class Fetcher:
             contents[i] = resp.content
 
 
+#: this worker process's one Fetcher (see fetch_parse._FP_CACHE)
 _FETCHER_CACHE: dict = {}
 
 
@@ -224,19 +225,20 @@ def make_fetcher_fn(url_map_ref, min_size=None, max_size=None, keep_content=True
         tuple(min_size) if min_size else None,
         tuple(max_size) if max_size else None,
         keep_content,
-        inflight,
         None if user_downloader is None else (
             f"{user_downloader[0].__module__}.{user_downloader[0].__qualname__}",
             json.dumps(user_downloader[1] or {}, sort_keys=True, default=str)),
     )
+    guard = InflightGuard(inflight) if inflight else None
 
     def fn(batch: pa.Table) -> pa.Table:
         f = _FETCHER_CACHE.get(key)
         if f is None:
-            f = Fetcher(url_map_ref, min_size=min_size, max_size=max_size,
-                        keep_content=keep_content, inflight=inflight,
-                        user_downloader=user_downloader)
-            _FETCHER_CACHE[key] = f
+            _FETCHER_CACHE.clear()
+            f = _FETCHER_CACHE[key] = Fetcher(
+                url_map_ref, min_size=min_size, max_size=max_size,
+                keep_content=keep_content, user_downloader=user_downloader)
+        f.guard = guard  # the crawl's limiter, like the report, per batch
         out = f(batch)
         if report is not None and out.num_rows:
             packed = packed_order(out)

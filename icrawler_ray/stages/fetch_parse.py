@@ -55,8 +55,7 @@ DOC_COLUMNS = ["doc_id", "spans", "depth", "parent_seq", "status"]
 class FetchParse:
     def __init__(self, url_map_ref, rules, rules_kwargs: dict | None = None,
                  flaky: dict | None = None, emit_docs: bool = True,
-                 with_keys: bool = False, claim: tuple | None = None,
-                 slim: bool = False, inflight: str | None = None):
+                 with_keys: bool = False, slim: bool = False):
         self.session = make_session(url_map_ref, flaky=flaky)
         # rules: a RULES_REGISTRY name, or a rules CLASS shipped by value
         # in the task closure (custom parsers need no worker-side registry
@@ -64,15 +63,17 @@ class FetchParse:
         rules_cls = rules if isinstance(rules, type) else RULES_REGISTRY[rules]
         self.rules = rules_cls(**(rules_kwargs or {}))
         self.emit_docs = emit_docs
-        # inflight: name of a HostInflightLimiter actor — exact per-host
-        # concurrent-request caps (politeness.py); one slot per (task,
-        # host-run), URLs walked host-grouped so each host costs one
-        # acquire/release round trip per batch.
-        self.guard = InflightGuard(inflight) if inflight else None
         # with_keys: compute url_canon/url_hash for task/link rows INSIDE
         # the parallel task (vectorized per batch) instead of a serial
         # driver pass — keeps the round loop's serial fraction small.
         self.with_keys = with_keys
+        # The crawl's values, set per batch by make_fetch_parse_fn on the
+        # cached instance (batches run sequentially):
+        # guard: an InflightGuard over a HostInflightLimiter actor — exact
+        # per-host concurrent-request caps (politeness.py); one slot per
+        # (task, host-run), URLs walked host-grouped so each host costs one
+        # acquire/release round trip per batch.
+        self.guard: InflightGuard | None = None
         # claim: (pages_set_name, files_set_name, num_shards, max_depth) —
         # fused seen-shard claim routing: each batch pushes its candidate
         # (hash, packed) pairs to the shard actors before returning, so
@@ -80,10 +81,9 @@ class FetchParse:
         # pass, no shuffle). Each batch also reports its counts (pages in,
         # error and doc rows, claims sent) to the pages set, keyed by its
         # smallest input seq.
-        self.claim = claim
-        # set per round by make_fetch_parse_fn on the cached instance
-        # (rounds run sequentially): the claims' round-fence tag, and the
-        # dir the batches write their doc rows to (None: docs stay rows)
+        self.claim: tuple | None = None
+        # the claims' round-fence tag, and the dir the batches write their
+        # doc rows to (None: docs stay rows)
         self.claim_round: int | None = None
         self.docs_dir: str | None = None
         # slim: emit only the throughput-critical columns (ints + the two
@@ -278,6 +278,8 @@ class FetchParse:
         return out
 
 
+#: this worker process's one FetchParse, keyed by what its state is built
+#: from; a crawl with another key replaces it, so none outlives its crawl
 _FP_CACHE: dict = {}
 
 
@@ -294,7 +296,8 @@ def make_fetch_parse_fn(url_map_ref, rules: str, rules_kwargs: dict | None = Non
     constructed FetchParse in a module global amortizes state across
     batches AND rounds — same state-amortization contract as the actor
     pool, without per-execution spin-up. The ObjectRef travels in the task
-    closure; the url map is fetched once per worker process.
+    closure; the url map is fetched once per worker process, and again
+    only when a crawl brings another map.
 
     ``docs_dir``: the batches write their doc rows there instead of
     returning them (:meth:`FetchParse._write_docs`).
@@ -304,19 +307,21 @@ def make_fetch_parse_fn(url_map_ref, rules: str, rules_kwargs: dict | None = Non
     key = (
         session_spec_key(url_map_ref),
         rules, _json.dumps(rules_kwargs or {}, sort_keys=True, default=repr),
-        emit_docs, with_keys, claim, slim, inflight,
+        emit_docs, with_keys, slim,
     )
+    guard = InflightGuard(inflight) if inflight else None
 
     def fn(batch: pa.Table) -> pa.Table:
         fp = _FP_CACHE.get(key)
         if fp is None:
-            fp = FetchParse(url_map_ref, rules, rules_kwargs, emit_docs=emit_docs,
-                            with_keys=with_keys, claim=claim, slim=slim,
-                            inflight=inflight)
-            _FP_CACHE[key] = fp
-        # round tag and docs dir ride on the closure, NOT the cache key: the
-        # cached session/state survives across rounds while each round's
-        # claims carry its own fence tag (rounds execute sequentially)
+            _FP_CACHE.clear()
+            fp = _FP_CACHE[key] = FetchParse(url_map_ref, rules, rules_kwargs,
+                                             emit_docs=emit_docs,
+                                             with_keys=with_keys, slim=slim)
+        # the crawl's values ride on the closure, NOT the cache key: the
+        # cached session/state survives across rounds and crawls while
+        # each batch claims into its own crawl's seen sets
+        fp.claim, fp.guard = claim, guard
         fp.claim_round, fp.docs_dir = claim_round, docs_dir
         return fp(batch)
 

@@ -202,6 +202,54 @@ def test_shard_actor_death_recovers_in_process(small_web, small_ref, policy, gol
     _assert_parity(golden, docs, results)
 
 
+@pytest.mark.parametrize("residency", list(RESIDENCY))
+def test_fetch_worker_death_recovers(small_web, small_ref, policy, tmp_path, residency):
+    """A fetch task's worker process exits hard on its first keep_file
+    call: Ray Data re-executes the task, whose report replaces nothing
+    (the dead attempt sent none), and the crawl's docs, results and
+    filenames equal those of the same crawl without the crash, with every
+    round's downloads equal to the rows it wrote."""
+    import os
+    import os.path as osp
+
+    from icrawler_ray.compat import ImageDownloader
+    from icrawler_ray.state.checkpoint import parquet_rows
+
+    class DieOnce(ImageDownloader):
+        def keep_file(self, task, response, marker=None, **kwargs):
+            if not osp.exists(marker):
+                open(marker, "w").close()
+                os._exit(1)
+            return super().keep_file(task, response, **kwargs)
+
+    def crawl(name: str, crash: bool):
+        marker = tmp_path / f"{name}.died"
+        if not crash:
+            marker.touch()
+        out_dir = tmp_path / name
+        docs, results, metrics = greedy_crawl(
+            small_ref, small_web.domains, policy=policy, max_num=25, max_depth=3,
+            num_shards=2, out_dir=str(out_dir), **RESIDENCY[residency],
+            downloader_hooks=(DieOnce, {"marker": str(marker)}))
+        assert marker.exists()
+        for m in metrics:
+            d = out_dir / f"round={m['round']}" / "results"
+            assert m["downloads"] == (parquet_rows(str(d)) if d.is_dir() else 0)
+        return (docs.to_pandas().sort_values("doc_id").reset_index(drop=True),
+                results.to_pandas().sort_values("filename").reset_index(drop=True),
+                [m["downloads"] for m in metrics])
+
+    docs, results, downloads = crawl("crash", True)
+    cdocs, cresults, cdownloads = crawl("clean", False)
+    assert downloads == cdownloads and sum(downloads) == len(results) == 25
+    assert docs[["doc_id", "depth", "parent_seq", "status"]].equals(
+        cdocs[["doc_id", "depth", "parent_seq", "status"]])
+    assert [list(map(dict, s)) for s in docs["spans"]] == \
+        [list(map(dict, s)) for s in cdocs["spans"]]
+    cols = ["file_url", "filename", "img_w", "img_h"]
+    assert results[cols].equals(cresults[cols])
+
+
 def test_recovery_equals_resume_with_host_rank(small_web, small_ref, policy, tmp_path):
     """The host-rank counter is deliberately NOT checkpointed (it re-warms
     after resume); in-process fault recovery must follow the same

@@ -82,16 +82,22 @@ def _dotted(node) -> str | None:
     return None
 
 
-def _external_uses(trees) -> set[tuple[str, str]]:
+def _external_uses(trees: dict) -> set[tuple[str, str]]:
     """(module, name) pairs some file imports from a package module or
-    reads as an attribute of an imported package module."""
-    uses = set()
-    for tree in trees:
+    reads as an attribute of an imported package module. A package
+    ``__init__`` import is a re-export, not a use: it counts only once
+    some file imports the name from (or reads it off) the package."""
+    uses, reexports = set(), {}  # (package, name) -> (module, name)
+    for path, tree in trees.items():
+        init = osp.basename(path) == "__init__.py" and _module_of(path).startswith("icrawler_ray")
         aliases = {}  # local name -> the package module it is bound to
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("icrawler_ray"):
                 for a in node.names:
-                    uses.add((node.module, a.name))
+                    if init:
+                        reexports[(_module_of(path), a.asname or a.name)] = (node.module, a.name)
+                    else:
+                        uses.add((node.module, a.name))
                     aliases[a.asname or a.name] = f"{node.module}.{a.name}"
             elif isinstance(node, ast.Import):
                 for a in node.names:  # `import a.b as x` binds x to a.b; `import a.b` binds a
@@ -104,6 +110,12 @@ def _external_uses(trees) -> set[tuple[str, str]]:
                 head, _, rest = base.partition(".")
                 if head in aliases:
                     uses.add((".".join(filter(None, [aliases[head], rest])), node.attr))
+    todo = list(uses)
+    while todo:  # a used re-export uses its source, which may be one too
+        src = reexports.get(todo.pop())
+        if src is not None and src not in uses:
+            uses.add(src)
+            todo.append(src)
     return uses
 
 
@@ -139,7 +151,7 @@ def test_every_toplevel_name_is_used():
     for path in _py_files(*USER_DIRS) + [osp.join(ROOT, f) for f in USER_FILES]:
         with open(path) as f:
             trees[path] = ast.parse(f.read())
-    uses = _external_uses(trees.values())
+    uses = _external_uses(trees)
     unused = []
     for path in _py_files("icrawler_ray"):
         mod, tree = _module_of(path), trees[path]

@@ -374,3 +374,55 @@ def test_barrier_resend_path_matches_reports(ray_session, url_map_ref, web, tmp_
     assert len(tasks) and len(links) and len(kept)
     assert np.array_equal(tasks, rtasks) and np.array_equal(links, rlinks)
     assert np.array_equal(kept, rkept)
+
+
+def test_worker_caches_keep_one_instance_across_crawls(ray_session, url_map, web):
+    """The parse and fetch task functions of two crawls, each with its own
+    broadcast URL map, run in one process, leave one cached FetchParse and
+    one Fetcher: a crawl's instance replaces the last one, and the crawl's
+    seen sets, limiter and round ride on each call, not in the cache key,
+    so the second crawl's batch claims and reports into its own sets."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray
+
+    from icrawler_ray.stages import download, fetch_parse
+    from icrawler_ray.state import seen as seen_mod
+
+    urls = sorted(web.pages)[:12]
+    batch = pa.table({"url": urls, "depth": [0] * len(urls), "seq": list(range(len(urls)))})
+    fetch_parse._FP_CACHE.clear()
+    download._FETCHER_CACHE.clear()
+    crawls = []
+    try:
+        for tag in "ab":
+            pages, files = (ShardedSeenSet(f"cache{tag}{k}", num_shards=2,
+                                           capacity_per_shard=4096) for k in "pf")
+            crawls.append((pages, files))
+            url_map_ref = ray.put(url_map)
+            seen_mod.begin_rounds([pages, files], 0)
+            parsed = fetch_parse.make_fetch_parse_fn(
+                url_map_ref, "greedy", {"domains": web.domains}, with_keys=True,
+                claim=(pages.name, files.name, 2, 3), claim_round=0)(batch)
+            tasks = parsed.filter(pc.equal(parsed["row_kind"], "task"))
+            fetched = download.make_fetcher_fn(url_map_ref, report=(files.name, 2, 0))(
+                tasks.select(["file_url", "parent_seq", "emit_ord"]))
+            ray.get(list(seen_mod._PENDING))  # deliver the non-blocking calls
+            seen_mod._PENDING.clear()
+        assert len(fetch_parse._FP_CACHE) == 1 and len(download._FETCHER_CACHE) == 1
+        n_tasks = tasks.num_rows
+        n_links = pc.sum(pc.equal(parsed["row_kind"], "link")).as_py()
+        assert n_tasks and n_links
+        for pages, files in crawls:  # each set got its own crawl's batch, once
+            assert pages.claims_received() == n_links
+            assert files.claims_received() == n_tasks
+            (_, parse_reps), (_, fetch_reps) = (seen_mod._poll([pages], "parse"),
+                                                seen_mod._poll([files], "fetch"))
+            assert [r["pages"] for r in parse_reps] == [len(urls)]
+            assert [r["rows"] for r in fetch_reps] == [fetched.num_rows]
+    finally:
+        fetch_parse._FP_CACHE.clear()
+        download._FETCHER_CACHE.clear()
+        for pages, files in crawls:
+            pages.shutdown()
+            files.shutdown()
