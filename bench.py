@@ -257,8 +257,8 @@ def bench_queries() -> dict:
              "vocab_churn", "lines_per_order_dist", "discount_revenue_curve",
              "supplier_region_acctbal", "label_centroid_affinity",
              "status_priority_chi2", "lang_embedding_norm",
-             "dup_cluster_sizes", "head_mass_terms", "tokens_per_char",
-             "weekend_effect", "embedding_outlier_dims",
+             "dup_cluster_sizes", "head_mass_terms", "hourly_autocorr",
+             "tokens_per_char", "weekend_effect", "embedding_outlier_dims",
              "ship_delay_quantiles", "rich_club", "label_cohesion",
              "price_size_regression", "revenue_mom_growth",
              "part_affinity_topk", "user_type_breadth", "avg_neighbor_degree",
@@ -271,9 +271,10 @@ def bench_queries() -> dict:
              "rle_compression_audit", "weighted_balance",
              "centered_moving_avg", "fully_shipped_share",
              "all_quarters_customers", "trimmed_mean_orders",
-             "priority_value_kappa", "range_window_revenue", "wow_change",
-             "dup_orders_audit", "seasonality_strength", "linenumber_gaps",
-             "nation_top_names", "gini_mean_difference", "type_traffic_cosine",
+             "priority_value_kappa", "geo_rollup_shares",
+             "range_window_revenue", "wow_change", "dup_orders_audit",
+             "seasonality_strength", "linenumber_gaps", "nation_top_names",
+             "gini_mean_difference", "type_traffic_cosine",
              "acctbal_ks_two_table", "busiest_days_by_users",
              "source_lang_cramers_v", "participation_ratio",
              "vocab_jaccard_langs", "props_k_value_curve",
@@ -294,7 +295,8 @@ def bench_queries() -> dict:
              "char_class_profile", "acf_daily_revenue", "ewma_daily_value",
              "prefix_dup_rate", "pair_cosine_hist", "orders_per_customer_hist",
              "brand_price_size_slopes", "sentence_stats_by_lang",
-             "name_verbosity_premium", "supplier_nation_tax",
+             "odds_ratio_weekend_purchase", "name_verbosity_premium",
+             "supplier_nation_tax", "interarrival_cv_by_type",
              "effective_price_quantiles", "rounding_drift_audit",
              "bh_fdr_weekend_nation", "burrows_delta", "log_odds_terms",
              "lsh_recall_at_k", "fd_sturges_bins", "good_turing_mass",
@@ -310,9 +312,10 @@ def bench_queries() -> dict:
              "dunning_g2_terms", "hill_numbers_vocab", "chao_shen_entropy",
              "brunet_sichel", "pietra_index", "expected_shortfall_daily",
              "omega_ratio_daily", "ulcer_index_daily", "rayleigh_hour_test",
-             "storey_pi0", "zipf_abbreviation", "menzerath_law",
-             "effective_brands", "isolation_index_hours", "eggers_test",
-             "brunner_munzel", "cv_delta_ci", "pythagorean_means"]
+             "storey_pi0", "max_spacing_stat", "nation_activity_coverage",
+             "zipf_abbreviation", "menzerath_law", "effective_brands",
+             "isolation_index_hours", "eggers_test", "brunner_munzel",
+             "cv_delta_ci", "pythagorean_means"]
     # csv_roundtrip and jsonl_roundtrip are deliberately excluded: they
     # benchmark tmp-dir disk I/O (write+read of a scratch file), not engine
     # compute, and their timing is dominated by the sandbox filesystem

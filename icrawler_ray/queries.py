@@ -8935,6 +8935,59 @@ FROM r
 """
 
 
+def q_hourly_autocorr(sf_dir: str):
+    """Lag-1 autocorrelation of the per-type hourly event-count series
+    (dense over the global hour span, missing hours = 0) — the
+    burstiness audit that separates steady feeds from flash crowds.
+    One (type, epoch-hour) combiner pass; the dense series and Pearson
+    reduce on the driver, bounded by types x span-hours."""
+    ds = _read(sf_dir, "events", ["event_type", "ts"])
+
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
+        hr = (df["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
+              // (3_600_000_000))
+        g = pd.DataFrame({"event_type": df["event_type"], "hr": hr})
+        return g.groupby(["event_type", "hr"]).size().rename("n").reset_index()
+
+    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
+    grid = parts.groupby(["event_type", "hr"], as_index=False)["n"].sum()
+    lo, hi = int(grid["hr"].min()), int(grid["hr"].max())
+    span = np.arange(lo, hi + 1)
+    rows = []
+    for et, g in grid.groupby("event_type"):
+        s = pd.Series(0.0, index=span)
+        s.loc[g["hr"].to_numpy()] = g["n"].to_numpy(np.float64)
+        x, y = s.to_numpy()[1:], s.to_numpy()[:-1]
+        r = float(np.corrcoef(x, y)[0, 1])
+        rows.append({"event_type": et, "n_hours": np.int64(len(span)),
+                     "autocorr_lag1": round(r, 6)})
+    return pd.DataFrame(rows).sort_values("event_type").reset_index(drop=True)
+
+
+SQL_HOURLY_AUTOCORR = """
+WITH b AS (SELECT event_type,
+                  date_diff('hour', TIMESTAMP '1970-01-01', date_trunc('hour', ts))
+                    AS hr,
+                  COUNT(*) AS n
+           FROM events GROUP BY event_type, hr),
+span AS (SELECT MIN(hr) AS lo, MAX(hr) AS hi FROM b),
+grid AS (SELECT t.event_type, s.hr
+         FROM (SELECT DISTINCT event_type FROM b) t
+         CROSS JOIN (SELECT unnest(generate_series(span.lo, span.hi)) AS hr
+                     FROM span) s),
+d AS (SELECT g.event_type, g.hr, COALESCE(b.n, 0) AS n
+      FROM grid g LEFT JOIN b ON b.event_type = g.event_type AND b.hr = g.hr),
+l AS (SELECT event_type, n,
+             LAG(n) OVER (PARTITION BY event_type ORDER BY hr) AS pn
+      FROM d)
+SELECT event_type,
+       CAST(COUNT(*) + 1 AS BIGINT) AS n_hours,
+       ROUND(corr(CAST(n AS DOUBLE), CAST(pn AS DOUBLE)), 6) AS autocorr_lag1
+FROM l WHERE pn IS NOT NULL
+GROUP BY event_type ORDER BY event_type
+"""
+
+
 def q_tokens_per_char(sf_dir: str):
     """Tokenization-density profile per language: total tokens / total
     chars and mean tokens per doc — the byte-budget planning numbers.
@@ -10545,6 +10598,59 @@ SELECT ROUND(((c00 + c11) / n
        ROUND((c00 + c11) / n, 6) AS observed_agreement,
        CAST(n AS BIGINT) AS n_orders
 FROM c
+"""
+
+
+def q_geo_rollup_shares(sf_dir: str):
+    """Hierarchical percent-of-parent rollup: revenue by region > nation
+    with each nation's share WITHIN its region and each region's share
+    of the grand total — the drill-down tree every BI layer renders.
+    customer→nation→region is the broadcast dim (one ray.put); orders
+    reduce to per-(region, nation) cent partials in the map stage, and
+    both share levels fold over the 25-row grid."""
+    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]).to_pandas()
+    nation = _read(sf_dir, "nation",
+                   ["n_nationkey", "n_name", "n_regionkey"]).to_pandas()
+    region = _read(sf_dir, "region", ["r_regionkey", "r_name"]).to_pandas()
+    dim = cust.merge(nation, left_on="c_nationkey", right_on="n_nationkey") \
+        .merge(region, left_on="n_regionkey", right_on="r_regionkey")
+    dim_ref = ray.put(dim[["c_custkey", "n_name", "r_name"]])
+
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
+        d = ray.get(dim_ref)
+        j = df.merge(d, left_on="o_custkey", right_on="c_custkey")
+        j["cents"] = np.round(j["o_totalprice"].to_numpy() * 100) \
+            .astype(np.int64)
+        return j.groupby(["r_name", "n_name"], as_index=False)["cents"].sum()
+
+    parts = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]) \
+        .map_batches(partial, batch_format="pandas").to_pandas()
+    g = parts.groupby(["r_name", "n_name"], as_index=False)["cents"].sum()
+    rtot = g.groupby("r_name")["cents"].transform("sum")
+    tot = int(g["cents"].sum())
+    return pd.DataFrame({
+        "r_name": g["r_name"], "n_name": g["n_name"],
+        "revenue": (g["cents"] / 100.0).round(2),
+        "share_in_region": (g["cents"] / rtot).round(6),
+        "region_share_of_total": (rtot / tot).round(6),
+    }).sort_values(["r_name", "n_name"]).reset_index(drop=True)
+
+
+SQL_GEO_ROLLUP_SHARES = """
+WITH g AS (
+  SELECT r.r_name, n.n_name,
+         SUM(CAST(ROUND(o.o_totalprice * 100) AS BIGINT)) AS cents
+  FROM orders o
+  JOIN customer c ON c.c_custkey = o.o_custkey
+  JOIN nation n ON n.n_nationkey = c.c_nationkey
+  JOIN region r ON r.r_regionkey = n.n_regionkey
+  GROUP BY r.r_name, n.n_name)
+SELECT r_name, n_name, ROUND(cents / 100.0, 2) AS revenue,
+       ROUND(cents * 1.0 / SUM(cents) OVER (PARTITION BY r_name), 6)
+         AS share_in_region,
+       ROUND(SUM(cents) OVER (PARTITION BY r_name) * 1.0
+             / SUM(cents) OVER (), 6) AS region_share_of_total
+FROM g ORDER BY r_name, n_name
 """
 
 
@@ -13212,6 +13318,59 @@ FROM t GROUP BY lang ORDER BY lang
 """
 
 
+def q_odds_ratio_weekend_purchase(sf_dir: str):
+    """2×2 odds-ratio analysis: odds of an event being a purchase on a
+    weekend vs a weekday, with the log-OR standard error (Woolf) — the
+    case/control framing of the weekend-effect question.  Pure map-side
+    fold: each batch emits the four cell counts; the driver closes the
+    2×2 arithmetic."""
+    ds = _read(sf_dir, "events", ["ts", "event_type"])
+
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
+        we = df["ts"].dt.dayofweek >= 5
+        pur = df["event_type"].eq("purchase")
+        return pd.DataFrame({
+            "a": [int((we & pur).sum())],      # weekend purchase
+            "b": [int((we & ~pur).sum())],     # weekend other
+            "c": [int((~we & pur).sum())],     # weekday purchase
+            "d": [int((~we & ~pur).sum())],    # weekday other
+        })
+
+    t = ds.map_batches(partial, batch_format="pandas").to_pandas().sum()
+    a, b, c, d = (float(t["a"]), float(t["b"]), float(t["c"]), float(t["d"]))
+    if min(a, b, c, d) <= 0:
+        orr, se = float("nan"), float("nan")
+    else:
+        orr = (a * d) / (b * c)
+        se = float(np.sqrt(1 / a + 1 / b + 1 / c + 1 / d))
+    return pd.DataFrame({
+        "weekend_purchase": [int(a)], "weekend_other": [int(b)],
+        "weekday_purchase": [int(c)], "weekday_other": [int(d)],
+        "odds_ratio": [round(orr, 6)], "log_or_se": [round(se, 6)],
+    })
+
+
+SQL_ODDS_RATIO_WEEKEND_PURCHASE = """
+WITH t AS (SELECT
+    SUM(CASE WHEN DAYOFWEEK(ts) IN (0, 6)
+              AND event_type = 'purchase' THEN 1 ELSE 0 END) AS a,
+    SUM(CASE WHEN DAYOFWEEK(ts) IN (0, 6)
+              AND event_type <> 'purchase' THEN 1 ELSE 0 END) AS b,
+    SUM(CASE WHEN DAYOFWEEK(ts) NOT IN (0, 6)
+              AND event_type = 'purchase' THEN 1 ELSE 0 END) AS c,
+    SUM(CASE WHEN DAYOFWEEK(ts) NOT IN (0, 6)
+              AND event_type <> 'purchase' THEN 1 ELSE 0 END) AS d
+  FROM events)
+SELECT CAST(a AS BIGINT) AS weekend_purchase,
+       CAST(b AS BIGINT) AS weekend_other,
+       CAST(c AS BIGINT) AS weekday_purchase,
+       CAST(d AS BIGINT) AS weekday_other,
+       ROUND(a * d * 1.0 / (b * c), 6) AS odds_ratio,
+       ROUND(SQRT(1.0/a + 1.0/b + 1.0/c + 1.0/d), 6) AS log_or_se
+FROM t
+"""
+
+
 def q_name_verbosity_premium(sf_dir: str):
     """Is verbosity priced?  Mean retail price by number of tokens in
     the part name, plus each bucket's share of the catalog — the
@@ -13299,6 +13458,60 @@ FROM lineitem l
 JOIN supplier s ON s.s_suppkey = l.l_suppkey
 JOIN nation n ON n.n_nationkey = s.s_nationkey
 GROUP BY n.n_name ORDER BY n.n_name
+"""
+
+
+def q_interarrival_cv_by_type(sf_dir: str):
+    """Burstiness of each event type's GLOBAL arrival process: the
+    coefficient of variation of inter-arrival times (CV≈1 Poisson,
+    >1 bursty) over type-ordered timestamps.  Types hash to partitions
+    (each type's stream sorts within ONE fat group — type cardinality
+    is bounded); per-type sufficient statistics of the diffs close on
+    the driver."""
+    ds = _read(sf_dir, "events", ["event_type", "ts", "event_id"])
+
+    def cv_part(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.sort_values(["event_type", "ts", "event_id"],
+                          kind="mergesort")
+        t = g["ts"].astype("int64").to_numpy(dtype=np.float64)
+        et = g["event_type"].to_numpy()
+        same = et[1:] == et[:-1]
+        d = (t[1:] - t[:-1])[same] / 1e6  # seconds
+        key = pd.Series(et[1:][same])
+        sub = pd.DataFrame({"event_type": key, "n": 1.0, "s": d,
+                            "ss": d * d})
+        return sub.groupby("event_type", as_index=False)[
+            ["n", "s", "ss"]].sum()
+
+    g = ds.map_batches(
+        lambda df: df.assign(part=(pd.util.hash_array(
+            df["event_type"].to_numpy(dtype=object)) % 8)
+            .astype(np.int32)), batch_format="pandas") \
+        .groupby("part").map_groups(cv_part, batch_format="pandas") \
+        .to_pandas().groupby("event_type", as_index=False)[
+            ["n", "s", "ss"]].sum()
+    n, s, ss = g["n"].to_numpy(), g["s"].to_numpy(), g["ss"].to_numpy()
+    mean = s / n
+    var = np.maximum(ss / n - mean ** 2, 0.0)
+    return pd.DataFrame({
+        "event_type": g["event_type"],
+        "n_gaps": n.astype(np.int64),
+        "mean_gap_s": np.round(mean, 6),
+        "cv": np.round(np.sqrt(var) / mean, 6),
+    }).sort_values("event_type").reset_index(drop=True)
+
+
+SQL_INTERARRIVAL_CV_BY_TYPE = """
+WITH d AS (SELECT event_type,
+                  EPOCH(ts - LAG(ts) OVER (PARTITION BY event_type
+                                           ORDER BY ts, event_id))
+                    AS gap
+           FROM events)
+SELECT event_type, COUNT(gap) AS n_gaps,
+       ROUND(AVG(gap), 6) AS mean_gap_s,
+       ROUND(STDDEV_POP(gap) / AVG(gap), 6) AS cv
+FROM d WHERE gap IS NOT NULL
+GROUP BY event_type ORDER BY event_type
 """
 
 
@@ -15826,6 +16039,112 @@ FROM pi, st
 """
 
 
+def q_max_spacing_stat(sf_dir: str):
+    """Maximum spacing statistic of purchase values: the largest gap
+    between consecutive DISTINCT observed cents, normalized by
+    range/n — a huge spacing flags a gated/bimodal value process
+    (price tiers, caps) that histogram bins average away.  One
+    value-grid fold; the spacing scan runs over the sorted grid."""
+    ds = _read(sf_dir, "events", ["event_type", "value"])
+
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
+        d = df.loc[df["event_type"] == "purchase"]
+        return pd.DataFrame({
+            "cents": np.round(d["value"].to_numpy() * 100)
+            .astype(np.int64)}).groupby("cents", as_index=False) \
+            .size().rename(columns={"size": "n"})
+
+    g = ds.map_batches(partial, batch_format="pandas").to_pandas() \
+        .groupby("cents")["n"].sum().sort_index()
+    v = g.index.to_numpy(np.int64)
+    n = int(g.sum())
+    gaps = np.diff(v)
+    mx = int(gaps.max())
+    at = int(v[np.argmax(gaps)])
+    mean_gap = (v[-1] - v[0]) / float(len(v) - 1)
+    return pd.DataFrame({
+        "n_purchases": np.array([n], np.int64),
+        "n_distinct": np.array([len(v)], np.int64),
+        "max_gap_dollars": [round(mx / 100.0, 2)],
+        "gap_start": [round(at / 100.0, 2)],
+        "gap_ratio": [round(mx / mean_gap, 6)]})
+
+
+SQL_MAX_SPACING_STAT = """
+WITH v AS (SELECT CAST(ROUND(value * 100) AS BIGINT) AS cents
+           FROM events WHERE event_type = 'purchase'),
+g AS (SELECT cents, COUNT(*) AS n FROM v GROUP BY 1),
+d AS (SELECT cents,
+             LEAD(cents) OVER (ORDER BY cents) - cents AS gap
+      FROM g),
+t AS (SELECT (SELECT SUM(n) FROM g) AS np,
+             (SELECT COUNT(*) FROM g) AS nd,
+             (SELECT MAX(cents) - MIN(cents) FROM g) * 1.0
+               / ((SELECT COUNT(*) FROM g) - 1) AS mean_gap),
+best AS (SELECT cents, gap FROM d WHERE gap IS NOT NULL
+         ORDER BY gap DESC, cents ASC LIMIT 1)
+SELECT CAST(t.np AS BIGINT) AS n_purchases,
+       CAST(t.nd AS BIGINT) AS n_distinct,
+       ROUND(best.gap / 100.0, 2) AS max_gap_dollars,
+       ROUND(best.cents / 100.0, 2) AS gap_start,
+       ROUND(best.gap / t.mean_gap, 6) AS gap_ratio
+FROM t, best
+"""
+
+
+def q_nation_activity_coverage(sf_dir: str):
+    """Per-nation activity coverage: the share of calendar days (global
+    order-date span) on which the nation placed at least one order —
+    the ops-monitoring liveness profile that distinguishes a thin
+    steady market from a bursty one.  (nation, day) presence folds
+    through the salted join; coverage is 25-row arithmetic against the
+    global span."""
+    from icrawler_ray.stages.joins import salted_hash_join
+
+    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderdate"])
+    lo = pd.Timestamp(orders.min("o_orderdate"))
+    hi = pd.Timestamp(orders.max("o_orderdate"))
+    span = int((hi - lo).days) + 1
+    o2 = orders.map_batches(
+        lambda df: pd.DataFrame({
+            "c_custkey": df["o_custkey"].to_numpy(),
+            "d": (pd.to_datetime(df["o_orderdate"])
+                  - pd.Timestamp("1990-01-01")).dt.days
+            .to_numpy(np.int64)}),
+        batch_format="pandas")
+    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
+
+    def agg(g: pd.DataFrame) -> pd.DataFrame:
+        return g[["c_nationkey", "d"]].drop_duplicates()
+
+    t = salted_hash_join(o2, cust, "c_custkey", agg_fn=agg,
+                         hot_keys=np.array([], np.int64)).to_pandas() \
+        .drop_duplicates(["c_nationkey", "d"]) \
+        .groupby("c_nationkey").size().rename("nd").reset_index()
+    nat = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
+    t = t.merge(nat, left_on="c_nationkey", right_on="n_nationkey")
+    return pd.DataFrame({
+        "n_name": t["n_name"],
+        "active_days": t["nd"].astype(np.int64),
+        "coverage": np.round(t["nd"].to_numpy(np.float64) / span, 6)}) \
+        .sort_values("n_name").reset_index(drop=True)
+
+
+SQL_NATION_ACTIVITY_COVERAGE = """
+WITH span AS (SELECT date_diff('day', MIN(o_orderdate),
+                               MAX(o_orderdate)) + 1 AS days
+              FROM orders),
+f AS (SELECT DISTINCT c.c_nationkey AS nk,
+             CAST(o.o_orderdate AS DATE) AS d
+      FROM orders o JOIN customer c ON c.c_custkey = o.o_custkey),
+g AS (SELECT nk, COUNT(*) AS nd FROM f GROUP BY 1)
+SELECT n.n_name, CAST(g.nd AS BIGINT) AS active_days,
+       ROUND(g.nd * 1.0 / span.days, 6) AS coverage
+FROM g JOIN nation n ON n.n_nationkey = g.nk, span
+ORDER BY n.n_name
+"""
+
+
 def q_zipf_abbreviation(sf_dir: str):
     """Zipf's law of abbreviation: frequent words are SHORTER —
     measured as the correlation between ln(frequency) and word length
@@ -16582,6 +16901,7 @@ QUERIES = {
     "lang_embedding_norm": q_lang_embedding_norm,
     "dup_cluster_sizes": q_dup_cluster_sizes,
     "head_mass_terms": q_head_mass_terms,
+    "hourly_autocorr": q_hourly_autocorr,
     "tokens_per_char": q_tokens_per_char,
     "weekend_effect": q_weekend_effect,
     "embedding_outlier_dims": q_embedding_outlier_dims,
@@ -16614,6 +16934,7 @@ QUERIES = {
     "all_quarters_customers": q_all_quarters_customers,
     "trimmed_mean_orders": q_trimmed_mean_orders,
     "priority_value_kappa": q_priority_value_kappa,
+    "geo_rollup_shares": q_geo_rollup_shares,
     "range_window_revenue": q_range_window_revenue,
     "wow_change": q_wow_change,
     "dup_orders_audit": q_dup_orders_audit,
@@ -16678,8 +16999,10 @@ QUERIES = {
     "orders_per_customer_hist": q_orders_per_customer_hist,
     "brand_price_size_slopes": q_brand_price_size_slopes,
     "sentence_stats_by_lang": q_sentence_stats_by_lang,
+    "odds_ratio_weekend_purchase": q_odds_ratio_weekend_purchase,
     "name_verbosity_premium": q_name_verbosity_premium,
     "supplier_nation_tax": q_supplier_nation_tax,
+    "interarrival_cv_by_type": q_interarrival_cv_by_type,
     "effective_price_quantiles": q_effective_price_quantiles,
     "rounding_drift_audit": q_rounding_drift_audit,
     "burrows_delta": q_burrows_delta,
@@ -16724,6 +17047,8 @@ QUERIES = {
     "ulcer_index_daily": q_ulcer_index_daily,
     "rayleigh_hour_test": q_rayleigh_hour_test,
     "storey_pi0": q_storey_pi0,
+    "max_spacing_stat": q_max_spacing_stat,
+    "nation_activity_coverage": q_nation_activity_coverage,
     "zipf_abbreviation": q_zipf_abbreviation,
     "menzerath_law": q_menzerath_law,
     "effective_brands": q_effective_brands,
@@ -16926,6 +17251,7 @@ ORACLE_SQL = {
         "{CC_SWEEPS}",
         ",".join(_cc_iter_sql(f"l{i}", f"l{i + 1}") for i in range(8))),
     "head_mass_terms": SQL_HEAD_MASS_TERMS,
+    "hourly_autocorr": SQL_HOURLY_AUTOCORR,
     "tokens_per_char": SQL_TOKENS_PER_CHAR,
     "weekend_effect": SQL_WEEKEND_EFFECT,
     "embedding_outlier_dims": SQL_EMBEDDING_OUTLIER_DIMS,
@@ -16960,6 +17286,7 @@ ORACLE_SQL = {
     "all_quarters_customers": SQL_ALL_QUARTERS_CUSTOMERS,
     "trimmed_mean_orders": SQL_TRIMMED_MEAN_ORDERS,
     "priority_value_kappa": SQL_PRIORITY_VALUE_KAPPA,
+    "geo_rollup_shares": SQL_GEO_ROLLUP_SHARES,
     "range_window_revenue": SQL_RANGE_WINDOW_REVENUE,
     "wow_change": SQL_WOW_CHANGE,
     "dup_orders_audit": SQL_DUP_ORDERS_AUDIT,
@@ -17015,8 +17342,10 @@ ORACLE_SQL = {
     "orders_per_customer_hist": SQL_ORDERS_PER_CUSTOMER_HIST,
     "brand_price_size_slopes": SQL_BRAND_PRICE_SIZE_SLOPES,
     "sentence_stats_by_lang": SQL_SENTENCE_STATS_BY_LANG,
+    "odds_ratio_weekend_purchase": SQL_ODDS_RATIO_WEEKEND_PURCHASE,
     "name_verbosity_premium": SQL_NAME_VERBOSITY_PREMIUM,
     "supplier_nation_tax": SQL_SUPPLIER_NATION_TAX,
+    "interarrival_cv_by_type": SQL_INTERARRIVAL_CV_BY_TYPE,
     "effective_price_quantiles": SQL_EFFECTIVE_PRICE_QUANTILES,
     "rounding_drift_audit": SQL_ROUNDING_DRIFT_AUDIT,
     "bh_fdr_weekend_nation": SQL_BH_FDR_WEEKEND_NATION,
@@ -17063,6 +17392,8 @@ ORACLE_SQL = {
     "ulcer_index_daily": SQL_ULCER_INDEX_DAILY,
     "rayleigh_hour_test": SQL_RAYLEIGH_HOUR_TEST,
     "storey_pi0": SQL_STOREY_PI0,
+    "max_spacing_stat": SQL_MAX_SPACING_STAT,
+    "nation_activity_coverage": SQL_NATION_ACTIVITY_COVERAGE,
     "zipf_abbreviation": SQL_ZIPF_ABBREVIATION,
     "menzerath_law": SQL_MENZERATH_LAW,
     "effective_brands": SQL_EFFECTIVE_BRANDS,
