@@ -66,8 +66,8 @@ from icrawler_ray.stages.politeness import (HostPolicy, make_inflight_limiter, p
                                             split_rows)
 from icrawler_ray.state.checkpoint import CheckpointManager, RoundOutputs
 from icrawler_ray.state.hostrank import HostRankState
-from icrawler_ray.state.seen import (ShardedSeenSet, await_claims, await_fetched, begin_rounds,
-                                     finish_rounds, is_actor_death, packed_order)
+from icrawler_ray.state.seen import (ShardedSeenSet, await_claims, await_fetched, is_actor_death,
+                                     packed_order)
 
 #: FRONTIER column names as the politeness gate and the parse tasks read them
 _GATE_COLS = ["url", "url_canon", "url_hash", "host", "depth", "priority", "seq",
@@ -196,16 +196,16 @@ class GreedyCrawl:
         self.default_ext = default_ext
         self.keep_content = keep_content
         self.run_id = uuid.uuid4().hex[:8]  # actor-name namespace of this crawl
-        # num_shards: seen-set (and host-rank counter) shard actors per
-        # fleet, each holding seen_capacity keys before a new filter
-        # generation opens. Fixed, not read from the cluster: a checkpoint
-        # resumes only with the shard count it was written with.
+        # num_shards: the crawl's seen (and host-rank counter) shard actors;
+        # each key space of a seen shard holds seen_capacity keys before a
+        # new filter generation opens. Fixed, not read from the cluster: a
+        # checkpoint resumes only with the shard count it was written with.
         self.num_shards = num_shards
         self._host_rank = HostRankState(self.num_shards)
         self.seen_capacity = seen_capacity
         self.exact_seen = exact_seen
         self._seen_gen = 0  # bumped on fault recovery (fresh actor fleet)
-        self._spawn_seen_sets(self.run_id)
+        self._spawn_seen(self.run_id)
         self.ckpt = CheckpointManager(checkpoint_dir) if checkpoint_dir else None
         # exact per-host inflight caps (opt-in: one named token actor per
         # run, slots acquired per (task, host run) in the fetch stages)
@@ -238,15 +238,15 @@ class GreedyCrawl:
         for i, c in enumerate(t["url_canon"].to_pylist()):
             first.setdefault(c, i)
         t = t.take(np.fromiter(first.values(), dtype=np.int64, count=len(first)))
-        novel = self.seen_pages.filter_and_insert_array(t["url_hash"].to_numpy())
+        novel = self.seen.filter_and_insert_array(t["url_hash"].to_numpy())
         self._set_frontier(t.filter(pa.array(novel)))
         self.next_seq = n
 
     def _resume(self, manifest: dict) -> None:
         r = manifest["last_round"]
-        frontier, seen_pages, seen_files, capacity = self.ckpt.load_round(r)
-        self.seen_pages.restore(seen_pages, capacity)
-        self.seen_files.restore(seen_files, capacity)
+        frontier, chains, capacity = self.ckpt.load_round(r)
+        self.seen_pages.restore(chains["pages"], capacity)
+        self.seen_files.restore(chains["files"], capacity)
         self._set_frontier(frontier.cast(FRONTIER) if frontier is not None else None)
         c = manifest["counters"]
         self.dl_count = c["dl_count"]
@@ -254,10 +254,10 @@ class GreedyCrawl:
         self.start_round = r + 1
         self.outputs.adopt_finished(self.start_round)
 
-    def _spawn_seen_sets(self, prefix: str) -> None:
-        self.seen_pages, self.seen_files = (
-            ShardedSeenSet(f"{prefix}:{kind}", self.num_shards, self.seen_capacity,
-                           exact=self.exact_seen) for kind in ("pages", "files"))
+    def _spawn_seen(self, prefix: str) -> None:
+        self.seen = ShardedSeenSet(prefix, self.num_shards, self.seen_capacity,
+                                   exact=self.exact_seen)
+        self.seen_pages, self.seen_files = self.seen.pages, self.seen.files
 
     def _recover_from_checkpoint(self) -> None:
         """In-process fault recovery (seen-shard actor death mid-round):
@@ -265,16 +265,15 @@ class GreedyCrawl:
         generation of named actors, and rewind frontier / seen state /
         counters to the last round-boundary checkpoint — the same restore
         path a fresh-process resume takes (claim routing picks up the new
-        actor names because every round passes ``self.seen_pages.name``).
+        actor names because every round passes ``self.seen.name``).
         Already-written round partitions stay final (skip-finished
         resume); the re-run round replaces its own partial output dir.
         HostInflightLimiter slots held by tasks that died mid-round are
         dropped via reset() — the re-run round starts from a clean
         slate."""
         self._seen_gen += 1
-        for old in (self.seen_pages, self.seen_files):
-            old.shutdown()  # per-shard kill, tolerant of the dead one
-        self._spawn_seen_sets(f"{self.run_id}:g{self._seen_gen}")
+        self.seen.shutdown()  # per-shard kill, tolerant of the dead one
+        self._spawn_seen(f"{self.run_id}:g{self._seen_gen}")
         self.outputs = RoundOutputs(self.out_dir, self.ckpt)
         self.dl_count = 0
         self._host_rank.reset()  # re-warms, like resume (else the re-run
@@ -412,13 +411,12 @@ class GreedyCrawl:
         # write the docs themselves.
         t0 = time.time()
         docs_dir = self.outputs.prepare(round_idx, "docs") if self.emit_docs else None
-        begin_rounds([self.seen_pages, self.seen_files], round_idx)  # open the claim fence
+        self.seen.begin_round(round_idx)  # open the claim fence
         parsed = _reblock(gated, n_gated).map_batches(
             make_fetch_parse_fn(
                 self.url_map_ref, "greedy", {"domains": self.domains},
                 emit_docs=self.emit_docs, with_keys=True, slim=True,
-                claim=(self.seen_pages.name, self.seen_files.name,
-                       self.seen_pages.num_shards, self.max_depth),
+                claim=(self.seen.name, self.num_shards, self.max_depth),
                 inflight=self.inflight_name,
                 claim_round=round_idx, docs_dir=docs_dir,
             ),
@@ -431,14 +429,13 @@ class GreedyCrawl:
             print(f"--- round {round_idx} parse stats ---")
             print(parsed.stats())
 
-        # claims and reports were sent to the seen-set shard actors INSIDE
-        # the parse tasks (fused, NON-blocking); materialize() bounds
-        # submission and await_claims is the delivery barrier, which also
-        # sums the reported counts
+        # the delivery barrier of the claims and reports the parse tasks sent
+        # (non-blocking); it also sums the reported counts
         t0 = time.time()
-        rep = await_claims(self.seen_pages, self.seen_files, parsed, n_gated,
-                           self.max_depth, round_idx=round_idx, docs_dir=docs_dir)
-        (_, task_packed), (_, link_packed) = finish_rounds([self.seen_files, self.seen_pages])
+        rep = await_claims(self.seen, parsed, n_gated, self.max_depth, round_idx=round_idx,
+                           docs_dir=docs_dir)
+        won = self.seen.finish_round()
+        task_packed, link_packed = won["files"][1], won["pages"][1]
         tm["claims"] = time.time() - t0
         metrics.update(errors=rep["errors"], docs=rep["docs"], claims=rep["claims"])
         if docs_dir is not None:
@@ -502,13 +499,13 @@ class GreedyCrawl:
                 self.url_map_ref, min_size=self.min_size, max_size=self.max_size,
                 keep_content=self.keep_content, inflight=self.inflight_name,
                 user_downloader=self.downloader_hooks,
-                report=(self.seen_files.name, self.seen_files.num_shards, round_idx),
+                report=(self.seen.name, self.num_shards, round_idx),
             ),
             batch_format="pyarrow",
             batch_size=None,
             num_cpus=1,
         ).filter(expr="success == True").materialize()
-        kept, resent = await_fetched(self.seen_files, fetched, len(task_packed))
+        kept, resent = await_fetched(self.seen, fetched, len(task_packed))
         tm["download"] = time.time() - t0
         if self.max_num:
             kept = kept[: max(0, self.max_num - self.dl_count)]
@@ -532,13 +529,12 @@ class GreedyCrawl:
 
     def _checkpoint(self, round_idx: int, metrics: dict) -> None:
         if self.ckpt:
-            self.ckpt.save_round(round_idx, self._frontier, self.seen_pages, self.seen_files,
+            self.ckpt.save_round(round_idx, self._frontier, self.seen,
                                  {"dl_count": self.dl_count, "next_seq": self.next_seq},
                                  metrics, full=round_idx % _SEEN_FULL_EVERY == 0)
 
     def shutdown(self) -> None:
-        self.seen_pages.shutdown()
-        self.seen_files.shutdown()
+        self.seen.shutdown()
         self._host_rank.reset()
         if self._inflight_actor is not None:
             ray.kill(self._inflight_actor)

@@ -216,7 +216,7 @@ def make_fetcher_fn(url_map_ref, min_size=None, max_size=None, keep_content=True
     session state across the per-round Ray Data executions of an iterative
     crawl without per-execution actor spin-up).
 
-    ``report=(files_set_name, num_shards, round_idx)``: each batch reports
+    ``report=(seen_set_name, num_shards, round_idx)``: each batch reports
     its rows in and the packed (parent_seq, emit_ord) keys of the rows it
     kept to that seen set, keyed by its smallest packed key
     (state/seen.await_fetched); the rows need parent_seq and emit_ord."""

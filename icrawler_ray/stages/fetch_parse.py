@@ -74,13 +74,13 @@ class FetchParse:
         # (task, host-run), URLs walked host-grouped so each host costs one
         # acquire/release round trip per batch.
         self.guard: InflightGuard | None = None
-        # claim: (pages_set_name, files_set_name, num_shards, max_depth) —
-        # fused seen-shard claim routing: each batch pushes its candidate
-        # (hash, packed) pairs to the shard actors before returning, so
-        # the frontier-dedup exchange rides the parse execution (no extra
-        # pass, no shuffle). Each batch also reports its counts (pages in,
-        # error and doc rows, claims sent) to the pages set, keyed by its
-        # smallest input seq.
+        # claim: (seen_set_name, num_shards, max_depth) — fused seen-shard
+        # claim routing: each batch pushes its candidate (hash, packed)
+        # pairs, links and tasks alike, to the shard actors before
+        # returning, so the frontier-dedup exchange rides the parse
+        # execution (no extra pass, no shuffle). Each batch also reports
+        # its counts (pages in, error and doc rows, claims sent) to the
+        # set, keyed by its smallest input seq.
         self.claim: tuple | None = None
         # the claims' round-fence tag, and the dir the batches write their
         # doc rows to (None: docs stay rows)
@@ -133,9 +133,11 @@ class FetchParse:
         if self.docs_dir is not None and n:
             out = self._write_docs(out, min(seqs))
         if self.claim is not None:
-            n_claims = route_claims(out, *self.claim, round_idx=self.claim_round)
+            name, num_shards, max_depth = self.claim
+            n_claims = route_claims(out, name, name, num_shards, max_depth,
+                                    round_idx=self.claim_round)
             if n:
-                send_report(self.claim[0], self.claim[2], "parse", min(seqs),
+                send_report(name, num_shards, "parse", min(seqs),
                             {"pages": n, "errors": row_kind.count("error"),
                              "docs": row_kind.count("doc"), "claims": n_claims},
                             self.claim_round)

@@ -224,7 +224,8 @@ class HostInflightLimiter:
 
 class InflightGuard:
     """Worker-side handle: blocking slot acquisition with a poll backoff.
-    Cached per (process, name) like the seen-shard handles."""
+    The process caches ONE limiter handle, like the seen-shard handles: a
+    lookup under another name replaces it, so none outlives its crawl."""
 
     _CACHE: dict = {}
 
@@ -235,8 +236,8 @@ class InflightGuard:
     def _actor(self):
         a = InflightGuard._CACHE.get(self.name)
         if a is None:
-            a = ray.get_actor(self.name)
-            InflightGuard._CACHE[self.name] = a
+            InflightGuard._CACHE.clear()
+            a = InflightGuard._CACHE[self.name] = ray.get_actor(self.name)
         return a
 
     def acquire(self, host: str) -> None:

@@ -14,10 +14,11 @@ the natural lineage unit of the frontier loop:
     <dir>/round=<r>/results/*.parquet             write the docs, one per batch)
     <dir>/MANIFEST.json                          (atomic: tmp + rename)
 
-Each seen shard writes and reads its own files (state/seen.py); this
-module only names them. MANIFEST carries counters, per-round metrics and
-lineage edges (round -> parent round, frontier dir, and the seen record:
-kind, shard count, per-shard capacity and the files each shard wrote), so
+Each seen shard writes and reads the files of both its key spaces
+itself, in one call (state/seen.py); this module only names them. MANIFEST
+carries counters, per-round metrics and lineage edges (round -> parent
+round, frontier dir, and the seen record: kind, shard count, per-shard
+capacity and, per key space, the files each shard wrote), so
 a resumed run (a) restores frontier + seen shards from the last complete
 round and (b) skips finished partitions — resume-equals-fresh is a tested
 property. All paths in the manifest are relative to ``<dir>``.
@@ -33,8 +34,8 @@ import shutil
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-#: the seen sets a crawl checkpoints; each has a ``seen_<kind>`` dir per round
-SEEN_KINDS = ("pages", "files")
+# each seen key space has a ``seen_<kind>`` dir per round
+from icrawler_ray.state.seen import SEEN_KINDS
 
 
 class CheckpointManager:
@@ -55,16 +56,16 @@ class CheckpointManager:
     def round_dir(self, r: int) -> str:
         return osp.join(self.root, f"round={r}")
 
-    def save_round(self, r: int, frontier, seen_pages, seen_files,
-                   counters: dict, metrics: dict, full: bool) -> None:
+    def save_round(self, r: int, frontier, seen, counters: dict, metrics: dict,
+                   full: bool) -> None:
         """``frontier``: pa.Table (driver-resident), ray.data.Dataset
         (object-store resident — written distributed, never collected), or
         None. The frontier dir is replaced, not appended, so a crash
         between write and manifest publish cannot leave duplicated
         partials.
 
-        ``seen_pages``/``seen_files``: the ShardedSeenSets. Each shard
-        writes a full snapshot (``full``; O(capacity) bytes) or the delta
+        ``seen``: the crawl's ShardedSeenSet. Each shard writes, per key
+        space, a full snapshot (``full``; O(capacity) bytes) or the delta
         of keys inserted since its last save (O(novel) bytes) into this
         round's dir; only the file records come back. Their byte total is
         recorded as ``metrics["seen_ckpt_bytes"]``."""
@@ -77,12 +78,12 @@ class CheckpointManager:
             pq.write_table(frontier, osp.join(fdir, "part-0.parquet"))
         elif frontier is not None:
             frontier.write_parquet(fdir)
-        seen = {"kind": "full" if full else "delta",
-                "num_shards": seen_pages.num_shards, "capacity": seen_pages.capacity}
-        for kind, s in zip(SEEN_KINDS, (seen_pages, seen_files)):
-            seen[kind] = [dict(f, path=osp.relpath(f["path"], self.root))
-                          for f in s.save(osp.join(rd, f"seen_{kind}"), full)]
-        metrics["seen_ckpt_bytes"] = sum(f["bytes"] for k in SEEN_KINDS for f in seen[k])
+        saved = seen.save({k: osp.join(rd, f"seen_{k}") for k in SEEN_KINDS}, full)
+        rec = {"kind": "full" if full else "delta", "num_shards": seen.num_shards,
+               "capacity": seen.capacity}
+        rec.update({k: [dict(f, path=osp.relpath(f["path"], self.root)) for f in saved[k]]
+                    for k in SEEN_KINDS})
+        metrics["seen_ckpt_bytes"] = sum(f["bytes"] for k in SEEN_KINDS for f in saved[k])
         manifest = self.load_manifest() or {"rounds": [], "lineage": []}
         manifest["last_round"] = r
         manifest["counters"] = counters
@@ -90,7 +91,7 @@ class CheckpointManager:
             {"round": r, "metrics": metrics}
         ]
         manifest["lineage"] = [x for x in manifest["lineage"] if x["round"] != r] + [
-            {"round": r, "parent": r - 1, "frontier": f"round={r}/frontier", "seen": seen}
+            {"round": r, "parent": r - 1, "frontier": f"round={r}/frontier", "seen": rec}
         ]
         tmp = self.manifest_path() + ".tmp"
         with open(tmp, "w") as f:
@@ -141,9 +142,9 @@ class CheckpointManager:
                     shutil.rmtree(osp.join(rd, f"seen_{kind}"), ignore_errors=True)
 
     def load_round(self, r: int):
-        """-> (frontier table or None, pages chains, files chains,
-        capacity): a chains list has one entry per shard, that shard's file
-        paths from its latest full snapshot through round ``r``'s delta;
+        """-> (frontier table or None, {kind: chains}, capacity): a key
+        space's chains have one entry per shard, that shard's file paths
+        from its latest full snapshot through round ``r``'s delta;
         ``capacity`` is the per-shard capacity that snapshot's filters were
         built with."""
         chain = self.seen_chain(self.load_manifest(), r)
@@ -152,14 +153,9 @@ class CheckpointManager:
         frontier = (
             pa.concat_tables([pq.read_table(osp.join(fdir, p)) for p in parts]) if parts else None
         )
-
-        def shard_chains(kind: str) -> list[list[str]]:
-            n = len(chain[0]["seen"][kind])
-            return [[osp.join(self.root, rec["seen"][kind][i]["path"]) for rec in chain]
-                    for i in range(n)]
-
-        return (frontier, shard_chains("pages"), shard_chains("files"),
-                chain[0]["seen"]["capacity"])
+        chains = {k: [[osp.join(self.root, rec["seen"][k][i]["path"]) for rec in chain]
+                      for i in range(len(chain[0]["seen"][k]))] for k in SEEN_KINDS}
+        return frontier, chains, chain[0]["seen"]["capacity"]
 
 
 def parquet_rows(d: str) -> int:

@@ -8,9 +8,9 @@ at 16-bit fingerprints.
 
 Batch ``contains`` is fully vectorized (numpy gather over both candidate
 buckets) — the hot path: most frontier candidates are membership checks.
-``add`` inserts per item (duplicate buckets within a batch make bulk
-placement racy); inserts are only the *novel* keys, a small fraction of
-each round's candidates.
+``add`` places in bulk too: two empty-slot passes (first, then second
+bucket) and one-kick passes for keys whose buckets are both full; only
+the residue takes the per-item eviction chain.
 
 GROWTH: a partial-key cuckoo table cannot be rehashed in place (the
 fingerprint alone does not determine the bucket in a larger table), so
@@ -47,6 +47,16 @@ MAX_KICKS = 500
 #: 1M-sized filter drop from ~46 s at 0.95 to ~seconds at 0.84), so we
 #: trade ~13% table memory for bulk-path inserts
 GROW_AT = 0.84
+_M64 = (1 << 64) - 1
+
+
+def _mix_one(x: int, round_: int) -> int:
+    """bloom._mix of one Python int (the same bits), for the per-item
+    eviction chain, where numpy's per-call overhead dominates."""
+    z = (x + (round_ + 1) * 0x9E3779B97F4A7C15) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
 
 
 class _Gen:
@@ -138,6 +148,8 @@ class CuckooFilter:
             if len(rest):
                 ok2 = self._bulk_place(g, b2[rest], fp[rest])
                 rest = rest[~ok2]
+            if len(rest):  # both buckets full: vectorized one-kick passes
+                rest = rest[~self._kick_place(g, b1[rest], b2[rest], fp[rest])]
             overflow = []
             for i in rest:
                 if self._insert_one(g, int(fp[i]), int(b1[i]), int(b2[i])):
@@ -178,6 +190,28 @@ class CuckooFilter:
         ok[order[okq]] = True
         return ok
 
+    def _kick_place(self, g: _Gen, b1: np.ndarray, b2: np.ndarray,
+                    fp: np.ndarray) -> np.ndarray:
+        """Vectorized one-kick placement of keys whose two buckets are
+        both full. One pass per victim slot (bucket b1 or b2, slot s): the
+        victim fingerprint moves to its alternate bucket when that bucket
+        has an empty slot, and the key takes the victim's slot. A full
+        bucket is never a victim's destination, so a pass takes at most
+        one key per victim bucket and needs no journal; ``_bulk_place``
+        ranks the victims that share a destination. Returns the placed
+        mask; the residue goes to the per-item eviction chain."""
+        placed = np.zeros(len(fp), dtype=bool)
+        for bks in (b1, b2):
+            for s in range(SLOTS):
+                idx = np.nonzero(~placed)[0]
+                idx = idx[np.unique(bks[idx], return_index=True)[1]]
+                b = bks[idx]
+                victim = g.table[b, s]
+                moved = self._bulk_place(g, g.alt_bucket(victim, b), victim)
+                g.table[b[moved], s] = fp[idx[moved]]
+                placed[idx[moved]] = True
+        return placed
+
     def _insert_one(self, g: _Gen, fp: int, b1: int, b2: int) -> bool:
         """Direct + eviction-chain insert into generation ``g``; the
         chain is journaled and UNDONE on failure so the original key can
@@ -195,8 +229,7 @@ class CuckooFilter:
             slot = int(self._rng.integers(0, SLOTS))
             journal.append((b, slot, int(g.table[b, slot])))
             fp, g.table[b, slot] = int(g.table[b, slot]), fp
-            b = int(g.alt_bucket(np.array([fp], dtype=np.uint16),
-                                 np.array([b], dtype=np.uint64))[0])
+            b ^= _mix_one(fp, 13) % g.n_buckets  # scalar Gen.alt_bucket
             row = g.table[b]
             empty = np.nonzero(row == 0)[0]
             if len(empty):

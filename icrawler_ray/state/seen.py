@@ -1,48 +1,49 @@
 """Sharded URL-seen set (SURVEY.md Q1-Q3; the north-rule dedup core).
 
-The reference's seen-set is a per-queue OrderedDict
-(/root/reference/icrawler/utils/cached_queue.py:26-51): O(1) membership,
-single-threaded, unbounded memory, lost on crash. This engine shards it:
+The reference keeps one seen-set per queue, page URLs and file URLs, each
+an OrderedDict (icrawler/utils/cached_queue.py:26-51): O(1) membership,
+single-threaded, unbounded memory, lost on crash. This engine shards both
+over one fleet of S named actors:
 
     shard(key) = url_hash % S      (url_hash = SipHash64 of canonical URL)
 
-Each shard is a named Ray actor holding a bloom pre-filter + a cuckoo
-filter (bounded FP). S is fixed for a crawl's life, checkpoints included
-(a snapshot restores only into S shards). The actors reserve no CPU: they
-are bursty (a few batched calls per round), and a reservation would
-starve the fetch/parse tasks on small clusters. They are SPREAD across
-nodes, so the hash-partitioned state and its claim traffic scale out with
-the cluster, as the north rule prescribes.
+Each shard holds two key spaces, ``pages`` and ``files``, each with its
+own bloom pre-filter + cuckoo filter (bounded FP), counters, claims and
+checkpoint delta: one owner per key group, whose state moves and
+checkpoints as a unit (Megaphone, VLDB 2019). A crawl starts S actor
+processes, and each per-round fan-out (open, barrier poll, finish, save)
+is one call per shard. S is fixed for a crawl's life, checkpoints
+included. The actors reserve no CPU (they are bursty; a reservation would
+starve the fetch/parse tasks on small clusters) and are SPREAD across
+nodes, so the state and its claim traffic scale out with the cluster.
 
 Frontier dedup is a round-scoped claim protocol, not a shuffle. Each
 parse task pushes its emission rows' (url_hash, packed order) pairs
-straight to the owning shards (:func:`route_claims`, fused into the parse
-tasks); the driver's :func:`await_claims` is the delivery barrier; then
-each shard's ``finish_round`` keeps the min-order claim per key (the
-oracle's first-emission-wins), filters the winners against its persistent
-filters, inserts the novel ones and returns them. Claims commute, so the
-winners are the same at any parallelism; ``filter_and_insert`` is atomic
-per shard, so a key seen in different rounds is admitted exactly once.
+straight to the owning shards, one call per shard for links (pages key
+space) and tasks (files key space) alike (:func:`route_claims`); the
+driver's :func:`await_claims` is the delivery barrier; then each shard's
+``finish_round`` keeps the min-order claim per key and kind (the oracle's
+first-emission-wins), filters the winners against that kind's filters,
+inserts the novel ones and returns them. Claims commute, so the winners
+are the same at any parallelism; a key seen in different rounds is
+admitted exactly once.
 
-The round's control values ride the same channel. Each parse batch sends
-one keyed report (:func:`send_report`: pages in, error rows, doc rows,
-claims sent) and each fetch batch one (rows in, the packed keys of the
-rows it kept). The barriers (:func:`await_claims`, :func:`await_fetched`)
-sum them, so the driver needs no Dataset pass for a count. A re-executed
-task replaces its report rather than counting twice.
+The round's control values ride the same channel: each parse and fetch
+batch sends one keyed report (:func:`send_report`), which the barriers
+sum, so the driver needs no Dataset pass for a count. A re-executed task
+replaces its report rather than counting twice.
 
-Checkpoint: each shard writes its own file into the round dir and returns
-only its path, key count and size; the driver publishes them in the
-manifest (state/checkpoint.py) and never holds filter bytes or keys:
+Checkpoint: each shard writes one file per key space into the round dir
+and returns only paths, key counts and sizes for the manifest
+(state/checkpoint.py); the driver never holds filter bytes:
 
     <round dir>/seen_<kind>/shard=<i>.full.npz    counters + bloom/cuckoo
                                                   bytes (exact: the key set)
     <round dir>/seen_<kind>/shard=<i>.delta.npy   uint64 keys inserted since
                                                   the shard's last save
 
-Restore hands each shard its own chain (latest full, then the deltas after
-it) and the shard reads it back. The checkpoint dir must be reachable at
-the same path from every node that runs a shard.
+Restore hands each shard its chain per kind (latest full, then deltas);
+the checkpoint dir must be reachable at the same path from every node.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ from __future__ import annotations
 import os
 import os.path as osp
 import time
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import ray
@@ -59,6 +62,11 @@ import ray
 # 0.5 s of CPU per fresh process).
 from icrawler_ray.state.bloom import BloomFilter
 from icrawler_ray.state.cuckoo import CuckooFilter
+
+#: a shard's key spaces: page URLs (link claims) and file URLs (task claims)
+SEEN_KINDS = ("pages", "files")
+#: the empty claim batch a shard's round starts with
+_NO_CLAIMS = tuple(np.empty(0, dtype=d) for d in (np.uint64, np.int64, bool, bool))
 
 
 def packed_order(t) -> np.ndarray:
@@ -71,68 +79,137 @@ def packed_order(t) -> np.ndarray:
     return (ph << np.int64(20)) | t["emit_ord"].to_numpy(zero_copy_only=False).astype(np.int64)
 
 
-@ray.remote(num_cpus=0, scheduling_strategy="SPREAD")  # see module docstring
-class SeenShard:
-    def __init__(self, capacity: int, exact: bool = False):
-        # exact=True: a plain key set instead of the filters (test oracle
-        # cross-check; no false positives, unbounded memory)
+class _KeySpace:
+    """One key space of a shard: bloom + cuckoo filters (or, ``exact``, a
+    plain key set: the test oracle cross-check; no false positives,
+    unbounded memory), its counters and the keys inserted since its last
+    checkpoint save."""
+
+    def __init__(self, capacity: int, exact: bool):
         self.bloom = None if exact else BloomFilter(capacity)
         self.cuckoo = None if exact else CuckooFilter(capacity)
         self.exact: set | None = set() if exact else None
-        self.num_items = 0
-        self.num_queries = 0
-        self.num_hits = 0
-        self._stale_n = 0  # tagged claims dropped by the round fence
+        self.num_items = self.num_queries = self.num_hits = 0
+        self.stale_n = 0  # tagged claims dropped by the round fence
+        self.delta: list = []  # keys inserted since the last save
+
+    def filter_and_insert(self, keys: np.ndarray) -> np.ndarray:
+        """Returns novel-mask; novel keys are inserted."""
+        keys = np.asarray(keys, dtype=np.uint64)
+        if self.exact is None:
+            seen = np.zeros(len(keys), dtype=bool)
+            maybe = self.bloom.contains(keys)  # pre-filter: definite-new skips cuckoo probe
+            if maybe.any():
+                seen[maybe] = self.cuckoo.contains(keys[maybe])
+        else:
+            seen = np.fromiter((k in self.exact for k in keys.tolist()), dtype=bool,
+                               count=len(keys))
+        novel = np.zeros(len(keys), dtype=bool)  # batch-internal first occurrence wins
+        novel[np.unique(keys, return_index=True)[1]] = True
+        novel &= ~seen
+        self._insert(keys[novel])
+        self.num_queries += len(keys)
+        self.num_hits += int(len(keys) - novel.sum())
+        if novel.any():  # delta-checkpoint capture (keys since last save)
+            self.delta.append(keys[novel])
+        return novel
+
+    def _insert(self, keys: np.ndarray) -> None:
+        if self.exact is None:
+            self.cuckoo.add(keys)
+            self.bloom.add(keys)
+        else:
+            self.exact.update(keys.tolist())
+        self.num_items += len(keys)
+
+    def winners(self, keys: np.ndarray, packed: np.ndarray, elig: np.ndarray):
+        """-> (novel_keys, novel_packed): the min-order claim per key,
+        minus already-seen; novel keys are inserted. An INeligible
+        min-order winner (e.g. depth >= max_depth for a link) suppresses
+        every later same-round claim of its key yet is neither admitted
+        nor inserted — the oracle's claimed-before-depth-check semantics
+        (oracle.py:176-185)."""
+        order = np.lexsort((packed, keys))  # key-major, then order
+        ks, ps, es = keys[order], packed[order], elig[order]
+        first = np.ones(len(ks), dtype=bool)
+        first[1:] = ks[1:] != ks[:-1]
+        ks, ps = ks[first & es], ps[first & es]  # capped winners: dropped, never seen-marked
+        novel = self.filter_and_insert(ks)
+        return ks[novel], ps[novel]
+
+    def stats(self) -> dict:
+        return {"num_items": self.num_items, "num_queries": self.num_queries,
+                "num_hits": self.num_hits, "stale_claims": self.stale_n}
+
+    # ---- checkpoints: a full snapshot costs O(capacity) bytes (~21 GiB
+    # over all shards at the 10^10-key design point); a delta is just the
+    # keys inserted since the last save, O(novel), and load replays the
+    # deltas onto the latest full snapshot.
+
+    def save(self, path: str, full: bool) -> dict:
+        """Write this key space's full snapshot (``full``) or delta to
+        ``path`` -> {"path", "keys", "bytes"}. Either way the pending delta
+        is consumed: a full snapshot subsumes it."""
+        os.makedirs(osp.dirname(path), exist_ok=True)
+        if full:
+            if self.exact is not None:
+                arrays = {"exact": np.fromiter(self.exact, dtype=np.uint64,
+                                               count=len(self.exact))}
+            else:
+                arrays = {"bloom": np.frombuffer(self.bloom.serialize(), dtype=np.uint8),
+                          "cuckoo": np.frombuffer(self.cuckoo.serialize(), dtype=np.uint8)}
+            counters = [self.num_items, self.num_queries, self.num_hits]
+            np.savez(path, counters=np.array(counters, dtype=np.int64), **arrays)
+            n = self.num_items
+        else:
+            keys = np.concatenate([np.empty(0, dtype=np.uint64), *self.delta])
+            np.save(path, keys)
+            n = len(keys)
+        self.delta = []
+        return {"path": path, "keys": int(n), "bytes": osp.getsize(path)}
+
+    def load(self, chain: list[str]) -> None:
+        """Restore from ``chain``: the latest full snapshot, then the
+        deltas after it, oldest first. Deltas restore membership and
+        num_items; query/hit counters come from the full snapshot only."""
+        self.delta = []
+        with np.load(chain[0]) as z:
+            self.num_items, self.num_queries, self.num_hits = (int(x) for x in z["counters"])
+            if "exact" in z:
+                self.bloom = self.cuckoo = None
+                self.exact = set(z["exact"].tolist())
+            else:
+                self.bloom = BloomFilter.deserialize(z["bloom"].tobytes())
+                self.cuckoo = CuckooFilter.deserialize(z["cuckoo"].tobytes())
+                self.exact = None
+        for path in chain[1:]:
+            self._insert(np.load(path))
+
+
+@ray.remote(num_cpus=0, scheduling_strategy="SPREAD")  # see module docstring
+class SeenShard:
+    def __init__(self, capacity: int, exact: bool = False):
+        self.spaces = {kind: _KeySpace(capacity, exact) for kind in SEEN_KINDS}
         self._rewind()
 
     def _rewind(self) -> None:
-        """Drop round-scoped claim state and the pending delta: the shard
-        stands at a round boundary (start, or a restored checkpoint)."""
-        self._claims: list = []
+        """Drop round-scoped claim state: the shard stands at a round
+        boundary (start, or a restored checkpoint)."""
+        self._claims: list = [_NO_CLAIMS]  # (keys, packed, eligible, files) per call
         self._claimed_n = 0
         self._round: int | None = None  # claim window, opened by begin_round
         # task reports of the round begin_round opened: {(kind, key): values};
         # they outlive finish_round, since fetch tasks report after it
         self._reports: dict = {}
         self._report_round: int | None = None
-        self._delta: list = []  # keys inserted since the last save
 
     def filter_and_insert(self, keys: np.ndarray) -> np.ndarray:
-        """Returns novel-mask; novel keys are inserted."""
-        keys = np.asarray(keys, dtype=np.uint64)
-        self.num_queries += len(keys)
-        if self.exact is None:
-            maybe = self.bloom.contains(keys)  # pre-filter: definite-new skips cuckoo probe
-            seen = np.zeros(len(keys), dtype=bool)
-            if maybe.any():
-                seen[maybe] = self.cuckoo.contains(keys[maybe])
-            novel = ~seen
-            # batch-internal first-occurrence wins
-            _, first_idx = np.unique(keys, return_index=True)
-            first_mask = np.zeros(len(keys), dtype=bool)
-            first_mask[first_idx] = True
-            novel &= first_mask
-            if novel.any():
-                self.cuckoo.add(keys[novel])
-                self.bloom.add(keys[novel])
-        else:
-            novel = np.zeros(len(keys), dtype=bool)
-            for i, k in enumerate(keys):
-                if int(k) not in self.exact:
-                    self.exact.add(int(k))
-                    novel[i] = True
-        self.num_items += int(novel.sum())
-        self.num_hits += int(len(keys) - novel.sum())
-        if novel.any():  # delta-checkpoint capture (keys since last save)
-            self._delta.append(keys[novel])
-        return novel
+        """Novel-mask of ``keys`` in the pages key space (seeds, standalone
+        sets); novel keys are inserted."""
+        return self.spaces["pages"].filter_and_insert(keys)
 
-    # ---- round-scoped claim protocol (frontier dedup without a shuffle):
-    # parse tasks push (key, order) pairs for their shard; finish_round
-    # computes min-order winners per key (vectorized), filters them
-    # against the persistent seen state, inserts the novel ones and
-    # returns them. Claims are commutative -> arrival order irrelevant ->
-    # deterministic winners at any parallelism.
+    # ---- round-scoped claim protocol (module docstring): claims commute,
+    # so the winners are deterministic at any parallelism
 
     def begin_round(self, round_idx: int) -> None:
         """Open the claim window for ``round_idx``. Tagged claims whose
@@ -147,19 +224,23 @@ class SeenShard:
 
     def claim(self, keys: np.ndarray, packed: np.ndarray,
               eligible: np.ndarray | None = None,
-              round_idx: int | None = None) -> int:
-        if round_idx is not None and round_idx != self._round:
-            self._stale_n += len(keys)
-            return 0
+              round_idx: int | None = None, files: np.ndarray | None = None) -> int:
+        """Take one batch's claims for this shard; ``files`` masks the rows
+        that claim in the files key space (None: every row claims a page
+        key). ``eligible`` (None: all) marks the rows that may be admitted."""
         n = len(keys)
+        files = np.zeros(n, dtype=bool) if files is None else np.asarray(files, dtype=bool)
+        if round_idx is not None and round_idx != self._round:
+            for kind, m in (("pages", ~files), ("files", files)):
+                self.spaces[kind].stale_n += int(m.sum())
+            return 0
         if eligible is None:
             eligible = np.ones(n, dtype=bool)
         self._claims.append((np.asarray(keys, dtype=np.uint64),
                              np.asarray(packed, dtype=np.int64),
-                             np.asarray(eligible, dtype=bool)))
+                             np.asarray(eligible, dtype=bool), files))
         # round-scoped delivery counter: the driver's flush barrier
-        # compares this against the claimable-row count it derives from
-        # the materialized parse output ([[claim-protocol-design]])
+        # compares this against the claim count the parse reports sum to
         self._claimed_n += n
         return n
 
@@ -176,99 +257,38 @@ class SeenShard:
         non-blocking claim and report submission."""
         return self._claimed_n, [v for (k, _), v in self._reports.items() if k == kind]
 
-    def finish_round(self):
-        """-> (novel_keys, novel_packed): min-order first occurrence per
-        key among this round's claims, minus already-seen; novel keys are
-        inserted into the persistent filters.
-
-        ``eligible`` (e.g. depth < max_depth for link claims) participates
-        in the claim race but not in admission: an INeligible min-order
-        winner suppresses every later same-round emission of its key yet is
-        neither admitted nor inserted into the persistent seen state —
-        matching the oracle's claimed-before-depth-check semantics
-        (oracle.py:176-185)."""
-        claims = self._claims
-        self._claims = []
+    def finish_round(self) -> dict:
+        """-> {kind: (novel_keys, novel_packed)}: each key space's round
+        winners (:meth:`_KeySpace.winners`), inserted into its filters."""
+        keys, packed, elig, files = (np.concatenate(c) for c in zip(*self._claims))
+        self._claims = [_NO_CLAIMS]
         self._claimed_n = 0
         self._round = None  # close the window: late tagged stragglers drop
-        if not claims:
-            return np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
-        keys = np.concatenate([c[0] for c in claims])
-        packed = np.concatenate([c[1] for c in claims])
-        elig = np.concatenate([c[2] for c in claims])
-        order = np.lexsort((packed, keys))  # key-major, then order
-        ks, ps, es = keys[order], packed[order], elig[order]
-        first = np.ones(len(ks), dtype=bool)
-        first[1:] = ks[1:] != ks[:-1]
-        ks, ps, es = ks[first], ps[first], es[first]
-        ks, ps = ks[es], ps[es]  # capped winners: dropped, never seen-marked
-        novel = self.filter_and_insert(ks)
-        return ks[novel], ps[novel]
+        return {kind: self.spaces[kind].winners(keys[m], packed[m], elig[m])
+                for kind, m in (("pages", ~files), ("files", files))}
 
     def stats(self) -> dict:
-        return {
-            "num_items": self.num_items,
-            "num_queries": self.num_queries,
-            "num_hits": self.num_hits,
-            "stale_claims": self._stale_n,
-        }
+        return {kind: space.stats() for kind, space in self.spaces.items()}
 
-    # ---- checkpoints: a full snapshot costs O(capacity) bytes (~21 GiB
-    # over all shards at the 10^10-key design point); a delta is just the
-    # keys inserted since the last save, O(novel), and load replays the
-    # deltas onto the latest full snapshot.
+    def save(self, paths: dict, full: bool) -> dict:
+        """Write each key space's full snapshot or delta to ``paths[kind]``
+        -> {kind: {"path", "keys", "bytes"}}."""
+        return {kind: self.spaces[kind].save(path, full) for kind, path in paths.items()}
 
-    def save(self, path: str, full: bool) -> dict:
-        """Write this shard's full snapshot (``full``) or delta to
-        ``path`` -> {"path", "keys", "bytes"}. Either way the pending delta
-        is consumed: a full snapshot subsumes it."""
-        os.makedirs(osp.dirname(path), exist_ok=True)
-        if full:
-            if self.exact is not None:
-                arrays = {"exact": np.fromiter(self.exact, dtype=np.uint64,
-                                               count=len(self.exact))}
-            else:
-                arrays = {"bloom": np.frombuffer(self.bloom.serialize(), dtype=np.uint8),
-                          "cuckoo": np.frombuffer(self.cuckoo.serialize(), dtype=np.uint8)}
-            counters = [self.num_items, self.num_queries, self.num_hits]
-            np.savez(path, counters=np.array(counters, dtype=np.int64), **arrays)
-            n = self.num_items
-        else:
-            keys = (np.concatenate(self._delta) if self._delta
-                    else np.empty(0, dtype=np.uint64))
-            np.save(path, keys)
-            n = len(keys)
-        self._delta = []
-        return {"path": path, "keys": int(n), "bytes": osp.getsize(path)}
-
-    def load(self, chain: list[str]) -> None:
-        """Restore from ``chain``: this shard's latest full snapshot, then
-        the deltas after it, oldest first. The shard is rewound to that
-        round boundary (in-process fault recovery loads surviving shards
-        alongside respawned ones). Deltas restore membership and num_items;
-        query/hit counters come from the full snapshot only."""
+    def load(self, kind: str, chain: list[str]) -> None:
+        """Restore key space ``kind`` from its ``chain`` (full snapshot,
+        then deltas). The shard is rewound to that round boundary
+        (in-process fault recovery loads surviving shards alongside
+        respawned ones)."""
         self._rewind()
-        with np.load(chain[0]) as z:
-            self.num_items, self.num_queries, self.num_hits = (int(x) for x in z["counters"])
-            if "exact" in z:
-                self.bloom = self.cuckoo = None
-                self.exact = set(z["exact"].tolist())
-            else:
-                self.bloom = BloomFilter.deserialize(z["bloom"].tobytes())
-                self.cuckoo = CuckooFilter.deserialize(z["cuckoo"].tobytes())
-                self.exact = None
-        for path in chain[1:]:
-            keys = np.load(path)
-            if self.exact is None:
-                self.cuckoo.add(keys)
-                self.bloom.add(keys)
-            else:
-                self.exact.update(keys.tolist())
-            self.num_items += len(keys)
+        self.spaces[kind].load(chain)
 
 
 class ShardedSeenSet:
-    """Driver-side handle to S SeenShard actors (named, per-run namespace)."""
+    """Driver-side handle to S SeenShard actors (named, per-run namespace),
+    each holding both key spaces. A standalone set (a bench, a query) uses
+    the pages key space, as ``filter_and_insert_array`` and
+    ``finish_round_winners`` do."""
 
     def __init__(self, name: str, num_shards: int, capacity_per_shard: int = 1 << 20,
                  exact: bool = False):
@@ -280,52 +300,67 @@ class ShardedSeenSet:
                 capacity_per_shard, exact=exact)
             for i in range(num_shards)
         ]
+        # per-kind views, as a crawl reads its stats and restores a checkpoint
+        self.pages, self.files = (SimpleNamespace(stats=partial(self.stats, (k,)),
+                                                  restore=partial(self.restore, k))
+                                  for k in SEEN_KINDS)
 
-    def shard_of(self, keys: np.ndarray) -> np.ndarray:
-        return (np.asarray(keys, dtype=np.uint64) % np.uint64(self.num_shards)).astype(np.int32)
+    def _all(self, method: str, *args) -> list:
+        """Call ``method`` on every shard, in one round trip."""
+        return ray.get([getattr(s, method).remote(*args) for s in self.shards])
 
     def filter_and_insert_array(self, keys: np.ndarray) -> np.ndarray:
-        """Driver-side bulk path (bench + small rounds): scatter keys to all
-        shards in parallel, gather novel masks."""
+        """Driver-side bulk path (seeds, bench): scatter keys to all shards
+        in parallel, gather novel masks."""
         keys = np.asarray(keys, dtype=np.uint64)
-        shard = self.shard_of(keys)
-        futs, idxs = [], []
-        for s in range(self.num_shards):
-            m = shard == s
-            if m.any():
-                futs.append(self.shards[s].filter_and_insert.remote(keys[m]))
-                idxs.append(np.nonzero(m)[0])
+        shard = keys % np.uint64(self.num_shards)
+        idxs = [np.nonzero(shard == i)[0] for i in range(self.num_shards)]
+        futs = [s.filter_and_insert.remote(keys[idx]) for s, idx in zip(self.shards, idxs)]
         novel = np.zeros(len(keys), dtype=bool)
         for fut, idx in zip(futs, idxs):
             novel[idx] = ray.get(fut)
         return novel
 
-    def finish_round_winners(self):
-        """Gather each shard's round winners -> (keys, packed) arrays."""
-        return finish_rounds([self])[0]
+    def begin_round(self, round_idx: int) -> None:
+        """Open every shard's claim window for ``round_idx`` (round fence)."""
+        self._all("begin_round", round_idx)
+
+    def progress(self, kind: str | None = None) -> tuple[int, list]:
+        """-> (claims received this round, reports of ``kind``) over every shard."""
+        res = self._all("progress", kind)
+        return int(sum(r[0] for r in res)), [v for r in res for v in r[1]]
 
     def claims_received(self) -> int:
         """Total claim rows the shards have received this round."""
-        return _poll([self])[0]
+        return self.progress()[0]
 
-    def begin_round(self, round_idx: int) -> None:
-        """Open every shard's claim window for ``round_idx`` (round fence)."""
-        begin_rounds([self], round_idx)
+    def finish_round(self) -> dict:
+        """Each key space's round winners -> {kind: (keys, packed)}."""
+        res = self._all("finish_round")
+        return {k: tuple(np.concatenate([r[k][i] for r in res]) for i in (0, 1))
+                for k in SEEN_KINDS}
 
-    def stats(self) -> list[dict]:
-        return ray.get([s.stats.remote() for s in self.shards])
+    def finish_round_winners(self):
+        """The pages key space's round winners -> (keys, packed)."""
+        return self.finish_round()["pages"]
 
-    def save(self, dirname: str, full: bool) -> list[dict]:
-        """Every shard writes its own file under ``dirname`` (the driver
-        sees only the returned records) -> per-shard {"path", "keys",
-        "bytes"}."""
-        kind = "full.npz" if full else "delta.npy"
-        return ray.get([s.save.remote(osp.join(dirname, f"shard={i}.{kind}"), full)
-                        for i, s in enumerate(self.shards)])
+    def stats(self, kinds: tuple = SEEN_KINDS) -> list[dict]:
+        """Per-shard counters, summed over the key spaces ``kinds``."""
+        return [{c: sum(r[k][c] for k in kinds) for c in r[kinds[0]]}
+                for r in self._all("stats")]
 
-    def restore(self, chains: list[list[str]], capacity: int) -> None:
-        """Load shard i from ``chains[i]`` (full snapshot, then deltas),
-        written by shards of ``capacity`` keys each."""
+    def save(self, dirs: dict, full: bool) -> dict:
+        """Every shard writes one file per key space under ``dirs[kind]``
+        (the driver sees only the returned records) -> {kind: per-shard
+        {"path", "keys", "bytes"}}."""
+        ext = "full.npz" if full else "delta.npy"
+        res = ray.get([s.save.remote({k: osp.join(d, f"shard={i}.{ext}") for k, d in dirs.items()},
+                                     full) for i, s in enumerate(self.shards)])
+        return {k: [r[k] for r in res] for k in dirs}
+
+    def restore(self, kind: str, chains: list[list[str]], capacity: int) -> None:
+        """Load key space ``kind`` of shard i from ``chains[i]`` (full
+        snapshot, then deltas), written by shards of ``capacity`` keys each."""
         # keys live in shard h % num_shards: another count would look them up
         # in the wrong shard and silently admit seen URLs again
         if len(chains) != self.num_shards:
@@ -338,7 +373,7 @@ class ShardedSeenSet:
             raise ValueError(f"seen set {self.name!r}: snapshot has capacity {capacity} "
                              f"per shard, this set has {self.capacity}; resume with "
                              f"seen_capacity={capacity}")
-        ray.get([s.load.remote(c) for s, c in zip(self.shards, chains)])
+        ray.get([s.load.remote(kind, c) for s, c in zip(self.shards, chains)])
 
     def shutdown(self) -> None:
         for s in self.shards:
@@ -348,37 +383,17 @@ class ShardedSeenSet:
                 pass
 
 
-def begin_rounds(sets: list[ShardedSeenSet], round_idx: int) -> None:
-    """Open the claim window of every shard of ``sets`` in one round trip."""
-    ray.get([s.begin_round.remote(round_idx) for ss in sets for s in ss.shards])
-
-
-def finish_rounds(sets: list[ShardedSeenSet]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each set's round winners (keys, packed), gathered in one round trip."""
-    res = ray.get([s.finish_round.remote() for ss in sets for s in ss.shards])
-    out, i = [], 0
-    for ss in sets:
-        part, i = res[i:i + ss.num_shards], i + ss.num_shards
-        out.append((np.concatenate([r[0] for r in part]), np.concatenate([r[1] for r in part])))
-    return out
-
-
-def _poll(sets: list[ShardedSeenSet], kind: str | None = None) -> tuple[int, list]:
-    """-> (claims received, reports of ``kind``) over every shard of ``sets``,
-    in one round trip."""
-    res = ray.get([s.progress.remote(kind) for ss in sets for s in ss.shards])
-    return int(sum(r[0] for r in res)), [v for r in res for v in r[1]]
-
-
+#: this worker process's handles to ONE fleet's shards: a lookup under
+#: another fleet's name drops them, so none outlives its crawl
 _ACTOR_CACHE: dict = {}
 
 
 def get_shard_actor(name: str, shard: int):
-    key = (name, shard)
-    a = _ACTOR_CACHE.get(key)
+    a = _ACTOR_CACHE.get((name, shard))
     if a is None:
-        a = ray.get_actor(f"seen:{name}:{shard}")
-        _ACTOR_CACHE[key] = a
+        if any(n != name for n, _ in _ACTOR_CACHE):
+            _ACTOR_CACHE.clear()
+        a = _ACTOR_CACHE[name, shard] = ray.get_actor(f"seen:{name}:{shard}")
     return a
 
 
@@ -391,43 +406,39 @@ def route_claims(t, pages_set: str, files_set: str, num_shards: int,
                  max_depth: int, block: bool = False,
                  round_idx: int | None = None) -> int:
     """Push one Arrow block's candidate (url_hash, packed) pairs to their
-    seen-set shard actors (link rows -> pages set, task rows -> files set).
-    Depth-capped link rows claim too — eligible=False — so the min-order
-    emission wins the claim race exactly as in the oracle;
-    finish_round drops ineligible winners without seen-marking them.
+    seen shards, one call per shard: link rows claim in the pages key
+    space, task rows in the files key space of the one fleet that
+    ``pages_set`` and ``files_set`` both name. Depth-capped link rows claim
+    too, as ineligible rows, so the min-order emission wins the claim race
+    exactly as in the oracle.
 
     Non-blocking by default: a parse task blocked in ray.get on actor
     round-trips makes the raylet borrow its CPU and over-spawn cold
-    workers (observed 130-140 processes on a 32-CPU box, with the crawl's
-    final small round absorbing their import cost — 1.2 s -> 13-27 s
-    run-to-run swings). Delivery is instead guaranteed by the driver's
-    barrier, :func:`await_claims`. ``block=True`` keeps the old behavior
-    for its resend path and for standalone callers."""
+    workers (observed 130-140 processes on a 32-CPU box, and 1.2 s ->
+    13-27 s run-to-run swings). Delivery is instead guaranteed by the
+    driver's barrier, :func:`await_claims`; ``block=True`` serves its
+    resend path and standalone callers."""
     import pyarrow.compute as pc
 
+    if files_set != pages_set:
+        raise ValueError(f"one seen fleet holds both key spaces: pages_set {pages_set!r}, "
+                         f"files_set {files_set!r}")
+    files = pc.equal(t["row_kind"], "task").to_numpy(zero_copy_only=False)
+    m = files | pc.equal(t["row_kind"], "link").to_numpy(zero_copy_only=False)
+    keys = t["url_hash"].to_numpy(zero_copy_only=False)[m]
+    packed = t["packed"].to_numpy(zero_copy_only=False)[m]
+    files = files[m]
+    elig = files | (t["depth"].to_numpy(zero_copy_only=False)[m] < max_depth)
+    shard = (keys % np.uint64(num_shards)).astype(np.int64)
     futs = []
-    n_pushed = 0
-    for kind, set_name in (("task", files_set), ("link", pages_set)):
-        m = pc.equal(t["row_kind"], kind).to_numpy(zero_copy_only=False)
-        if not m.any():
-            continue
-        keys = t["url_hash"].to_numpy(zero_copy_only=False)[m]
-        packed = t["packed"].to_numpy(zero_copy_only=False)[m]
-        if kind == "link":
-            elig = t["depth"].to_numpy(zero_copy_only=False)[m] < max_depth
-        else:
-            elig = None
-        shard = (keys % np.uint64(num_shards)).astype(np.int32)
-        for s in np.unique(shard):
-            sel = shard == s
-            futs.append(get_shard_actor(set_name, int(s)).claim.remote(
-                keys[sel], packed[sel], None if elig is None else elig[sel],
-                round_idx))
-            n_pushed += int(sel.sum())
+    for s in np.unique(shard):
+        sel = shard == s
+        futs.append(get_shard_actor(pages_set, int(s)).claim.remote(
+            keys[sel], packed[sel], elig[sel], round_idx, files[sel]))
     if block and futs:
         return sum(ray.get(futs))
     _track(futs)
-    return n_pushed
+    return len(keys)
 
 
 def _track(futs: list) -> None:
@@ -483,12 +494,12 @@ def is_actor_death(e: BaseException) -> bool:
 BARRIER_S = 10.0
 
 
-def _await(sets: list[ShardedSeenSet], kind: str, done) -> list | None:
-    """Poll ``sets`` until ``done(claims received, reports of kind)``
+def _await(seen: ShardedSeenSet, kind: str, done) -> list | None:
+    """Poll ``seen`` until ``done(claims received, reports of kind)``
     -> the reports, or None once BARRIER_S has passed."""
     deadline = time.time() + BARRIER_S
     while True:
-        n, reports = _poll(sets, kind)
+        n, reports = seen.progress(kind)
         if done(n, reports):
             return reports
         if time.time() >= deadline:
@@ -496,28 +507,25 @@ def _await(sets: list[ShardedSeenSet], kind: str, done) -> list | None:
         time.sleep(0.02)
 
 
-def await_claims(pages: ShardedSeenSet, files: ShardedSeenSet, parsed, n_pages: int,
-                 max_depth: int, round_idx: int | None = None,
-                 docs_dir: str | None = None) -> dict:
+def await_claims(seen: ShardedSeenSet, parsed, n_pages: int, max_depth: int,
+                 round_idx: int | None = None, docs_dir: str | None = None) -> dict:
     """Delivery barrier for the NON-BLOCKING fused claims and the parse
     reports: wait until the parse batches have reported all ``n_pages``
     input pages and the shards have received at least the claims those
-    batches sent -> {"errors", "docs", "claims", "resent"}, the round's
-    error rows, doc rows (written to ``docs_dir`` by the tasks, when
-    given) and claims, summed from the reports with no Dataset pass.
+    batches sent -> {"errors", "docs", "claims", "resent"}, summed from the
+    reports with no Dataset pass (docs: written to ``docs_dir`` by the
+    tasks, when given).
 
-    Normally satisfied on the first poll or two. If the reports do not add
-    up within BARRIER_S (a submitting worker died between task completion
-    and submission-queue flush), every claim is resent, blocking, from the
-    materialised blocks ``parsed``, and the values are recomputed from
-    them; "resent" is then True. Claims are idempotent within a round:
-    finish_round keeps the min packed per key, so duplicates from a resend
-    cannot change the winners."""
+    If the reports do not add up within BARRIER_S (a submitting worker
+    died between task completion and submission-queue flush), every claim
+    is resent, blocking, from the materialised blocks ``parsed``, and the
+    values are recomputed from them; "resent" is then True. A resend cannot
+    change the winners: finish_round keeps the min packed per key."""
     def done(n_claims, reports):
         return (sum(r["pages"] for r in reports) == n_pages
                 and n_claims >= sum(r["claims"] for r in reports))
 
-    reports = _await([pages, files], "parse", done)
+    reports = _await(seen, "parse", done)
     if reports is not None:
         out = {k: sum(r[k] for r in reports) for k in ("errors", "docs", "claims")}
         return dict(out, resent=False)
@@ -531,17 +539,17 @@ def await_claims(pages: ShardedSeenSet, files: ShardedSeenSet, parsed, n_pages: 
         t = ray.get(ref)
         for kind in ("error", "doc"):
             out[kind + "s"] += pc.sum(pc.equal(t["row_kind"], kind)).as_py() or 0
-        out["claims"] += route_claims(t, pages.name, files.name, pages.num_shards, max_depth,
+        out["claims"] += route_claims(t, seen.name, seen.name, seen.num_shards, max_depth,
                                       block=True, round_idx=round_idx)
     return out
 
 
-def await_fetched(files: ShardedSeenSet, fetched, n_rows: int) -> tuple[np.ndarray, bool]:
+def await_fetched(seen: ShardedSeenSet, fetched, n_rows: int) -> tuple[np.ndarray, bool]:
     """Barrier for the fetch reports: wait until the fetch batches have
     reported all ``n_rows`` task rows -> (sorted packed keys of the kept
     rows, resent). Past BARRIER_S the keys are recomputed from the
     materialised kept rows ``fetched`` and resent is True."""
-    reports = _await([files], "fetch", lambda _n, reps: sum(r["rows"] for r in reps) == n_rows)
+    reports = _await(seen, "fetch", lambda _n, reps: sum(r["rows"] for r in reps) == n_rows)
     if reports is not None:
         kept = [r["kept"] for r in reports]
     else:

@@ -96,15 +96,18 @@ def test_seen_set_equality(small_web, small_map, small_ref, policy, tmp_path):
         crawl.run()
         expected_pages = set(int(h) for h in hash_urls(sorted(o.seen_pages)))
         expected_files = set(int(h) for h in hash_urls(sorted(o.seen_files)))
-        def shard_keys(seen):  # each shard's full snapshot holds its exact key set
+        # each shard's full snapshot holds its exact key set, per key space
+        saved = crawl.seen.save({k: str(tmp_path / k) for k in ("pages", "files")}, full=True)
+
+        def shard_keys(files):
             out = set()
-            for f in seen.save(str(tmp_path / seen.name.rsplit(":", 1)[1]), full=True):
+            for f in files:
                 with np.load(f["path"]) as z:
                     out |= set(z["exact"].tolist())
             return out
 
-        got_pages = shard_keys(crawl.seen_pages)
-        got_files = shard_keys(crawl.seen_files)
+        got_pages = shard_keys(saved["pages"])
+        got_files = shard_keys(saved["files"])
         assert got_pages == expected_pages
         assert got_files == expected_files
     finally:
@@ -180,7 +183,7 @@ def test_shard_actor_death_recovers_in_process(small_web, small_ref, policy, gol
             super()._checkpoint(round_idx, metrics)
             if round_idx == 1 and not self._killed:
                 self._killed = True
-                shard = self.seen_pages.shards[0]
+                shard = self.seen.shards[0]
                 ray.kill(shard)
                 # ray.kill is async — block until the actor is actually
                 # dead so the NEXT round deterministically observes the
@@ -250,6 +253,110 @@ def test_fetch_worker_death_recovers(small_web, small_ref, policy, tmp_path, res
     assert results[cols].equals(cresults[cols])
 
 
+@pytest.mark.parametrize("residency", list(RESIDENCY))
+def test_parse_worker_death_recovers(small_web, small_ref, policy, golden, tmp_path,
+                                     monkeypatch, residency):
+    """A parse task's worker process exits hard on its first visit to a
+    chosen non-seed page, before its batch claims or reports: Ray Data
+    re-executes the task, and the merged seen shards count the new
+    attempt's claims and report once. With and without out_dir, the docs, results and crawl order equal those of the
+    same crawl without the crash; every round reports the docs and errors
+    of the clean crawl, the docs add up to the rows, and each round's docs
+    dir holds the clean crawl's part files (one per batch) and no tmp
+    file."""
+    import os
+    import os.path as osp
+
+    from icrawler_ray.pipelines import greedy as greedy_mod
+    from icrawler_ray.stages.parsers import GreedyRules
+
+    _, odocs, _ = golden
+    seeds = set(greedy_mod.normalize_domains(small_web.domains))
+    victim = next(d["doc_id"] for d in odocs if d["doc_id"] not in seeds)
+
+    class DieOnce(GreedyRules):
+        def __init__(self, domains, marker):
+            super().__init__(domains)
+            self.marker = marker
+
+        def parse(self, response, session=None):
+            if response.url == victim and not osp.exists(self.marker):
+                open(self.marker, "w").close()
+                os._exit(1)
+            return super().parse(response, session=session)
+
+    marker = {}
+    make_fn = greedy_mod.make_fetch_parse_fn
+    monkeypatch.setattr(greedy_mod, "make_fetch_parse_fn",
+                        lambda ref, rules, kw, **k: make_fn(
+                            ref, DieOnce, dict(kw, marker=marker["path"]), **k))
+
+    def crawl(name: str, crash: bool, out_dir):
+        marker["path"] = str(tmp_path / f"{name}.died")
+        if not crash:
+            open(marker["path"], "w").close()
+        docs, results, metrics = greedy_crawl(
+            small_ref, small_web.domains, policy=policy, max_num=25, max_depth=3,
+            num_shards=2, out_dir=out_dir, **RESIDENCY[residency])
+        assert osp.exists(marker["path"])
+        docs = docs.to_pandas().sort_values("doc_id").reset_index(drop=True)
+        assert sum(m.get("docs", 0) for m in metrics) == len(docs)
+        parts = {}
+        if out_dir is not None:
+            for m in metrics:
+                d = osp.join(out_dir, f"round={m['round']}", "docs")
+                parts[m["round"]] = sorted(os.listdir(d)) if osp.isdir(d) else []
+        return (docs, results.to_pandas().sort_values("filename").reset_index(drop=True),
+                [(m["round"], m.get("docs"), m.get("errors")) for m in metrics], parts)
+
+    for with_dir in (False, True):
+        out = {name: crawl(f"{name}{int(with_dir)}", name == "crash",
+                           str(tmp_path / f"{name}{int(with_dir)}") if with_dir else None)
+               for name in ("crash", "clean")}
+        (docs, results, counts, parts), (cdocs, cresults, ccounts, cparts) = (
+            out["crash"], out["clean"])
+        assert victim in set(docs["doc_id"])
+        assert counts == ccounts
+        assert docs[["doc_id", "depth", "parent_seq", "status"]].equals(
+            cdocs[["doc_id", "depth", "parent_seq", "status"]])
+        assert [list(map(dict, s)) for s in docs["spans"]] == \
+            [list(map(dict, s)) for s in cdocs["spans"]]
+        cols = ["file_url", "filename", "img_w", "img_h"]
+        assert results[cols].equals(cresults[cols])
+        assert parts == cparts
+        assert all(p.startswith("part-") and p.endswith(".parquet")
+                   for ps in parts.values() for p in ps)
+        assert bool(parts) == with_dir and any(parts.values()) == with_dir
+
+
+def test_crawl_starts_one_seen_actor_per_shard(small_web, small_ref, policy):
+    """A crawl starts one fleet of num_shards seen actors, each holding
+    the pages and files key spaces, and its shutdown ends them all."""
+    import time
+
+    def seen_actors(run_id):
+        return [a for a in ray.util.list_named_actors() if a.startswith(f"seen:{run_id}")]
+
+    live = []
+
+    class Probe(GreedyCrawl):
+        def _run_round(self, round_idx):
+            live.append(len(seen_actors(self.run_id)))
+            return super()._run_round(round_idx)
+
+    c = Probe(small_ref, small_web.domains, policy=policy, max_num=25, max_depth=3,
+              num_shards=3)
+    try:
+        c.run()
+    finally:
+        c.shutdown()
+    assert live and set(live) == {3}
+    deadline = time.time() + 30
+    while seen_actors(c.run_id) and time.time() < deadline:
+        time.sleep(0.1)
+    assert seen_actors(c.run_id) == []
+
+
 def test_recovery_equals_resume_with_host_rank(small_web, small_ref, policy, tmp_path):
     """The host-rank counter is deliberately NOT checkpointed (it re-warms
     after resume); in-process fault recovery must follow the same
@@ -278,7 +385,7 @@ def test_recovery_equals_resume_with_host_rank(small_web, small_ref, policy, tmp
             super()._checkpoint(round_idx, metrics)
             if round_idx == 1 and not self._killed:
                 self._killed = True
-                shard = self.seen_pages.shards[0]
+                shard = self.seen.shards[0]
                 ray.kill(shard)
                 while True:
                     try:

@@ -75,6 +75,25 @@ def test_cuckoo_overfill_grows_generations():
     assert c.contains(fresh).mean() < 0.05
 
 
+def test_cuckoo_bulk_inserts_near_grow_at(monkeypatch):
+    """Batches that fill a generation up to GROW_AT are placed by the
+    vectorized passes, the one-kick passes included: the per-item
+    eviction chain sees a small residue, and every key stays a hit."""
+    import icrawler_ray.state.cuckoo as cuckoo_mod
+
+    calls = []
+    insert_one = CuckooFilter._insert_one
+    monkeypatch.setattr(CuckooFilter, "_insert_one",
+                        lambda self, *a: calls.append(1) or insert_one(self, *a))
+    c = CuckooFilter(1 << 14)
+    k = keys(int(cuckoo_mod.GROW_AT * c.gens[0].n_buckets * cuckoo_mod.SLOTS), seed=5)
+    for part in np.array_split(k, 8):
+        c.add(part)
+    assert len(c.gens) == 1 and c.contains(k).all() and c.num_items == len(k)
+    assert len(calls) < len(k) // 100
+    assert c.contains(keys(20000, seed=6)).mean() < 0.001
+
+
 def test_cuckoo_growth_serialize_roundtrip():
     c = CuckooFilter(64)
     k = keys(3000)
@@ -128,12 +147,12 @@ def test_sharded_seen_checkpoint_restore(ray_session, tmp_path):
     k = keys(500)
     seen.filter_and_insert_array(k)
     ck = CheckpointManager(str(tmp_path))
-    ck.save_round(0, None, seen, seen, {"dl_count": 0, "next_seq": 0}, {}, full=True)
+    ck.save_round(0, None, seen, {"dl_count": 0, "next_seq": 0}, {}, full=True)
     seen.shutdown()
-    _, restored, _, capacity = ck.load_round(0)
+    _, chains, capacity = ck.load_round(0)
 
     seen2 = ShardedSeenSet("t3", num_shards=2, capacity_per_shard=4096)
-    seen2.restore(restored, capacity)  # per shard: (full snapshot, delta chain)
+    seen2.pages.restore(chains["pages"], capacity)  # per shard: (full snapshot, delta chain)
     assert not seen2.filter_and_insert_array(k).any()  # all remembered
     seen2.shutdown()
 
@@ -157,14 +176,14 @@ def test_seen_checkpoint_1m_keys_stays_off_driver(ray_session, tmp_path):
         a.filter_and_insert_array(k[:900_000])
         rss0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         metrics = {}
-        ck.save_round(0, None, a, a, counters, metrics, full=True)
-        assert metrics["seen_ckpt_bytes"] > 2 * (20 << 20)  # both sets' filters
+        ck.save_round(0, None, a, counters, metrics, full=True)
+        assert metrics["seen_ckpt_bytes"] > 2 * (20 << 20)  # both key spaces' filters
         a.filter_and_insert_array(k[900_000:])
-        ck.save_round(1, None, a, a, counters, {}, full=False)
+        ck.save_round(1, None, a, counters, {}, full=False)
         n_items = sum(s["num_items"] for s in a.stats())
         a.shutdown()
-        _, pages, _, capacity = ck.load_round(1)
-        b.restore(pages, capacity)
+        _, chains, capacity = ck.load_round(1)
+        b.pages.restore(chains["pages"], capacity)
         rss1 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         assert (rss1 - rss0) * 1024 < 48 << 20, (
             f"driver RSS grew {(rss1 - rss0) // 1024} MiB in seen save/restore")
@@ -320,31 +339,29 @@ def _barrier_round(url_map_ref, web, tag: str, withhold: bool, docs_dir):
     from icrawler_ray.pipelines.greedy import _admitted_rows
     from icrawler_ray.stages.download import make_fetcher_fn
     from icrawler_ray.stages.fetch_parse import make_fetch_parse_fn
-    from icrawler_ray.state.seen import (await_claims, await_fetched, begin_rounds,
-                                         finish_rounds)
+    from icrawler_ray.state.seen import await_claims, await_fetched
 
     urls = sorted(web.pages)[:40] + ["http://h0.example.com/missing"]
-    pages, files = (ShardedSeenSet(f"bar{tag}{k}", num_shards=2, capacity_per_shard=4096)
-                    for k in ("p", "f"))
+    seen = ShardedSeenSet(f"bar{tag}", num_shards=2, capacity_per_shard=4096)
     try:
-        begin_rounds([pages, files], 0)
+        seen.begin_round(0)
         gated = pa.table({"url": urls, "depth": [0] * len(urls), "seq": list(range(len(urls)))})
-        claim = None if withhold else (pages.name, files.name, 2, 3)
+        claim = None if withhold else (seen.name, 2, 3)
         parsed = ray.data.from_arrow([gated.slice(0, 16), gated.slice(16)]).map_batches(
             make_fetch_parse_fn(url_map_ref, "greedy", {"domains": web.domains},
                                 with_keys=True, claim=claim, claim_round=0, docs_dir=docs_dir),
             batch_format="pyarrow", batch_size=None).materialize()
-        rep = await_claims(pages, files, parsed, len(urls), 3, round_idx=0, docs_dir=docs_dir)
-        (_, task_packed), (_, link_packed) = finish_rounds([files, pages])
+        rep = await_claims(seen, parsed, len(urls), 3, round_idx=0, docs_dir=docs_dir)
+        won = seen.finish_round()
+        task_packed, link_packed = won["files"][1], won["pages"][1]
         fetched = _admitted_rows(parsed, "task", task_packed).select_columns(
             ["file_url", "parent_seq", "emit_ord"]).map_batches(
-            make_fetcher_fn(url_map_ref, report=None if withhold else (files.name, 2, 0)),
+            make_fetcher_fn(url_map_ref, report=None if withhold else (seen.name, 2, 0)),
             batch_format="pyarrow", batch_size=None).filter(expr="success == True").materialize()
-        kept, fetch_resent = await_fetched(files, fetched, len(task_packed))
+        kept, fetch_resent = await_fetched(seen, fetched, len(task_packed))
         return rep, np.sort(task_packed), np.sort(link_packed), kept, fetch_resent
     finally:
-        pages.shutdown()
-        files.shutdown()
+        seen.shutdown()
 
 
 @pytest.mark.parametrize("with_dir", [False, True])
@@ -377,52 +394,66 @@ def test_barrier_resend_path_matches_reports(ray_session, url_map_ref, web, tmp_
 
 
 def test_worker_caches_keep_one_instance_across_crawls(ray_session, url_map, web):
-    """The parse and fetch task functions of two crawls, each with its own
-    broadcast URL map, run in one process, leave one cached FetchParse and
-    one Fetcher: a crawl's instance replaces the last one, and the crawl's
-    seen sets, limiter and round ride on each call, not in the cache key,
-    so the second crawl's batch claims and reports into its own sets."""
+    """The parse and fetch task functions of three crawls, each with its
+    own broadcast URL map, seen fleet and inflight limiter, run in one
+    process, leave one cached FetchParse, one Fetcher, one fleet's shard
+    handles and one limiter handle: a crawl's entries replace the last
+    ones, and the crawl's seen set, limiter and round ride on each call,
+    not in the cache key, so each crawl's batch claims and reports into
+    its own set, links into its pages and tasks into its files key space."""
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray
 
+    from icrawler_ray.functions.urlnorm import host_of_one
     from icrawler_ray.stages import download, fetch_parse
+    from icrawler_ray.stages.politeness import HostPolicy, InflightGuard, make_inflight_limiter
     from icrawler_ray.state import seen as seen_mod
 
     urls = sorted(web.pages)[:12]
     batch = pa.table({"url": urls, "depth": [0] * len(urls), "seq": list(range(len(urls)))})
+    policy = HostPolicy({host_of_one(u): {"max_inflight": 8} for u in urls})
     fetch_parse._FP_CACHE.clear()
     download._FETCHER_CACHE.clear()
-    crawls = []
+    crawls, limiters = [], []
     try:
-        for tag in "ab":
-            pages, files = (ShardedSeenSet(f"cache{tag}{k}", num_shards=2,
-                                           capacity_per_shard=4096) for k in "pf")
-            crawls.append((pages, files))
+        for tag in "abc":
+            seen = ShardedSeenSet(f"cache{tag}", num_shards=2, capacity_per_shard=4096)
+            crawls.append(seen)
+            inflight, handle = make_inflight_limiter(f"inflight:cache{tag}", policy)
+            limiters.append(handle)
             url_map_ref = ray.put(url_map)
-            seen_mod.begin_rounds([pages, files], 0)
+            seen.begin_round(0)
             parsed = fetch_parse.make_fetch_parse_fn(
                 url_map_ref, "greedy", {"domains": web.domains}, with_keys=True,
-                claim=(pages.name, files.name, 2, 3), claim_round=0)(batch)
+                claim=(seen.name, 2, 3), inflight=inflight, claim_round=0)(batch)
             tasks = parsed.filter(pc.equal(parsed["row_kind"], "task"))
-            fetched = download.make_fetcher_fn(url_map_ref, report=(files.name, 2, 0))(
+            fetched = download.make_fetcher_fn(url_map_ref, inflight=inflight,
+                                               report=(seen.name, 2, 0))(
                 tasks.select(["file_url", "parent_seq", "emit_ord"]))
             ray.get(list(seen_mod._PENDING))  # deliver the non-blocking calls
             seen_mod._PENDING.clear()
+            assert len(seen_mod._ACTOR_CACHE) <= 2 and len(InflightGuard._CACHE) == 1
         assert len(fetch_parse._FP_CACHE) == 1 and len(download._FETCHER_CACHE) == 1
         n_tasks = tasks.num_rows
-        n_links = pc.sum(pc.equal(parsed["row_kind"], "link")).as_py()
-        assert n_tasks and n_links
-        for pages, files in crawls:  # each set got its own crawl's batch, once
-            assert pages.claims_received() == n_links
-            assert files.claims_received() == n_tasks
-            (_, parse_reps), (_, fetch_reps) = (seen_mod._poll([pages], "parse"),
-                                                seen_mod._poll([files], "fetch"))
+        links = parsed.filter(pc.equal(parsed["row_kind"], "link"))
+        assert n_tasks and links.num_rows
+        won = []
+        for seen in crawls:  # each set got its own crawl's batch, once
+            assert seen.claims_received() == links.num_rows + n_tasks
+            (_, parse_reps), (_, fetch_reps) = seen.progress("parse"), seen.progress("fetch")
             assert [r["pages"] for r in parse_reps] == [len(urls)]
             assert [r["rows"] for r in fetch_reps] == [fetched.num_rows]
+            won.append(seen.finish_round())
+        for kind, rows in (("pages", links), ("files", tasks)):
+            packed = won[0][kind][1]
+            assert len(packed) and np.isin(packed, rows["packed"].to_numpy()).all()
+            for w in won[1:]:
+                assert np.array_equal(np.sort(w[kind][1]), np.sort(packed))
     finally:
         fetch_parse._FP_CACHE.clear()
         download._FETCHER_CACHE.clear()
-        for pages, files in crawls:
-            pages.shutdown()
-            files.shutdown()
+        for seen in crawls:
+            seen.shutdown()
+        for handle in limiters:
+            ray.kill(handle)
